@@ -9,7 +9,7 @@ square-summable solution appears on each side and the indices become (1, 1).
 
 from qdef import (I, Quaternion, classify_solution, deficiency_indices,
                   formal_solutions, free_jacobi, index_stability_scan,
-                  jacobi_sq, number_operator, truncated_kernel_qdim,
+                  jacobi_sq, number_operator, truncated_kernel,
                   von_neumann_evidence)
 
 print("== indices of the three presets ==")
@@ -42,7 +42,7 @@ print(f"  kernel dimension across {len(scan['samples'])} shifts in B(i, 1): "
 print("\n== the dense embedding agrees with the recurrence ==")
 for maker in (number_operator, free_jacobi, jacobi_sq):
     op3 = maker()
-    dense = truncated_kernel_qdim(op3, I, 60)
+    dense = truncated_kernel(op3, I, 60).qdim
     recur = len(formal_solutions(op3, I, 60))
     print(f"  {op3.description:38s} truncated kernel {dense} == "
           f"formal solutions {recur}")

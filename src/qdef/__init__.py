@@ -17,13 +17,12 @@ from .rmodule import (Basis, LeftMul, QVector, delta_map, expand, gram_schmidt,
                       random_real_rotation_basis, reconstruct, right_scale,
                       basis_from_literals, vector_from_literals)
 from .qoperator import (CriteriaReport, QOperator, SymmetryReport, adjoint,
-                        apply, criteria_report, hermitian_random, left_scalar,
+                        criteria_report, hermitian_random, left_scalar,
                         norm_identity_check, random_operator, real_symmetric,
                         resolvent_poly, scalar_op, shift_left_scalar,
                         symmetry_predicates)
-from .embed import (ChiMatrix, KernelBasis, chi, conjugation_defect,
-                    eigenvalues_c, kernel_q,
-                    min_singular_value, operator_norm, rank_q, solve_q,
+from .embed import (KernelBasis, chi, conjugation_defect, eigenvalues_c,
+                    kernel_q, min_singular_value, operator_norm, rank_q,
                     structure_map, unvec, vec)
 from .spectrum import (EigenSphere, RealityVerdict, SpectrumReport,
                        point_sspectrum, resolvent_bound_check,
@@ -34,7 +33,6 @@ from .deficiency import (BandedOperator, DeficiencyReport, FormalSolution,
                          formal_solutions, free_jacobi, from_config,
                          index_stability_scan, jacobi_sq, number_operator,
                          poly_generator, recurrence_residual,
-                         truncated_kernel_qdim, truncated_kernel_vectors,
-                         von_neumann_evidence, PRESETS)
+                         truncated_kernel, von_neumann_evidence, PRESETS)
 
 __version__ = "0.1.0"

@@ -29,8 +29,8 @@ import numpy as np
 from .deficiency import (PRESETS, basis_invariance_check,
                          deficiency_indices, from_config,
                          index_stability_scan)
-from .errors import (ConfigError, InternalInconsistency, PreconditionFailed,
-                     QdefError, StabilityViolation)
+from .errors import (ConfigError, PreconditionFailed, QdefError,
+                     StabilityViolation)
 from .qoperator import QOperator, real_symmetric
 from .quat import Quaternion, parse_quaternion
 from .rmodule import random_basis
@@ -84,11 +84,17 @@ def _load_tolerances(args) -> dict:
         for key, val in overrides.items():
             if key not in tol:
                 raise ConfigError(f"unknown tolerance override {key!r}")
-            tol[key] = type(tol[key])(val)
+            try:
+                tol[key] = type(tol[key])(val)
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"tolerance override {key!r} is not a number: {val!r}")
     if args.N is not None:
         tol["N"] = int(args.N)
     if args.window is not None:
         tol["window"] = int(args.window)
+    for key in ("N", "window"):
+        if tol[key] <= 0:
+            raise ConfigError(f"{key} must be positive, got {tol[key]}")
     return tol
 
 
@@ -136,8 +142,7 @@ def _parse_q(cfg: RunConfig, default: Quaternion) -> Quaternion:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(cfg: RunConfig):
-    kind, op = _load_operator(cfg)
+def _cmd_verify(cfg: RunConfig, kind, op):
     if kind == "banded":
         checks, extra = verify_banded(op, cfg.seed, cfg.tolerances)
         desc = op.description
@@ -157,8 +162,7 @@ def _cmd_verify(cfg: RunConfig):
     return (0 if passed else 1), report
 
 
-def _cmd_sspectrum(cfg: RunConfig):
-    kind, op = _load_operator(cfg)
+def _cmd_sspectrum(cfg: RunConfig, kind, op):
     if kind == "banded":
         raise ConfigError("sspectrum expects a finite matrix (--matrix)")
     rep = point_sspectrum(op)
@@ -175,8 +179,7 @@ def _cmd_sspectrum(cfg: RunConfig):
     return 0, report
 
 
-def _cmd_deficiency(cfg: RunConfig):
-    kind, op = _load_operator(cfg)
+def _cmd_deficiency(cfg: RunConfig, kind, op):
     if kind != "banded":
         raise ConfigError("deficiency expects a banded operator "
                           "(--preset or a banded --matrix config)")
@@ -231,18 +234,16 @@ def _cmd_invariance(cfg: RunConfig):
     return (0 if disc == 0 else 1), report
 
 
-def _cmd_report(cfg: RunConfig):
-    kind, _ = _load_operator(cfg)
-    code, bundle = _cmd_verify(cfg)
+def _cmd_report(cfg: RunConfig, kind, op):
+    code, bundle = _cmd_verify(cfg, kind, op)
     parts = {"verify": bundle}
     if kind == "matrix":
-        c2, rep = _cmd_sspectrum(cfg)
+        c2, rep = _cmd_sspectrum(cfg, kind, op)
         parts["sspectrum"] = rep
-        code = max(code, c2)
     else:
-        c2, rep = _cmd_deficiency(cfg)
+        c2, rep = _cmd_deficiency(cfg, kind, op)
         parts["deficiency"] = rep
-        code = max(code, c2)
+    code = max(code, c2)
     c3, rep = _cmd_invariance(cfg)
     parts["invariance"] = rep
     code = max(code, c3)
@@ -260,7 +261,6 @@ _DISPATCH = {
     "verify": _cmd_verify,
     "sspectrum": _cmd_sspectrum,
     "deficiency": _cmd_deficiency,
-    "invariance": _cmd_invariance,
     "report": _cmd_report,
 }
 
@@ -370,16 +370,23 @@ def run(argv=None):
             count=args.count,
             tolerances=_load_tolerances(args),
         )
-        code, report = _DISPATCH[cfg.command](cfg)
+        for name, low in (("dim", 1), ("trials", 1), ("count", 0)):
+            if getattr(cfg, name) < low:
+                raise ConfigError(f"--{name} must be at least {low}, "
+                                  f"got {getattr(cfg, name)}")
+        if cfg.command == "invariance":
+            code, report = _cmd_invariance(cfg)
+        else:
+            code, report = _DISPATCH[cfg.command](cfg, *_load_operator(cfg))
         text = _render(report, cfg.fmt)
-    except ConfigError as exc:
+    except (ConfigError, PreconditionFailed) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2, None
-    except PreconditionFailed as exc:
-        sys.stderr.write(f"config error: {exc}\n")
-        return 2, None
-    except (InternalInconsistency, StabilityViolation, QdefError) as exc:
+    except QdefError as exc:
         sys.stderr.write(f"property failure: {exc}\n")
+        return 1, None
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        sys.stderr.write(f"property failure: {type(exc).__name__}: {exc}\n")
         return 1, None
     if cfg.out:
         with open(cfg.out, "w") as fh:

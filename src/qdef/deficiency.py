@@ -36,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from . import embed
 from .errors import (DimensionMismatch, InternalInconsistency,
@@ -444,10 +443,16 @@ def classify_l2(sol: FormalSolution, window: int = 100,
     log_sq = sol.log_sq_magnitudes()
     nblocks = n // window
     start = nblocks // 2
-    log_e = np.array([
-        logsumexp(log_sq[b * window:(b + 1) * window])
-        for b in range(start, nblocks)
-    ])
+    # log-sum-exp per block with the largest entry split off and tied maxima
+    # counted: log1p(sum_{non-max} exp(a - max) / ties) + log(ties) + max
+    blocks = log_sq[start * window:nblocks * window].reshape(-1, window)
+    top = blocks.max(axis=1)
+    is_top = blocks == top[:, None]
+    ties = is_top.sum(axis=1)
+    with np.errstate(invalid="ignore"):
+        rest = np.exp(np.where(is_top, -np.inf, blocks) - top[:, None]).sum(axis=1)
+        log_e = np.where(np.isneginf(top), -np.inf,
+                         np.log1p(rest / ties) + np.log(ties) + top)
     if np.all(np.isinf(log_e) & (log_e < 0)):
         return SummabilityVerdict(SQUARE_SUMMABLE, 0.0, list(log_e))
     if np.any(np.isinf(log_e)):
@@ -467,15 +472,6 @@ def classify_l2(sol: FormalSolution, window: int = 100,
     return SummabilityVerdict(verdict, ratio, [float(x) for x in log_e])
 
 
-def _head_values(C, logs, upto):
-    mags = np.sqrt(qnormsq(C[:upto]))
-    with np.errstate(divide="ignore"):
-        lm = np.where(mags > 0, np.log(np.where(mags > 0, mags, 1.0)), -np.inf)
-    if np.max(logs[:upto] + lm) > 700.0:
-        return None
-    return C[:upto] * np.exp(logs[:upto])[:, None]
-
-
 def _backward_consistency(op: BandedOperator, sol: FormalSolution) -> str:
     """Re-solve backward from the forward tail and compare head coefficients."""
     w = op.bandwidth
@@ -491,9 +487,11 @@ def _backward_consistency(op: BandedOperator, sol: FormalSolution) -> str:
         return "skipped"
     logs_b += tail_logs[0]
     upto = max(2 * w, min(N // 4, 200))
-    fwd = _head_values(sol.mantissas, sol.log_scale, upto)
-    bwd = _head_values(C_b, logs_b, upto)
-    if fwd is None or bwd is None:
+    try:
+        fwd = FormalSolution(sol.mantissas[:upto], sol.log_scale[:upto], sol.q,
+                             sol.seed_slot).values()
+        bwd = FormalSolution(C_b[:upto], logs_b[:upto], sol.q, sol.seed_slot).values()
+    except OverflowError:
         return "discrepancy"
     scale = np.max(np.sqrt(qnormsq(fwd)))
     if scale == 0.0:
@@ -720,7 +718,7 @@ def _gram_min_eig(vectors):
     for a in range(t):
         for b in range(t):
             G[a, b] = inner(vectors[a], vectors[b]).to_array()
-    eigs = np.linalg.eigvalsh(embed.chi(G).matrix)
+    eigs = np.linalg.eigvalsh(embed.chi(G))
     return float(eigs[0])
 
 
@@ -786,8 +784,8 @@ def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100):
 # truncated-matrix oracle and basis invariance
 # ---------------------------------------------------------------------------
 
-def truncated_kernel_qdim(op: BandedOperator, q: Quaternion, M: int = 60) -> int:
-    """Kernel dimension of the truncated shifted matrix, boundary rows deleted.
+def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60) -> embed.KernelBasis:
+    """Kernel of the truncated shifted matrix, boundary rows deleted.
 
     The leading M x M corner of (A - q) keeps only its first M - w rows (the
     rows that do not reference truncated coefficients), and the quaternionic
@@ -797,14 +795,7 @@ def truncated_kernel_qdim(op: BandedOperator, q: Quaternion, M: int = 60) -> int
     w = op.bandwidth
     arr = op.truncate(M)
     arr[np.arange(M), np.arange(M)] -= q.to_array()
-    return embed.kernel_q(arr[:M - w if w else M]).qdim
-
-
-def truncated_kernel_vectors(op: BandedOperator, q: Quaternion, M: int = 60):
-    w = op.bandwidth
-    arr = op.truncate(M)
-    arr[np.arange(M), np.arange(M)] -= q.to_array()
-    return embed.kernel_q(arr[:M - w if w else M]).vectors
+    return embed.kernel_q(arr[:M - w if w else M])
 
 
 def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import InternalInconsistency, NoConvergence, SingularSystem
+from .errors import InternalInconsistency, NoConvergence
 from .rmodule import QVector
 
 RANK_TOL = 1e-10  # relative singular-value threshold for rank/kernel decisions
@@ -30,25 +30,8 @@ def _entries(A):
     return arr
 
 
-class ChiMatrix:
-    """A 2n x 2m complex image together with the source shape."""
-
-    __slots__ = ("matrix", "source_shape")
-
-    def __init__(self, matrix, source_shape):
-        self.matrix = matrix
-        self.source_shape = source_shape
-
-    @property
-    def source_dim(self):
-        return self.source_shape[0]
-
-    def __repr__(self):
-        return f"ChiMatrix(source_shape={self.source_shape})"
-
-
-def chi(A) -> ChiMatrix:
-    """Entrywise 2x2 complex embedding of a quaternionic matrix."""
+def chi(A) -> np.ndarray:
+    """Entrywise 2x2 complex embedding of a quaternionic matrix: a 2n x 2m array."""
     E = _entries(A)
     n, m = E.shape[0], E.shape[1]
     z1 = E[..., 0] + 1j * E[..., 3]
@@ -58,7 +41,7 @@ def chi(A) -> ChiMatrix:
     out[0::2, 1::2] = -np.conj(z2)
     out[1::2, 0::2] = z2
     out[1::2, 1::2] = np.conj(z1)
-    return ChiMatrix(out, (n, m))
+    return out
 
 
 def vec(phi: QVector) -> np.ndarray:
@@ -113,7 +96,7 @@ def kernel_q(A, rank_tol=RANK_TOL, scale=None) -> KernelBasis:
     threshold reference for matrices that are themselves near zero (the
     largest singular value is used otherwise).
     """
-    M = chi(A).matrix
+    M = chi(A)
     rows, cols = M.shape
     if min(rows, cols) == 0:
         return KernelBasis([], cols // 2)
@@ -153,7 +136,7 @@ def kernel_q(A, rank_tol=RANK_TOL, scale=None) -> KernelBasis:
 
 def rank_q(A, rank_tol=RANK_TOL, scale=None) -> int:
     """Rank over the quaternions: complex rank of the embedding, halved."""
-    M = chi(A).matrix
+    M = chi(A)
     if min(M.shape) == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
@@ -170,7 +153,7 @@ def eigenvalues_c(A) -> np.ndarray:
     The multiset is closed under complex conjugation, a structural consequence
     of the J-symmetry of the embedding.
     """
-    M = chi(A).matrix
+    M = chi(A)
     if M.shape[0] != M.shape[1]:
         raise ValueError("eigenvalues require a square matrix")
     try:
@@ -197,23 +180,10 @@ def conjugation_defect(lam) -> float:
 
 def operator_norm(A) -> float:
     """Largest singular value of the complex embedding (= quaternionic norm)."""
-    M = chi(A).matrix
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(chi(A), compute_uv=False)
     return float(s[0]) if s.size else 0.0
 
 
 def min_singular_value(A) -> float:
-    M = chi(A).matrix
-    s = np.linalg.svd(M, compute_uv=False)
+    s = np.linalg.svd(chi(A), compute_uv=False)
     return float(s[-1]) if s.size else 0.0
-
-
-def solve_q(A, psi: QVector, rcond=1e-12) -> QVector:
-    """Solve A x = psi through the complex embedding."""
-    M = chi(A).matrix
-    b = vec(psi)
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[-1] <= rcond * s[0]:
-        raise SingularSystem("shifted operator is numerically singular")
-    x = np.linalg.solve(M, b)
-    return unvec(x)

@@ -22,7 +22,7 @@ from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .quat import (Quaternion, format_quaternion, parse_quaternion, qconj,
                    qmatmul, qmul, qnormsq)
-from .rmodule import LeftMul, QVector, random_qvector
+from .rmodule import LeftMul, QVector
 
 SYM_ATOL = 1e-10  # entrywise tolerance for symmetry predicates
 
@@ -147,6 +147,8 @@ class QOperator:
         for idx, lit in enumerate(lits):
             q = parse_quaternion(lit) if isinstance(lit, str) else Quaternion(float(lit))
             arr[idx // dim, idx % dim] = q.to_array()
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("matrix entries must be finite numbers")
         return cls.from_entries(arr)
 
 
@@ -156,10 +158,6 @@ def _as_components(x):
     if isinstance(x, (int, float)):
         return np.array([float(x), 0.0, 0.0, 0.0])
     return np.asarray(x, dtype=float)
-
-
-def apply(A: QOperator, phi: QVector) -> QVector:
-    return A.apply(phi)
 
 
 def adjoint(A: QOperator) -> QOperator:
@@ -392,7 +390,3 @@ def hermitian_random(dim: int, seed: int = 0) -> QOperator:
 def random_operator(dim: int, seed: int = 0) -> QOperator:
     rng = np.random.default_rng(seed)
     return QOperator.from_entries(rng.standard_normal((dim, dim, 4)))
-
-
-def random_vector(dim: int, seed: int = 0) -> QVector:
-    return random_qvector(np.random.default_rng(seed), dim)

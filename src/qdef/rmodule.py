@@ -149,7 +149,12 @@ class Basis:
         if isinstance(vectors, np.ndarray) and vectors.ndim == 3:
             mat = np.asarray(vectors, dtype=float).copy()
         else:
-            mat = np.array([v.components for v in vectors], dtype=float)
+            comps = [v.components for v in vectors]
+            dims = sorted({c.shape[0] for c in comps})
+            if len(dims) > 1:
+                raise DimensionMismatch(
+                    f"basis vectors have different dimensions {dims}")
+            mat = np.array(comps, dtype=float)
         if mat.ndim != 3 or mat.shape[2] != 4:
             raise BasisError("expected a stack of quaternion vectors")
         n, dim = mat.shape[0], mat.shape[1]

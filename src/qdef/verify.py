@@ -11,7 +11,7 @@ import numpy as np
 
 from . import embed
 from .deficiency import (BandedOperator, deficiency_indices,
-                         index_stability_scan, truncated_kernel_qdim,
+                         index_stability_scan, truncated_kernel,
                          von_neumann_evidence, formal_solutions)
 from .errors import InternalInconsistency, StabilityViolation
 from .qoperator import (QOperator, norm_identity_check, resolvent_poly,
@@ -55,8 +55,7 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
     checks = []
 
     B = QOperator.from_entries(rng.standard_normal((n, n, 4)))
-    hom = np.max(np.abs(embed.chi(A @ B).matrix
-                        - embed.chi(A).matrix @ embed.chi(B).matrix))
+    hom = np.max(np.abs(embed.chi(A @ B) - embed.chi(A) @ embed.chi(B)))
     checks.append(_row("embedding_homomorphism", hom <= 1e-12, hom, 1e-12))
 
     adj = A.adjoint()
@@ -100,7 +99,8 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
                        worst, 1e-10,
                        detail=f"adjoint kernel dim {kb.qdim}"))
 
-    pair = embed.conjugation_defect(embed.eigenvalues_c(A))
+    lam = embed.eigenvalues_c(A)
+    pair = embed.conjugation_defect(lam)
     checks.append(_row("eigenvalue_conjugation_closure", pair <= 1e-8, pair, 1e-8))
 
     try:
@@ -160,7 +160,6 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
             checks.append(_row("defect_dimension_basis_invariance", disc == 0,
                                float(disc), 0.0))
 
-    lam = embed.eigenvalues_c(A)
     return checks, {"spheres": [s.to_dict() for s in report.spheres],
                     "all_real": report.all_real,
                     "embedding_eigenvalues": [[float(z.real), float(z.imag)]
@@ -199,7 +198,7 @@ def verify_banded(op: BandedOperator, seed: int, tol: dict):
 
     ok = True
     for q in (I, -I):
-        lhs = truncated_kernel_qdim(op, q, 60)
+        lhs = truncated_kernel(op, q, 60).qdim
         rhs = len(formal_solutions(op, q, 60))
         ok = ok and lhs == rhs
     checks.append(_row("truncated_matrix_oracle_agreement", ok))

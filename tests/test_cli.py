@@ -1,4 +1,10 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from qdef import hermitian_random
 from qdef.cli import main
@@ -162,3 +168,64 @@ class TestEnvOverrides:
     def test_unknown_key_rejected(self, monkeypatch):
         monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"mystery": 1}))
         assert main(["verify", "--preset", "number_operator"]) == 2
+
+
+BAD_INPUT = [
+    # (label, argv, QDEF_TOL_OVERRIDES, matrix entries or None, expected exit)
+    ("window-zero", ["deficiency", "--preset", "free_jacobi", "--window", "0"],
+     None, None, 2),
+    ("window-negative", ["deficiency", "--preset", "free_jacobi", "--window", "-3"],
+     None, None, 2),
+    ("N-zero", ["deficiency", "--preset", "free_jacobi", "--N", "0"], None, None, 2),
+    ("count-negative", ["deficiency", "--preset", "free_jacobi", "--count", "-1"],
+     None, None, 2),
+    ("dim-zero", ["invariance", "--dim", "0"], None, None, 2),
+    ("trials-zero", ["invariance", "--trials", "0"], None, None, 2),
+    ("env-window-zero", ["deficiency", "--preset", "free_jacobi"], {"window": 0},
+     None, 2),
+    ("env-N-negative", ["verify", "--preset", "free_jacobi"], {"N": -5}, None, 2),
+    ("env-N-text", ["verify", "--preset", "free_jacobi"], {"N": "many"}, None, 2),
+    ("nan-entry", ["verify", "--matrix"], None, [1, float("nan"), 0, 2], 2),
+    ("inf-entry", ["sspectrum", "--matrix"], None,
+     [1, float("inf"), float("-inf"), 2], 2),
+    ("overflow-verify", ["verify", "--matrix"], None, ["1e308", "0", "0", "1e308"], 1),
+    ("overflow-sspectrum", ["sspectrum", "--matrix"], None,
+     ["1e308", "0", "0", "1e308"], 1),
+    ("count-zero", ["deficiency", "--preset", "free_jacobi", "--N", "400",
+                    "--window", "50", "--count", "0"], None, None, 0),
+]
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv,env,entries,expected",
+                             [case[1:] for case in BAD_INPUT],
+                             ids=[case[0] for case in BAD_INPUT])
+    def test_message_not_traceback(self, argv, env, entries, expected, tmp_path,
+                                   capsys, monkeypatch):
+        if env is not None:
+            monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps(env))
+        if entries is not None:
+            m = tmp_path / "m.json"
+            m.write_text(json.dumps({"dim": 2, "entries": entries}))
+            argv = argv + [str(m)]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2) and code == expected, (code, err)
+        assert "Traceback" not in err
+        if code:
+            assert err.splitlines()[-1].startswith(
+                "config error: " if code == 2 else "property failure: ")
+
+
+def test_cli_run_does_not_import_scipy():
+    code = ("import sys, qdef.cli; "
+            "code = qdef.cli.main(['deficiency', '--preset', 'free_jacobi', "
+            "'--N', '400', '--window', '50', '--count', '0']); "
+            "print(code, 'scipy' in sys.modules)")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "0 False"

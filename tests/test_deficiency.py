@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from qdef import (Basis, I, J, Quaternion, BandedOperator,
                   deficiency_indices, formal_solutions, free_jacobi,
                   from_config, index_stability_scan, inner, jacobi_sq,
                   number_operator, poly_generator, random_basis,
-                  real_symmetric, recurrence_residual, truncated_kernel_qdim,
-                  truncated_kernel_vectors, von_neumann_evidence)
+                  real_symmetric, recurrence_residual, truncated_kernel,
+                  von_neumann_evidence)
 from qdef.deficiency import FormalSolution
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
 
@@ -90,7 +92,7 @@ class TestFormalSolutions:
 
     def test_against_truncated_kernel_direction(self):
         sols = formal_solutions(free_jacobi(), I, 60)
-        vecs = truncated_kernel_vectors(free_jacobi(), I, 61)
+        vecs = truncated_kernel(free_jacobi(), I, 61).vectors
         assert len(vecs) == 1
         sol_vec = sols[0].to_qvector()
         kv = vecs[0]
@@ -123,6 +125,24 @@ class TestFormalSolutions:
 
 
 class TestClassify:
+    def test_block_energies_match_fsum(self):
+        # window 4, 24 terms: the fit reads blocks 3, 4 and 5
+        mags = np.array([1.0, 2.0, 0.5, 3.0] * 3
+                        + [0.0] * 4                  # all-zero block
+                        + [2.0, 2.0, 2.0, 2.0]       # four tied maxima
+                        + [3.0, 0.0, 3.0, 1e-3])     # two tied maxima and a zero
+        arr = np.zeros((24, 4))
+        arr[:, 0] = mags * 0.6
+        arr[:, 2] = -mags * 0.8
+        log_scale = 0.5 * (np.arange(24) // 4)       # constant inside a block
+        sol = FormalSolution(arr, log_scale, I, 0)
+        got = classify_l2(sol, window=4).block_log_energies
+        assert len(got) == 3 and got[0] == -np.inf
+        for b, value in zip((4, 5), got[1:]):
+            terms = [math.exp(2.0 * log_scale[n]) * mags[n] ** 2
+                     for n in range(4 * b, 4 * b + 4)]
+            assert abs(value - math.log(math.fsum(terms))) <= 1e-12
+
     def test_geometric_decay(self):
         sol = synthetic_solution(2.0 ** -np.arange(600.0))
         assert classify_l2(sol, window=100).verdict == "square_summable"
@@ -263,7 +283,7 @@ class TestOracleAgreement:
     def test_truncated_kernel_counts(self, name, maker):
         op = maker()
         for q in (I, -I, J):
-            assert truncated_kernel_qdim(op, q, 60) == len(
+            assert truncated_kernel(op, q, 60).qdim == len(
                 formal_solutions(op, q, 60))
 
 

@@ -9,17 +9,17 @@ from qdef import (I, J, Quaternion, QOperator, chi, conjugation_defect,
 
 class TestChi:
     def test_one_by_one_unit(self):
-        M = chi(QOperator([[I]])).matrix
+        M = chi(QOperator([[I]]))
         np.testing.assert_allclose(M, np.array([[0, 1j], [1j, 0]]))
 
     def test_identity(self):
-        M = chi(QOperator.identity(3)).matrix
+        M = chi(QOperator.identity(3))
         np.testing.assert_allclose(M, np.eye(6))
 
     def test_blocks_match_scalar_embedding(self):
         rng = np.random.default_rng(0)
         A = random_operator(3, seed=1)
-        M = chi(A).matrix
+        M = chi(A)
         for a in range(3):
             for b in range(3):
                 np.testing.assert_allclose(
@@ -31,23 +31,23 @@ class TestChi:
         for _ in range(20):
             A = random_operator(3, seed=int(rng.integers(1 << 31)))
             B = random_operator(3, seed=int(rng.integers(1 << 31)))
-            lhs = chi(A @ B).matrix
-            rhs = chi(A).matrix @ chi(B).matrix
+            lhs = chi(A @ B)
+            rhs = chi(A) @ chi(B)
             assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
     def test_additive_and_adjoint(self):
         A = random_operator(4, seed=3)
         B = random_operator(4, seed=4)
-        np.testing.assert_allclose(chi(A + B).matrix,
-                                   chi(A).matrix + chi(B).matrix, atol=1e-14)
-        np.testing.assert_allclose(chi(A.adjoint()).matrix,
-                                   chi(A).matrix.conj().T, atol=1e-14)
+        np.testing.assert_allclose(chi(A + B),
+                                   chi(A) + chi(B), atol=1e-14)
+        np.testing.assert_allclose(chi(A.adjoint()),
+                                   chi(A).conj().T, atol=1e-14)
 
     def test_intertwines_application(self):
         rng = np.random.default_rng(5)
         A = random_operator(4, seed=6)
         phi = random_qvector(rng, 4)
-        np.testing.assert_allclose(chi(A).matrix @ vec(phi), vec(A(phi)),
+        np.testing.assert_allclose(chi(A) @ vec(phi), vec(A(phi)),
                                    atol=1e-12)
 
 

@@ -287,3 +287,12 @@ class TestBasisValidation:
     def test_canonical_valid(self):
         B = Basis([e(2, 0), e(2, 1)])
         assert B.dim == 2
+
+    def test_rejects_mixed_dimensions(self):
+        with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
+            Basis([QVector([1, 0]), QVector([1, 0, 0])])
+
+    def test_literals_with_unequal_rows_rejected(self):
+        from qdef import basis_from_literals
+        with pytest.raises(DimensionMismatch, match=r"\[1, 2\]"):
+            basis_from_literals([["1", "0"], ["i"]])
