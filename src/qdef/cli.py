@@ -374,10 +374,12 @@ def run(argv=None):
             if getattr(cfg, name) < low:
                 raise ConfigError(f"--{name} must be at least {low}, "
                                   f"got {getattr(cfg, name)}")
-        if cfg.command == "invariance":
-            code, report = _cmd_invariance(cfg)
-        else:
-            code, report = _DISPATCH[cfg.command](cfg, *_load_operator(cfg))
+        # overflow shows as a failed check or a one-line error, not as warnings
+        with np.errstate(all="ignore"):
+            if cfg.command == "invariance":
+                code, report = _cmd_invariance(cfg)
+            else:
+                code, report = _DISPATCH[cfg.command](cfg, *_load_operator(cfg))
         text = _render(report, cfg.fmt)
     except (ConfigError, PreconditionFailed) as exc:
         sys.stderr.write(f"config error: {exc}\n")

@@ -19,9 +19,14 @@ self-adjointness, the indices are independent of the chosen unit and constant
 over non-real shifts, and the defect spaces at q and conj(q) intersect
 trivially (directness evidence).
 
-Growth handling: the march rescales its active window whenever magnitudes
-leave [1e-120, 1e+120], tracking the accumulated log factor per index, so
-exponentially growing or decaying solutions never overflow.  For square-
+All shifts and seed slots of one call are solved together: one forward
+march carries every formal solution as a batch, and one reverse march
+carries every backward re-solve and probe.  Each solution's arithmetic is
+the scalar component formulas in their order, so batching changes no bit.
+
+Growth handling: the march rescales each solution's active window whenever
+its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
+per index, so exponentially growing or decaying solutions never overflow.  For square-
 summable candidates a backward re-solve from the computed tail cross-checks
 the forward pass, and for bandwidth-1 operators a minimal-solution probe
 (backward march from a zero tail seed) guards against the forward recurrence
@@ -61,25 +66,44 @@ INCONCLUSIVE = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# scalar quaternion tuples (hot recurrence path)
+# quaternion component arrays (hot recurrence path)
 # ---------------------------------------------------------------------------
 
-def _hmul(a, b):
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+# Term m of component k of the Hamilton product a*b, at position 4m + k, is
+# _SIGN * a[_LEFT] * b[_RIGHT]; each component adds its four terms left to
+# right, in the order of the component formulas of ``quat.qmul``.
+_LEFT = np.repeat(np.arange(4), 4)
+_RIGHT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+_SIGN = np.array([1, 1, 1, 1, -1, 1, -1, 1, -1, 1, 1, -1, -1, -1, 1, 1],
+                 dtype=float)
 
 
-def _habs(a):
-    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
+def _signed(a):
+    """Signed left factors of Hamilton products: (..., 4) -> (..., 16)."""
+    return a[..., _LEFT] * _SIGN
 
 
-def _hinv(a):
-    n2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
-    return (a[0] / n2, -a[1] / n2, -a[2] / n2, -a[3] / n2)
+def _qmul(sa, b):
+    """Products a*b from sa = _signed(a), each component ((t0 +- t1) +- t2) +- t3.
+
+    Only elementwise operations, so every product rounds exactly as the
+    scalar component formulas do.
+    """
+    t = sa * b[..., _RIGHT]
+    return ((t[..., 0:4] + t[..., 4:8]) + t[..., 8:12]) + t[..., 12:16]
+
+
+def _qnormsq(a):
+    """((a0^2 + a1^2) + a2^2) + a3^2 along the last axis."""
+    s = a * a
+    return ((s[..., 0] + s[..., 1]) + s[..., 2]) + s[..., 3]
+
+
+def _qinv(a):
+    """Inverses conj(a) / |a|^2 along the last axis."""
+    inv = a / _qnormsq(a)[..., None]
+    inv[..., 1:] *= -1.0
+    return inv
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +114,9 @@ class BandedOperator:
     """Symmetric banded operator on half-line sequences, given by a generator.
 
     ``coeff(n, d)`` returns the entry A[n, n+d] for |d| <= bandwidth as a
-    Quaternion.  The symmetry relation coeff(n, d) = conj(coeff(n+d, -d)) and
-    the ``real_entries`` flag are validated on sampled rows at construction.
+    Quaternion.  Finite squared norms, the symmetry relation
+    coeff(n, d) = conj(coeff(n+d, -d)) and the ``real_entries`` flag are
+    validated on sampled rows at construction.
     """
 
     def __init__(self, bandwidth, coeff, symmetric=True, real_entries=True,
@@ -101,13 +126,17 @@ class BandedOperator:
         self.symmetric = bool(symmetric)
         self.real_entries = bool(real_entries)
         self.description = description
-        self._cache = {}
         if self.bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
+        self._table = np.zeros((0, 2 * self.bandwidth + 1, 4))
         self._validate(validate_rows)
 
     def _validate(self, rows):
         w = self.bandwidth
+        try:    # every entry the checks below read, before any is compared
+            self.table(rows + w)
+        except PreconditionFailed as exc:
+            raise ValueError(str(exc)) from None
         for n in range(rows):
             for d in range(-w, w + 1):
                 if n + d < 0:
@@ -129,13 +158,33 @@ class BandedOperator:
         return self._coeff(n, d)
 
     def coeff_tuple(self, n, d):
-        key = (n, d)
-        t = self._cache.get(key)
-        if t is None:
-            q = self.coeff(n, d)
-            t = (q.q0, q.q1, q.q2, q.q3)
-            self._cache[key] = t
-        return t
+        q = self.coeff(n, d)
+        return (q.q0, q.q1, q.q2, q.q3)
+
+    def table(self, N) -> np.ndarray:
+        """Entries A[n, n+d] of rows 0..N as an (N+1, 2w+1, 4) array.
+
+        Filled from ``coeff`` and cached: the longest table built so far is
+        kept, sliced for shorter ones and extended for longer ones.  Raises
+        PreconditionFailed when a coefficient's squared norm is not finite,
+        since the recurrence cannot be solved in double precision then.
+        """
+        built = len(self._table)
+        if built <= N:
+            w = self.bandwidth
+            tab = np.zeros((N + 1, 2 * w + 1, 4))
+            tab[:built] = self._table
+            for n in range(built, N + 1):
+                for d in range(-w, w + 1):
+                    tab[n, d + w] = self.coeff_tuple(n, d)
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = np.argwhere(~np.isfinite(_qnormsq(tab[built:])))
+            if len(bad):
+                n, k = bad[0]
+                raise PreconditionFailed(
+                    f"coeff({built + n},{k - w}) has a non-finite squared norm")
+            self._table = tab
+        return self._table[:N + 1]
 
     def scale_real(self, factor: float) -> BandedOperator:
         """The operator factor*A (real factor, entrywise)."""
@@ -290,91 +339,155 @@ class FormalSolution:
         return QVector.from_components(self.values())
 
 
-def _march(op: BandedOperator, q: Quaternion, N: int, seeds, reverse=False):
-    """Solve the banded recurrence in either direction with window rescaling.
+def _march(table, qs, N, seeds, reverse=False):
+    """Solve the banded recurrence for a batch of B solutions, either direction.
 
-    Forward: ``seeds`` fills c_0..c_{w-1}; rows 0..N-w produce c_w..c_N.
-    Reverse: ``seeds`` fills c_{N-2w+1}..c_N; rows N-w..w produce down to c_0.
-    Returns (mantissas, log_scale).
+    ``table`` holds the coefficients of rows 0..N at least (see
+    ``BandedOperator.table``) and ``qs`` the shift of each solution as a
+    (B, 4) array.  Forward: ``seeds`` (B, w, 4) fills c_0..c_{w-1} and rows
+    0..N-w produce c_w..c_N.  Reverse: ``seeds`` (B, 2w, 4) fills
+    c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  Each solution
+    rescales its active window on its own whenever its magnitudes leave
+    [RESCALE_LO, RESCALE_HI].  Returns mantissas (B, N+1, 4) and log scales
+    (B, N+1); every solution is bit for bit what it would be if marched
+    alone.
     """
-    w = op.bandwidth
-    qt = (q.q0, q.q1, q.q2, q.q3)
-    C = [(0.0, 0.0, 0.0, 0.0)] * (N + 1)
-    logs = np.zeros(N + 1)
-    scale = 0.0
-
-    if not reverse:
-        lo, hi, step, out_off, lead_off = 0, N - w + 1, 1, w, w
-        seed_idx = range(w)
+    w = (table.shape[1] - 1) // 2
+    tab = table[:N + 1]
+    B = len(qs)
+    C = np.zeros((B, N + 1, 4))
+    logs = np.zeros((B, N + 1))
+    scale = np.zeros(B)
+    if reverse:
+        rows, off = range(N - w, w - 1, -1), -w
+        C[:, N - 2 * w + 1:] = seeds
     else:
-        lo, hi, step, out_off, lead_off = N - w, w - 1, -1, -w, -w
-        seed_idx = range(N - 2 * w + 1, N + 1)
-    for idx, val in zip(seed_idx, seeds):
-        C[idx] = tuple(val)
-
-    for n in range(lo, hi, step):
-        lead = op.coeff_tuple(n, lead_off)
-        if _habs(lead) <= 1e-12:
-            raise SingularLeadingCoefficient(n, lead)
-        acc = _hmul(qt, C[n])
-        for d in range(-w, w + 1):
-            if d == lead_off:
+        rows, off = range(N - w + 1), w
+        C[:, :w] = seeds
+    lead = tab[:, off + w]
+    singular = np.sqrt(_qnormsq(lead[np.array(rows)])) <= 1e-12
+    if singular.any():
+        n = rows[int(np.argmax(singular))]
+        raise SingularLeadingCoefficient(n, tuple(lead[n]))
+    with np.errstate(all="ignore"):
+        inv = _signed(_qinv(lead))
+        # all-zero coefficients are skipped: subtracting their zero term
+        # could still flip the sign of a zero sum
+        terms = [(d, _signed(tab[:, d + w]), tab[:, d + w].any(axis=1).tolist())
+                 for d in range(-w, w + 1) if d != off and tab[:, d + w].any()]
+        sq = _signed(np.asarray(qs, dtype=float))
+        for n in rows:
+            acc = _qmul(sq, C[:, n])
+            for d, coef, nonzero in terms:
+                m = n + d
+                if 0 <= m <= N and nonzero[n]:
+                    acc -= _qmul(coef[n], C[:, m])
+            out = n + off
+            C[:, out] = _qmul(inv[n], acc)
+            logs[:, out] = scale
+            if reverse:
+                lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
+            else:
+                lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
+            # |c| lies in [m, 2m] for the largest component magnitude m, so a
+            # window whose m stays inside [2 RESCALE_LO, RESCALE_HI / 4] in
+            # every solution needs no rescale; NaN fails this and is judged
+            # by the exact test below
+            big = np.abs(C[:, lo:hi]).max(axis=(1, 2))
+            if big.min() >= 2.0 * RESCALE_LO and big.max() <= 0.25 * RESCALE_HI:
                 continue
-            m = n + d
-            if m < 0 or m > N:
-                continue
-            a = op.coeff_tuple(n, d)
-            if a == (0.0, 0.0, 0.0, 0.0):
-                continue
-            t = _hmul(a, C[m])
-            acc = (acc[0] - t[0], acc[1] - t[1], acc[2] - t[2], acc[3] - t[3])
-        out = n + out_off
-        C[out] = _hmul(_hinv(lead), acc)
-        logs[out] = scale
+            mags = np.sqrt(_qnormsq(C[:, lo:hi]))
+            top = mags[:, 0]
+            for k in range(1, hi - lo):   # first maximum, as Python's max
+                top = np.where(mags[:, k] > top, mags[:, k], top)
+            hit = (top > RESCALE_HI) | ((0.0 < top) & (top < RESCALE_LO))
+            for b in np.flatnonzero(hit):
+                K = math.log(top[b])
+                C[b, lo:hi] *= math.exp(-K)
+                logs[b, lo:hi] += K
+                scale[b] += K
+    return C, logs
 
-        if not reverse:
-            active = range(max(0, n + 1 - w), min(N, n + w) + 1)
-        else:
-            active = range(max(0, n - w), min(N, n - 1 + w) + 1)
-        m_abs = max(_habs(C[idx]) for idx in active)
-        if m_abs > RESCALE_HI or (0.0 < m_abs < RESCALE_LO):
-            K = math.log(m_abs)
-            f = math.exp(-K)
-            for idx in active:
-                c = C[idx]
-                C[idx] = (c[0] * f, c[1] * f, c[2] * f, c[3] * f)
-                logs[idx] += K
-            scale += K
 
-    return np.array(C, dtype=float), logs
+_RESIDUAL_ROWS = 512   # rows per chunk of the residual's array expression
 
 
 def recurrence_residual(op: BandedOperator, sol: FormalSolution) -> float:
-    """Max relative residual of the recurrence over all interior rows."""
+    """Max relative residual of the recurrence over all interior rows.
+
+    Each row is evaluated in the scale of its largest log factor and divided
+    by the largest of its terms.
+    """
     w = op.bandwidth
     N = sol.length - 1
-    C = sol.mantissas
-    logs = sol.log_scale
-    qt = (sol.q.q0, sol.q.q1, sol.q.q2, sol.q.q3)
+    tab = op.table(N)
+    sq = _signed(sol.q.to_array())
+    offsets = np.arange(-w, w + 1)
     worst = 0.0
-    for n in range(0, N - w + 1):
-        idxs = [n + d for d in range(-w, w + 1) if 0 <= n + d <= N]
-        ref = max(logs[i] for i in idxs)
-        terms = []
-        qc = _hmul(qt, tuple(C[n] * math.exp(logs[n] - ref)))
-        terms.append(_habs(qc))
-        acc = tuple(-x for x in qc)
-        for d in range(-w, w + 1):
-            m = n + d
-            if m < 0 or m > N:
-                continue
-            a = op.coeff_tuple(n, d)
-            t = _hmul(a, tuple(C[m] * math.exp(logs[m] - ref)))
-            terms.append(_habs(t))
-            acc = (acc[0] + t[0], acc[1] + t[1], acc[2] + t[2], acc[3] + t[3])
-        denom = max(max(terms), 1e-300)
-        worst = max(worst, _habs(acc) / denom)
+    with np.errstate(all="ignore"):
+        for start in range(0, N - w + 1, _RESIDUAL_ROWS):
+            n = np.arange(start, min(start + _RESIDUAL_ROWS, N - w + 1))
+            m = n[:, None] + offsets
+            valid = (m >= 0) & (m <= N)
+            m = np.clip(m, 0, N)
+            lg = np.where(valid, sol.log_scale[m], -np.inf)
+            ref = lg.max(axis=1, keepdims=True)
+            c = np.where(valid[..., None],
+                         sol.mantissas[m] * np.exp(lg - ref)[..., None], 0.0)
+            qc = _qmul(sq, c[:, w])
+            t = _qmul(_signed(tab[n]), c)
+            acc = t.sum(axis=1) - qc
+            denom = np.maximum(np.maximum(np.sqrt(_qnormsq(qc)),
+                                          np.sqrt(_qnormsq(t)).max(axis=1)),
+                               1e-300)
+            # NaN rows are passed over, as Python's max passes them over
+            worst = float(np.fmax.reduce(np.sqrt(_qnormsq(acc)) / denom,
+                                         initial=worst))
     return worst
+
+
+def _formal_batch(op: BandedOperator, shifts, N: int):
+    """Formal solutions at every shift (one list per shift), not yet checked.
+
+    All shifts and seed slots of a banded operator share one forward march.
+    """
+    w = op.bandwidth
+    if w == 0:
+        diag = op.table(N)[:, 0]
+        batch = []
+        for q in shifts:
+            hits = np.sqrt(_qnormsq(diag - q.to_array())) <= DIAG_MATCH_TOL
+            sols = []
+            for n in np.flatnonzero(hits):
+                C = np.zeros((N + 1, 4))
+                C[n, 0] = 1.0
+                sols.append(FormalSolution(C, np.zeros(N + 1), q, int(n), "skipped"))
+            batch.append(sols)
+        return batch
+    if N < 10 * w:
+        raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
+    tab = op.table(N)
+    singular = np.sqrt(_qnormsq(tab[:N - w + 1, 2 * w])) <= 1e-12
+    if singular.any():
+        raise SingularLeadingCoefficient(int(np.argmax(singular)))
+    qs = np.repeat([q.to_array() for q in shifts], w, axis=0)
+    seeds = np.zeros((len(shifts), w, w, 4))
+    seeds[:, np.arange(w), np.arange(w), 0] = 1.0     # slot s: c_s = 1
+    seeds = seeds.reshape(-1, w, 4)
+    C, logs = _march(tab, qs, N, seeds)
+    return [[FormalSolution(C[i * w + s], logs[i * w + s], q, s) for s in range(w)]
+            for i, q in enumerate(shifts)]
+
+
+def _checked(op: BandedOperator, sols):
+    """``sols`` after the recurrence residual of each passed RESIDUAL_TOL."""
+    if op.bandwidth:
+        for sol in sols:
+            res = recurrence_residual(op, sol)
+            if res > RESIDUAL_TOL:
+                raise InternalInconsistency(
+                    f"forward recurrence residual {res:.3e} exceeds {RESIDUAL_TOL:g}")
+    return sols
 
 
 def formal_solutions(op: BandedOperator, q: Quaternion, N: int):
@@ -385,32 +498,7 @@ def formal_solutions(op: BandedOperator, q: Quaternion, N: int):
     rows decouple and slot n admits a nonzero coefficient only when
     coeff(n, 0) - q vanishes exactly.
     """
-    w = op.bandwidth
-    if w == 0:
-        sols = []
-        for n in range(N + 1):
-            if (op.coeff(n, 0) - q).norm() <= DIAG_MATCH_TOL:
-                C = np.zeros((N + 1, 4))
-                C[n, 0] = 1.0
-                sols.append(FormalSolution(C, np.zeros(N + 1), q, n, "skipped"))
-        return sols
-    if N < 10 * w:
-        raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
-    for n in range(0, N - w + 1):
-        if _habs(op.coeff_tuple(n, w)) <= 1e-12:
-            raise SingularLeadingCoefficient(n)
-    sols = []
-    for slot in range(w):
-        seeds = [(1.0, 0.0, 0.0, 0.0) if s == slot else (0.0,) * 4
-                 for s in range(w)]
-        C, logs = _march(op, q, N, seeds, reverse=False)
-        sol = FormalSolution(C, logs, q, slot)
-        res = recurrence_residual(op, sol)
-        if res > RESIDUAL_TOL:
-            raise InternalInconsistency(
-                f"forward recurrence residual {res:.3e} exceeds {RESIDUAL_TOL:g}")
-        sols.append(sol)
-    return sols
+    return _checked(op, _formal_batch(op, [q], N)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -472,25 +560,48 @@ def classify_l2(sol: FormalSolution, window: int = 100,
     return SummabilityVerdict(verdict, ratio, [float(x) for x in log_e])
 
 
-def _backward_consistency(op: BandedOperator, sol: FormalSolution) -> str:
-    """Re-solve backward from the forward tail and compare head coefficients."""
+def _safeguard_job(op: BandedOperator, sol: FormalSolution, verdict):
+    """What the safeguards need of one classified solution, copied out of it.
+
+    A square-summable candidate is re-solved backward from its tail (seeds,
+    the tail's log factor and the head rows to compare), or "skipped" when a
+    rescale boundary lies inside the seed window; a divergent bandwidth-1
+    solution gets a minimal-solution probe at its shift; anything else None.
+    """
     w = op.bandwidth
-    N = sol.length - 1
-    tail_idx = range(N - 2 * w + 1, N + 1)
-    tail_logs = sol.log_scale[list(tail_idx)]
-    if np.max(tail_logs) - np.min(tail_logs) > 1e-9:
-        return "skipped"  # rescale boundary inside the seed window
+    if w == 0:
+        return None
+    if verdict.verdict == SQUARE_SUMMABLE:
+        N = sol.length - 1
+        tail_logs = sol.log_scale[N - 2 * w + 1:]
+        if np.max(tail_logs) - np.min(tail_logs) > 1e-9:
+            return "skipped"
+        upto = max(2 * w, min(N // 4, 200))
+        return ("backward", sol.q, sol.mantissas[N - 2 * w + 1:].copy(),
+                tail_logs[0], sol.mantissas[:upto].copy(),
+                sol.log_scale[:upto].copy())
+    if verdict.verdict == DIVERGENT and w == 1:
+        return ("probe", sol.q)
+    return None
+
+
+def _screen(op: BandedOperator, sols, window: int, ratio_margin: float):
+    """(seed_slot, backward_check, classify_l2 verdict, safeguard job) per solution."""
+    screened = []
+    for sol in sols:
+        verdict = classify_l2(sol, window, ratio_margin)
+        screened.append((sol.seed_slot, sol.backward_check, verdict,
+                         _safeguard_job(op, sol, verdict)))
+    return screened
+
+
+def _backward_status(job, C, logs) -> str:
+    """Compare the forward head with the backward re-solve from its tail."""
+    _, q, _, tail_log, head, head_logs = job
+    upto = len(head)
     try:
-        C_b, logs_b = _march(op, sol.q, N, [tuple(sol.mantissas[i]) for i in tail_idx],
-                             reverse=True)
-    except SingularLeadingCoefficient:
-        return "skipped"
-    logs_b += tail_logs[0]
-    upto = max(2 * w, min(N // 4, 200))
-    try:
-        fwd = FormalSolution(sol.mantissas[:upto], sol.log_scale[:upto], sol.q,
-                             sol.seed_slot).values()
-        bwd = FormalSolution(C_b[:upto], logs_b[:upto], sol.q, sol.seed_slot).values()
+        fwd = FormalSolution(head, head_logs, q, 0).values()
+        bwd = FormalSolution(C[:upto], logs[:upto] + tail_log, q, 0).values()
     except OverflowError:
         return "discrepancy"
     scale = np.max(np.sqrt(qnormsq(fwd)))
@@ -500,57 +611,80 @@ def _backward_consistency(op: BandedOperator, sol: FormalSolution) -> str:
     return "ok" if disc <= BACKWARD_TOL else "discrepancy"
 
 
-def _minimal_solution_probe(op: BandedOperator, q: Quaternion, N: int,
-                            window: int):
-    """Miller-style probe (bandwidth 1): march backward from a zero tail seed.
+def _probe_result(op: BandedOperator, q: Quaternion, C, logs, window: int):
+    """Boundary-row relative residual and verdict of a minimal solution.
 
-    Returns the boundary-row relative residual and the summability verdict of
-    the minimal solution it converges to.
+    Miller-style probe (bandwidth 1): the backward march from the zero tail
+    seed c_{N-1} = 1, c_N = 0 converges to the minimal solution; row 0,
+    a(0,0) c_0 + a(0,1) c_1 = q c_0, is checked in the local scale of the
+    head.
     """
-    seeds = [(1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]  # c_{N-1}=1, c_N=0
-    try:
-        C, logs = _march(op, q, N, seeds, reverse=True)
-    except SingularLeadingCoefficient:
-        return None
-    # row 0: a(0,0) c_0 + a(0,1) c_1 = q c_0, in the local scale of the head
     ref = max(logs[0], logs[1])
-    c0 = tuple(C[0] * math.exp(logs[0] - ref))
-    c1 = tuple(C[1] * math.exp(logs[1] - ref))
-    qt = (q.q0, q.q1, q.q2, q.q3)
-    t0 = _hmul(op.coeff_tuple(0, 0), c0)
-    t1 = _hmul(op.coeff_tuple(0, 1), c1)
-    rq = _hmul(qt, c0)
-    resid = _habs((t0[0] + t1[0] - rq[0], t0[1] + t1[1] - rq[1],
-                   t0[2] + t1[2] - rq[2], t0[3] + t1[3] - rq[3]))
-    denom = max(_habs(t0), _habs(t1), _habs(rq), _habs(c0), _habs(c1), 1e-300)
-    sol = FormalSolution(C, logs, q, -1, "probe")
-    verdict = classify_l2(sol, window)
+    c0 = C[0] * math.exp(logs[0] - ref)
+    c1 = C[1] * math.exp(logs[1] - ref)
+    row = op.table(1)[0]
+    t0 = _qmul(_signed(row[1]), c0)
+    t1 = _qmul(_signed(row[2]), c1)
+    rq = _qmul(_signed(q.to_array()), c0)
+    resid = math.sqrt(_qnormsq((t0 + t1) - rq))
+    denom = max(*(math.sqrt(_qnormsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
+    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe"), window)
     return resid / denom, verdict
+
+
+def _safeguard(op: BandedOperator, screened, N: int, window: int):
+    """Final (verdict, backward_check) for every screened solution.
+
+    The backward re-solves and minimal-solution probes of all solutions run
+    as one reverse march; a discrepancy, or a probe whose decaying solution
+    satisfies the boundary row, downgrades the verdict to ``inconclusive``.
+    """
+    jobs = [job for shift in screened for _, _, _, job in shift
+            if isinstance(job, tuple)]
+    outcomes = []
+    if jobs:
+        probe_seeds = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        qs = [job[1].to_array() for job in jobs]
+        seeds = [job[2] if job[0] == "backward" else probe_seeds for job in jobs]
+        try:
+            C, logs = _march(op.table(N), qs, N, seeds, reverse=True)
+        except SingularLeadingCoefficient:
+            outcomes = ["skipped" if job[0] == "backward" else None for job in jobs]
+        else:
+            outcomes = [_backward_status(job, C[b], logs[b]) if job[0] == "backward"
+                        else _probe_result(op, job[1], C[b], logs[b], window)
+                        for b, job in enumerate(jobs)]
+            del C, logs
+    outcomes = iter(outcomes)
+    results = []
+    for shift in screened:
+        row = []
+        for _, status, verdict, job in shift:
+            outcome = next(outcomes) if isinstance(job, tuple) else job
+            if verdict.verdict == SQUARE_SUMMABLE and outcome is not None:
+                status = outcome
+                if status == "discrepancy":
+                    verdict = SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
+                                                 verdict.block_log_energies)
+            elif verdict.verdict == DIVERGENT and outcome is not None:
+                boundary_resid, minimal_verdict = outcome
+                if boundary_resid <= BOUNDARY_TOL and \
+                        minimal_verdict.verdict == SQUARE_SUMMABLE:
+                    # the decaying branch satisfies the boundary row: the
+                    # forward march likely drifted off it
+                    verdict = SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
+                                                 verdict.block_log_energies)
+            row.append((verdict, status))
+        results.append(row)
+    return results
 
 
 def classify_solution(op: BandedOperator, sol: FormalSolution,
                       window: int = 100,
                       ratio_margin: float = RATIO_MARGIN) -> SummabilityVerdict:
     """classify_l2 plus the bidirectional safeguards of the module docstring."""
-    verdict = classify_l2(sol, window, ratio_margin)
-    if op.bandwidth == 0:
-        return verdict
-    if verdict.verdict == SQUARE_SUMMABLE:
-        status = _backward_consistency(op, sol)
-        sol.backward_check = status
-        if status == "discrepancy":
-            return SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
-                                      verdict.block_log_energies)
-    elif verdict.verdict == DIVERGENT and op.bandwidth == 1:
-        probe = _minimal_solution_probe(op, sol.q, sol.length - 1, window)
-        if probe is not None:
-            boundary_resid, minimal_verdict = probe
-            if boundary_resid <= BOUNDARY_TOL and \
-                    minimal_verdict.verdict == SQUARE_SUMMABLE:
-                # the decaying branch satisfies the boundary row: the forward
-                # march likely drifted off it
-                return SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
-                                          verdict.block_log_energies)
+    [[(verdict, sol.backward_check)]] = _safeguard(
+        op, [_screen(op, [sol], window, ratio_margin)], sol.length - 1, window)
     return verdict
 
 
@@ -593,26 +727,34 @@ class DeficiencyReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _count_l2(op: BandedOperator, q: Quaternion, N: int, window: int,
+def _count_l2(op: BandedOperator, shifts, N: int, window: int,
               ratio_margin: float = RATIO_MARGIN):
-    """(count of square-summable solutions, evidence rows, any_inconclusive)."""
-    rows = []
-    count = 0
-    inconclusive = False
-    for sol in formal_solutions(op, q, N):
-        v = classify_solution(op, sol, window, ratio_margin)
-        rows.append({
-            "q": format_quaternion(q),
-            "seed_slot": sol.seed_slot,
-            "verdict": v.verdict,
-            "ratio": None if math.isnan(v.ratio) else v.ratio,
-            "backward_check": sol.backward_check,
-        })
-        if v.verdict == SQUARE_SUMMABLE:
-            count += 1
-        elif v.verdict == INCONCLUSIVE:
-            inconclusive = True
-    return count, rows, inconclusive
+    """Per shift: (count of square-summable solutions, evidence rows,
+    any_inconclusive), from one forward and one reverse march for all shifts."""
+    batch = _formal_batch(op, shifts, N)
+    screened = [_screen(op, _checked(op, sols), window, ratio_margin)
+                for sols in batch]
+    del batch   # the reverse march needs none of the forward mantissas
+    counts = []
+    for q, shift, results in zip(shifts, screened,
+                                 _safeguard(op, screened, N, window)):
+        rows = []
+        count = 0
+        inconclusive = False
+        for (slot, _, _, _), (v, status) in zip(shift, results):
+            rows.append({
+                "q": format_quaternion(q),
+                "seed_slot": slot,
+                "verdict": v.verdict,
+                "ratio": None if math.isnan(v.ratio) else v.ratio,
+                "backward_check": status,
+            })
+            if v.verdict == SQUARE_SUMMABLE:
+                count += 1
+            elif v.verdict == INCONCLUSIVE:
+                inconclusive = True
+        counts.append((count, rows, inconclusive))
+    return counts
 
 
 def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = 2000,
@@ -627,27 +769,37 @@ def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = 2000,
     """
     if unit not in UNITS:
         raise ValueError("unit must be one of 'i', 'j', 'k'")
+    return _unit_reports(op, [unit], N, window, ratio_margin)[0]
+
+
+def _unit_reports(op: BandedOperator, units, N: int, window: int,
+                  ratio_margin: float = RATIO_MARGIN):
+    """deficiency_indices for each of ``units``, with all their +e and -e
+    shifts solved as one batch."""
     if not op.symmetric:
         raise PreconditionFailed("deficiency indices require a symmetric operator")
-    e = UNITS[unit]
-    n_plus, ev_plus, inc_p = _count_l2(op, e, N, window, ratio_margin)
-    n_minus, ev_minus, inc_m = _count_l2(op, -e, N, window, ratio_margin)
-    for row in ev_plus:
-        row["sign"] = "+"
-    for row in ev_minus:
-        row["sign"] = "-"
-    status = INCONCLUSIVE if (inc_p or inc_m) else "ok"
-    return DeficiencyReport(
-        n_plus=n_plus,
-        n_minus=n_minus,
-        unit=unit,
-        status=status,
-        self_adjoint=(status == "ok" and n_plus == 0 and n_minus == 0),
-        hypotheses_met=op.real_entries,
-        evidence=ev_plus + ev_minus,
-        params={"N": N, "window": window, "ratio_margin": ratio_margin,
-                "description": op.description},
-    )
+    counts = _count_l2(op, [s for u in units for s in (UNITS[u], -UNITS[u])],
+                       N, window, ratio_margin)
+    reports = []
+    for unit, (n_plus, ev_plus, inc_p), (n_minus, ev_minus, inc_m) in zip(
+            units, counts[0::2], counts[1::2]):
+        for row in ev_plus:
+            row["sign"] = "+"
+        for row in ev_minus:
+            row["sign"] = "-"
+        status = INCONCLUSIVE if (inc_p or inc_m) else "ok"
+        reports.append(DeficiencyReport(
+            n_plus=n_plus,
+            n_minus=n_minus,
+            unit=unit,
+            status=status,
+            self_adjoint=(status == "ok" and n_plus == 0 and n_minus == 0),
+            hypotheses_met=op.real_entries,
+            evidence=ev_plus + ev_minus,
+            params={"N": N, "window": window, "ratio_margin": ratio_margin,
+                    "description": op.description},
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +839,8 @@ def index_stability_scan(op: BandedOperator, center: Quaternion,
     samples = []
     dims = set()
     inconclusive = False
-    for q in shifts:
-        d, _, inc = _count_l2(op, q, N, window, ratio_margin)
+    for q, (d, _, inc) in zip(shifts, _count_l2(op, shifts, N, window,
+                                                 ratio_margin)):
         samples.append({"q": format_quaternion(q), "dim": d,
                         "status": INCONCLUSIVE if inc else "ok"})
         if inc:
@@ -736,13 +888,17 @@ def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100):
     if isinstance(op, BandedOperator):
         if not op.symmetric:
             raise PreconditionFailed("directness evidence needs a symmetric operator")
+        shifts = (q, q.conjugate())
+        batch = _formal_batch(op, shifts, N)
+        screened = [_screen(op, _checked(op, sols), window, RATIO_MARGIN)
+                    for sols in batch]
         vectors = []
         dims = {}
         inconclusive = False
-        for label, shift in (("plus", q), ("minus", q.conjugate())):
+        for label, sols, results in zip(("plus", "minus"), batch,
+                                        _safeguard(op, screened, N, window)):
             kept = 0
-            for sol in formal_solutions(op, shift, N):
-                v = classify_solution(op, sol, window)
+            for sol, (v, _) in zip(sols, results):
                 if v.verdict == SQUARE_SUMMABLE:
                     vec = sol.to_qvector()
                     vectors.append(vec / vec.norm())

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import embed
-from .deficiency import (BandedOperator, deficiency_indices,
+from .deficiency import (BandedOperator, _unit_reports, deficiency_indices,
                          index_stability_scan, truncated_kernel,
                          von_neumann_evidence, formal_solutions)
 from .errors import InternalInconsistency, StabilityViolation
@@ -181,8 +181,8 @@ def verify_banded(op: BandedOperator, seed: int, tol: dict):
             worst = max(worst, diff)
     checks.append(_row("band_symmetry", worst <= 1e-12, worst, 1e-12))
 
-    reports = {u: deficiency_indices(op, u, N=N, window=window)
-               for u in ("i", "j", "k")}
+    units = ("i", "j", "k")
+    reports = dict(zip(units, _unit_reports(op, units, N, window)))
     base = reports["i"]
     checks.append(_row("deficiency_indices_conclusive",
                        all(r.status == "ok" for r in reports.values()),

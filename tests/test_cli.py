@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -170,8 +171,17 @@ class TestEnvOverrides:
         assert main(["verify", "--preset", "number_operator"]) == 2
 
 
+def band_config(offdiagonal, diagonal=(0.0,)):
+    return {"bandwidth": 1, "coeff": {"type": "poly", "offset_-1": offdiagonal,
+                                      "offset_0": list(diagonal),
+                                      "offset_1": offdiagonal}}
+
+
+BAND_ARGV = ["deficiency", "--N", "400", "--window", "50", "--count", "0", "--matrix"]
+
 BAD_INPUT = [
-    # (label, argv, QDEF_TOL_OVERRIDES, matrix entries or None, expected exit)
+    # (label, argv, QDEF_TOL_OVERRIDES, matrix entries or operator JSON or
+    # None, expected exit)
     ("window-zero", ["deficiency", "--preset", "free_jacobi", "--window", "0"],
      None, None, 2),
     ("window-negative", ["deficiency", "--preset", "free_jacobi", "--window", "-3"],
@@ -193,6 +203,12 @@ BAD_INPUT = [
      ["1e308", "0", "0", "1e308"], 1),
     ("count-zero", ["deficiency", "--preset", "free_jacobi", "--N", "400",
                     "--window", "50", "--count", "0"], None, None, 0),
+    ("nan-band", BAND_ARGV, None, band_config([float("nan")]), 2),
+    ("overflow-band", BAND_ARGV, None, band_config([1e308]), 2),
+    # (n)^60 on the diagonal: finite on the 40 validated rows, overflowing
+    # squared norms from row 371 on
+    ("overflow-band-past-row-40", BAND_ARGV, None,
+     band_config([1.0], diagonal=[0.0] * 60 + [1.0]), 2),
 ]
 
 
@@ -206,15 +222,24 @@ class TestBadInput:
             monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps(env))
         if entries is not None:
             m = tmp_path / "m.json"
-            m.write_text(json.dumps({"dim": 2, "entries": entries}))
+            obj = entries if isinstance(entries, dict) else {"dim": 2, "entries": entries}
+            m.write_text(json.dumps(obj))
             argv = argv + [str(m)]
-        code = main(argv)
-        err = capsys.readouterr().err
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+        err = capsys.readouterr().err + "".join(
+            warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+            for w in caught)
         assert code in (0, 1, 2) and code == expected, (code, err)
         assert "Traceback" not in err
         if code:
-            assert err.splitlines()[-1].startswith(
+            lines = err.splitlines()
+            assert len(lines) == 1, err     # no numpy warnings before it
+            assert lines[0].startswith(
                 "config error: " if code == 2 else "property failure: ")
+        if isinstance(entries, dict):
+            assert "non-finite squared norm" in err
 
 
 def test_cli_run_does_not_import_scipy():

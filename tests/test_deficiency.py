@@ -1,8 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdef.deficiency
 from qdef import (Basis, I, J, Quaternion, BandedOperator,
                   basis_invariance_check, classify_l2, classify_solution,
                   deficiency_indices, formal_solutions, free_jacobi,
@@ -10,8 +12,11 @@ from qdef import (Basis, I, J, Quaternion, BandedOperator,
                   number_operator, poly_generator, random_basis,
                   real_symmetric, recurrence_residual, truncated_kernel,
                   von_neumann_evidence)
-from qdef.deficiency import FormalSolution
+from qdef.cli import main
+from qdef.deficiency import FormalSolution, _march
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
+
+DATA = Path(__file__).parent / "data"
 
 
 def synthetic_solution(coeffs_real, q=I):
@@ -315,3 +320,195 @@ class TestBasisInvariance:
         A = hermitian_random(4, seed=8)
         with pytest.raises(PreconditionFailed):
             basis_invariance_check(A, Basis.canonical(4), I)
+
+
+# ---------------------------------------------------------------------------
+# the recurrence engine against a scalar reference
+# ---------------------------------------------------------------------------
+
+def _hmul(a, b):
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+            a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+            a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+            a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0)
+
+
+def _habs(a):
+    return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
+
+
+def _hinv(a):
+    n2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
+    return (a[0] / n2, -a[1] / n2, -a[2] / n2, -a[3] / n2)
+
+
+def scalar_march(op, q, N, seeds, reverse=False):
+    """One solution of the recurrence in 4-tuple arithmetic, row by row."""
+    w = op.bandwidth
+    qt = (q.q0, q.q1, q.q2, q.q3)
+    C = [(0.0, 0.0, 0.0, 0.0)] * (N + 1)
+    logs = np.zeros(N + 1)
+    scale = 0.0
+    if not reverse:
+        lo, hi, step, out_off, lead_off = 0, N - w + 1, 1, w, w
+        seed_idx = range(w)
+    else:
+        lo, hi, step, out_off, lead_off = N - w, w - 1, -1, -w, -w
+        seed_idx = range(N - 2 * w + 1, N + 1)
+    for idx, val in zip(seed_idx, seeds):
+        C[idx] = tuple(val)
+    for n in range(lo, hi, step):
+        lead = op.coeff_tuple(n, lead_off)
+        if _habs(lead) <= 1e-12:
+            raise SingularLeadingCoefficient(n, lead)
+        acc = _hmul(qt, C[n])
+        for d in range(-w, w + 1):
+            if d == lead_off:
+                continue
+            m = n + d
+            if m < 0 or m > N:
+                continue
+            a = op.coeff_tuple(n, d)
+            if a == (0.0, 0.0, 0.0, 0.0):
+                continue
+            t = _hmul(a, C[m])
+            acc = (acc[0] - t[0], acc[1] - t[1], acc[2] - t[2], acc[3] - t[3])
+        out = n + out_off
+        C[out] = _hmul(_hinv(lead), acc)
+        logs[out] = scale
+        if not reverse:
+            active = range(max(0, n + 1 - w), min(N, n + w) + 1)
+        else:
+            active = range(max(0, n - w), min(N, n - 1 + w) + 1)
+        m_abs = max(_habs(C[idx]) for idx in active)
+        if m_abs > 1e120 or (0.0 < m_abs < 1e-120):
+            K_ = math.log(m_abs)
+            f = math.exp(-K_)
+            for idx in active:
+                c = C[idx]
+                C[idx] = (c[0] * f, c[1] * f, c[2] * f, c[3] * f)
+                logs[idx] += K_
+            scale += K_
+    return np.array(C, dtype=float), logs
+
+
+def jacobi(w, p, c=1.3, diag=0.0):
+    """Band A[n, n+w] = c (n+1)^p, A[n, n-w] = c (n-w+1)^p, constant diagonal."""
+    up = [c * math.comb(p, k) for k in range(p + 1)]
+    down = [c * math.comb(p, k) * (1 - w) ** (p - k) for k in range(p + 1)]
+    return from_config({"bandwidth": w, "real_entries": True,
+                        "coeff": {"type": "poly", f"offset_{w}": up,
+                                  f"offset_{-w}": down, "offset_0": [diag]}})
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestEngine:
+    SHIFTS = [I * 3.0, Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-1.0, 0.0, 0.0, 0.2)]
+
+    @pytest.mark.parametrize("w,p,diag", [(1, 0, 0.0), (1, 1, 0.5), (1, 2, 0.0),
+                                          (2, 0, 0.5), (2, 1, 0.0), (2, 2, 0.0)])
+    def test_bit_identical_to_scalar(self, w, p, diag):
+        op = jacobi(w, p, diag=diag)
+        N = 700
+        tab = op.table(N)
+        qs = np.array([q.to_array() for q in self.SHIFTS])
+        rng = np.random.default_rng(w * 10 + p)
+        unit = np.zeros((w, 4))
+        unit[0, 0] = 1.0
+        probe = np.zeros((2 * w, 4))
+        probe[0, 0] = 1.0                                  # c_{N-2w+1} = 1, rest 0
+        cases = [(False, [unit] * 3),                        # forward, slot 0
+                 (True, [rng.standard_normal((2 * w, 4)) for _ in qs]),   # tails
+                 (True, [probe] * 3)]                        # probe seeds
+        levels = 0
+        for reverse, seeds in cases:
+            C, logs = _march(tab, qs, N, np.array(seeds), reverse)
+            for b, q in enumerate(self.SHIFTS):
+                C_ref, logs_ref = scalar_march(op, q, N, seeds[b], reverse)
+                assert same_bits(C[b], C_ref) and same_bits(logs[b], logs_ref)
+                levels = max(levels, len(np.unique(logs_ref)))
+        if p == 0:
+            assert levels > 1       # rescale events were compared too
+
+    def test_batch_company_does_not_change_bits(self):
+        op = jacobi_sq()
+        N = 400
+        rng = np.random.default_rng(5)
+        qs = rng.standard_normal((24, 4))
+        seeds = np.zeros((24, 1, 4))
+        seeds[:, 0, 0] = 1.0
+        tails = rng.standard_normal((24, 2, 4))
+        for reverse, sd in ((False, seeds), (True, tails)):
+            C, logs = _march(op.table(N), qs, N, sd, reverse)
+            order = rng.permutation(24)
+            C_perm, logs_perm = _march(op.table(N), qs[order], N, sd[order], reverse)
+            for b in (0, 7, 23):
+                C1, logs1 = _march(op.table(N), qs[b:b + 1], N, sd[b:b + 1], reverse)
+                assert same_bits(C[b], C1[0]) and same_bits(logs[b], logs1[0])
+            assert same_bits(C[order], C_perm) and same_bits(logs[order], logs_perm)
+
+    def test_real_entries_slice_property(self):
+        # real coefficients keep every solution in the slice R[q], so |c_n|
+        # depends on Re q and |Im q| only
+        sols = [formal_solutions(jacobi_sq(), q, 2000)[0]
+                for q in (Quaternion(0.3, 1, 0, 0), Quaternion(0.3, 0, 1, 0),
+                          Quaternion(0.3, 0, 0.6, 0.8))]
+        ref = sols[0].log_sq_magnitudes() / 2.0
+        for sol in sols[1:]:
+            rel = np.exp(sol.log_sq_magnitudes() / 2.0 - ref) - 1.0
+            assert np.max(np.abs(rel)) <= 1e-13
+
+    def test_scan_marches_forward_once(self, monkeypatch):
+        calls = []
+
+        def counting(table, qs, N, seeds, reverse=False):
+            calls.append((len(qs), reverse))
+            return _march(table, qs, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        scan = index_stability_scan(jacobi_sq(), I, count=20, N=600, window=60, seed=3)
+        assert len(scan["samples"]) == 24
+        assert [c for c in calls if not c[1]] == [(24, False)]
+        assert [c for c in calls if c[1]] == [(24, True)]   # 24 backward re-solves
+
+    def test_table_rows_built_once(self):
+        seen = []
+        base = poly_generator({-1: [1.0], 0: [0.0], 1: [1.0]})
+
+        def gen(n, d):
+            seen.append((n, d))
+            return base(n, d)
+
+        op = BandedOperator(1, gen)
+        seen.clear()                              # validation reads rows 0..41
+        assert op.table(100).shape == (101, 3, 4)
+        assert sorted(seen) == [(n, d) for n in range(42, 101) for d in (-1, 0, 1)]
+        op.table(50)
+        deficiency_indices(op, "i", N=100, window=20)
+        assert len(seen) == 59 * 3                # shorter tables are slices
+        op.table(200)                             # rows 101..200 added
+        assert sorted(seen) == [(n, d) for n in range(42, 201) for d in (-1, 0, 1)]
+
+
+class TestReportBytes:
+    """Reports must stay byte-identical to the recorded fixtures."""
+
+    @pytest.mark.parametrize("fixture,argv", [
+        ("deficiency_jacobi_sq.json",
+         ["deficiency", "--preset", "jacobi_sq", "--N", "1000", "--q=0.2+0.7j"]),
+        ("verify_free_jacobi.json", ["verify", "--preset", "free_jacobi", "--N", "1000"]),
+        ("deficiency_jacobi_w2.json",
+         ["deficiency", "--matrix", str(DATA / "jacobi_w2.json"), "--N", "600",
+          "--window", "60", "--count", "6", "--q=0.4+1.2k"]),
+        ("report_number_operator.json",
+         ["report", "--preset", "number_operator", "--N", "800", "--dim", "4",
+          "--trials", "3"]),
+    ])
+    def test_golden(self, fixture, argv, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (DATA / fixture).read_text()
