@@ -727,10 +727,21 @@ class DeficiencyReport:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+# Largest batch of one march: its mantissas and log scales take 40 bytes a
+# row per solution, so a scan with a huge --count cannot exhaust memory.
+_BATCH_BYTES = 32 * 2 ** 20
+
+
 def _count_l2(op: BandedOperator, shifts, N: int, window: int,
               ratio_margin: float = RATIO_MARGIN):
     """Per shift: (count of square-summable solutions, evidence rows,
-    any_inconclusive), from one forward and one reverse march for all shifts."""
+    any_inconclusive), from one forward and one reverse march for as many
+    shifts as fit in _BATCH_BYTES."""
+    per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
+    if len(shifts) > per_batch:
+        return [counted for i in range(0, len(shifts), per_batch)
+                for counted in _count_l2(op, shifts[i:i + per_batch], N,
+                                         window, ratio_margin)]
     batch = _formal_batch(op, shifts, N)
     screened = [_screen(op, _checked(op, sols), window, ratio_margin)
                 for sols in batch]

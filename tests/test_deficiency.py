@@ -476,6 +476,20 @@ class TestEngine:
         assert [c for c in calls if not c[1]] == [(24, False)]
         assert [c for c in calls if c[1]] == [(24, True)]   # 24 backward re-solves
 
+    def test_batches_capped_without_changing_results(self, monkeypatch):
+        op = jacobi_sq()
+        whole = index_stability_scan(op, I, count=20, N=600, window=60, seed=4)
+        sizes = []
+
+        def counting(table, qs, N, seeds, reverse=False):
+            sizes.append(len(qs))
+            return _march(table, qs, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        monkeypatch.setattr(qdef.deficiency, "_BATCH_BYTES", 40 * 601 * 5)
+        assert index_stability_scan(op, I, count=20, N=600, window=60, seed=4) == whole
+        assert max(sizes) == 5 and sum(sizes) == 2 * 24
+
     def test_table_rows_built_once(self):
         seen = []
         base = poly_generator({-1: [1.0], 0: [0.0], 1: [1.0]})
