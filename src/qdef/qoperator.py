@@ -143,13 +143,19 @@ class QOperator:
         lits = obj["entries"]
         if len(lits) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
-        arr = np.zeros((dim, dim, 4))
-        for idx, lit in enumerate(lits):
-            q = parse_quaternion(lit) if isinstance(lit, str) else Quaternion(float(lit))
-            arr[idx // dim, idx % dim] = q.to_array()
+        arr = np.empty((dim, dim, 4))
+        arr[...] = np.fromiter(map(_literal_components, lits), dtype=(float, 4),
+                               count=len(lits)).reshape(arr.shape)
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite numbers")
         return cls.from_entries(arr)
+
+
+def _literal_components(lit):
+    if isinstance(lit, str):
+        q = parse_quaternion(lit)
+        return q.q0, q.q1, q.q2, q.q3
+    return float(lit), 0.0, 0.0, 0.0
 
 
 def _as_components(x):
@@ -235,13 +241,16 @@ def symmetry_predicates(A: QOperator, L: LeftMul | None = None,
     return report
 
 
-def resolvent_poly(A: QOperator, q: Quaternion) -> QOperator:
+def resolvent_poly(A: QOperator, q: Quaternion, *, AA: QOperator | None = None) -> QOperator:
     """A^2 - 2 Re(q) A + |q|^2 I; the coefficients are real, so no basis enters.
 
     For symmetric A whose unit-scaled versions are anti-symmetric this equals
-    (A - q)(A - conj(q)) in either factor order.
+    (A - q)(A - conj(q)) in either factor order.  ``AA`` is A @ A, if the
+    caller already holds it (many shifts of one operator).
     """
-    return (A @ A) - (2.0 * q.real) * A + q.norm_sq() * QOperator.identity(A.dim)
+    if AA is None:
+        AA = A @ A
+    return AA - (2.0 * q.real) * A + q.norm_sq() * QOperator.identity(A.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -257,13 +266,15 @@ def _required_units(q: Quaternion):
 
 
 def norm_identity_check(A: QOperator, L: LeftMul | None, q: Quaternion,
-                        samples: int = 100, seed: int = 0) -> float:
+                        samples: int = 100, seed: int = 0, *,
+                        preds: SymmetryReport | None = None) -> float:
     """Max residual of ||(A-q)phi||^2 = ||(A-q0)phi||^2 + (q1^2+q2^2+q3^2)||phi||^2.
 
     Requires anti-symmetry of eA for every unit e appearing in q; raises
     PreconditionFailed otherwise.  Sampled on ``samples`` unit vectors.
+    ``preds`` is ``symmetry_predicates(A, L)``, if the caller already holds it.
     """
-    preds = symmetry_predicates(A, L)
+    preds = preds or symmetry_predicates(A, L)
     for name in _required_units(q):
         if not preds.anti[name]:
             raise PreconditionFailed(f"{name}A is not anti-symmetric")
@@ -310,7 +321,8 @@ class CriteriaReport:
 
 def criteria_report(A: QOperator, L: LeftMul | None = None,
                     q: Quaternion | None = None,
-                    rank_tol=embed.RANK_TOL) -> CriteriaReport:
+                    rank_tol=embed.RANK_TOL, *,
+                    preds: SymmetryReport | None = None) -> CriteriaReport:
     """Evaluate the three equivalent self-adjointness criteria.
 
     (a) A equals its adjoint entrywise; (b) the kernels of (adjoint(A) -+ i)
@@ -321,11 +333,12 @@ def criteria_report(A: QOperator, L: LeftMul | None = None,
     A must be symmetric (PreconditionFailed otherwise).  The equivalence of
     (a)-(c) is guaranteed when iA is anti-symmetric; a disagreement under that
     hypothesis raises InternalInconsistency since it can only be a bug.
+    ``preds`` is ``symmetry_predicates(A, L)``, if the caller already holds it.
     """
     from .quat import I
     if q is None:
         q = Quaternion(1.0, 1.0, 1.0, 1.0)
-    preds = symmetry_predicates(A, L)
+    preds = preds or symmetry_predicates(A, L)
     if not preds.is_symmetric:
         raise PreconditionFailed("operator is not symmetric")
     adj = A.adjoint()

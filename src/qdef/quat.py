@@ -303,6 +303,7 @@ _TERM = re.compile(
     r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
     r"\s*([ijk])?"
 )
+_SLOT = {"i": 1, "j": 2, "k": 3}
 
 
 def parse_quaternion(text: str) -> Quaternion:
@@ -312,7 +313,6 @@ def parse_quaternion(text: str) -> Quaternion:
         raise ValueError("empty quaternion literal")
     comps = [0.0, 0.0, 0.0, 0.0]
     pos = 0
-    slot = {"i": 1, "j": 2, "k": 3}
     seen_term = False
     while pos < len(s):
         m = _TERM.match(s, pos)
@@ -326,7 +326,7 @@ def parse_quaternion(text: str) -> Quaternion:
         value = float(num) if num is not None else 1.0
         if sign == "-":
             value = -value
-        comps[slot[unit] if unit else 0] += value
+        comps[_SLOT[unit] if unit else 0] += value
         seen_term = True
         pos = m.end()
     if not seen_term:

@@ -23,7 +23,8 @@ import numpy as np
 
 from . import embed
 from .errors import InternalInconsistency, PreconditionFailed, SingularSystem
-from .qoperator import QOperator, resolvent_poly, symmetry_predicates
+from .qoperator import (QOperator, SymmetryReport, resolvent_poly,
+                        symmetry_predicates)
 from .quat import Quaternion, qnormsq
 from .rmodule import LeftMul
 
@@ -98,15 +99,18 @@ def _fold_conjugate_pairs(lam, real_tol, fold_tol):
 
 
 def point_sspectrum(A: QOperator, verify_kernels: bool = True,
-                    real_tol=REAL_TOL, fold_tol=FOLD_TOL) -> SpectrumReport:
+                    real_tol=REAL_TOL, fold_tol=FOLD_TOL, *,
+                    lam=None) -> SpectrumReport:
     """Eigensphere list of ``A`` with kernel verification.
 
     Folds the embedding eigenvalues into spheres and, for each sphere
     representative q = re + i*im_mag, confirms that R_q(A) has a nontrivial
     kernel.  In finite dimension the report also states that the residual and
-    continuous parts are empty.
+    continuous parts are empty.  ``lam`` is ``embed.eigenvalues_c(A)``, if the
+    caller already holds it.
     """
-    lam = embed.eigenvalues_c(A)
+    if lam is None:
+        lam = embed.eigenvalues_c(A)
     points = _fold_conjugate_pairs(lam, real_tol, fold_tol)
     spheres = []
     for re, im in points:
@@ -119,10 +123,11 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
         # R_q can be near zero while A is O(1); floor the rank threshold by
         # the natural scale of the polynomial's assembly.
         norm_a = embed.operator_norm(A)
+        AA = A @ A
         for s in spheres:
             q = s.representative()
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            kb = embed.kernel_q(resolvent_poly(A, q), scale=scale)
+            kb = embed.kernel_q(resolvent_poly(A, q, AA=AA), scale=scale)
             if kb.qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel")
@@ -151,21 +156,25 @@ class RealityVerdict:
 
 
 def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,
-                         strict: bool = False) -> RealityVerdict:
+                         strict: bool = False, *,
+                         preds: SymmetryReport | None = None,
+                         report: SpectrumReport | None = None) -> RealityVerdict:
     """Report (self_adjoint, all_real) and assert their equivalence when valid.
 
     The forward direction (self-adjoint implies a real spherical spectrum)
     needs nothing extra and is always asserted.  The converse holds for
     symmetric operators with iA, jA, kA anti-symmetric; with ``strict`` a
     violated hypothesis raises PreconditionFailed instead of being reported.
+    ``preds`` (``symmetry_predicates(A, L)``) and ``report``
+    (``point_sspectrum(A)``) are used as given if the caller already holds them.
     """
-    preds = symmetry_predicates(A, L)
+    preds = preds or symmetry_predicates(A, L)
     hypotheses = preds.is_symmetric and preds.all_units_anti()
     if strict and not hypotheses:
         raise PreconditionFailed(
             "converse direction needs a symmetric operator with iA, jA, kA "
             "anti-symmetric")
-    report = point_sspectrum(A)
+    report = report or point_sspectrum(A)
     self_adjoint = preds.is_symmetric
     all_real = report.all_real
     if self_adjoint and not all_real:
@@ -193,17 +202,19 @@ def resolvent_inverse_norm(A: QOperator, q: Quaternion) -> float:
 
 
 def resolvent_bound_check(A: QOperator, q: Quaternion, samples: int = 50,
-                          seed: int = 0) -> float:
+                          seed: int = 0, *,
+                          preds: SymmetryReport | None = None) -> float:
     """Max violation of ||R_q(A)^{-1}|| <= (q1^2+q2^2+q3^2)^{-1}, clipped at 0.
 
     Solves R_q(A) x = psi through the embedding for random unit psi and also
     checks the stronger per-vector inequality
     ||R_q(A) phi|| >= (q1^2+q2^2+q3^2) ||phi||.  Requires A self-adjoint and
-    q non-real.
+    q non-real.  ``preds`` is ``symmetry_predicates(A)``, if the caller
+    already holds it.
     """
     if q.im_norm() == 0.0:
         raise PreconditionFailed("resolvent bound needs a non-real shift")
-    if not symmetry_predicates(A).is_symmetric:
+    if not (preds or symmetry_predicates(A)).is_symmetric:
         raise PreconditionFailed("resolvent bound needs a self-adjoint operator")
     im2 = q.im_norm() ** 2
     R = resolvent_poly(A, q)

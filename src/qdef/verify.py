@@ -104,12 +104,12 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
     checks.append(_row("eigenvalue_conjugation_closure", pair <= 1e-8, pair, 1e-8))
 
     try:
-        report = point_sspectrum(A)
+        report = point_sspectrum(A, lam=lam)
         checks.append(_row("sphere_kernel_verification", True,
                            detail=f"{len(report.spheres)} spheres"))
     except InternalInconsistency as exc:
         checks.append(_row("sphere_kernel_verification", False, detail=str(exc)))
-        report = point_sspectrum(A, verify_kernels=False)
+        report = point_sspectrum(A, verify_kernels=False, lam=lam)
 
     preds = symmetry_predicates(A)
     if declared.get("hermitian"):
@@ -118,28 +118,30 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
 
     if preds.is_symmetric:
         try:
-            cr = criteria_report(A)
+            cr = criteria_report(A, preds=preds)
             checks.append(_row("self_adjointness_criteria_agree", cr.agree,
                                cr.max_defect, 1e-10))
         except InternalInconsistency as exc:
             checks.append(_row("self_adjointness_criteria_agree", False,
                                detail=str(exc)))
-        verdict = selfadjoint_iff_real(A)
+        verdict = selfadjoint_iff_real(A, preds=preds, report=report)
         checks.append(_row("spectrum_real_iff_self_adjoint",
                            verdict.self_adjoint == verdict.all_real
                            or not verdict.hypotheses_met,
                            verdict.max_im_mag, 1e-8))
         q = Quaternion(1.0, 1.0, 1.0, 0.0)
-        viol = resolvent_bound_check(A, q, samples=20, seed=seed)
+        viol = resolvent_bound_check(A, q, samples=20, seed=seed, preds=preds)
         checks.append(_row("resolvent_norm_bound", viol <= 1e-8, viol, 1e-8))
 
     if preds.is_symmetric and preds.all_units_anti():
         L = LeftMul.canonical(n)
+        preds_L = symmetry_predicates(A, L)
         worst = 0.0
         shifts = [I, -I, I * 0.5, I * 3.0, Quaternion(*rng.standard_normal(4)),
                   Quaternion(*rng.standard_normal(4))]
         for q in shifts:
-            worst = max(worst, norm_identity_check(A, L, q, samples=40, seed=seed))
+            worst = max(worst, norm_identity_check(A, L, q, samples=40, seed=seed,
+                                                   preds=preds_L))
         checks.append(_row("shifted_norm_identities", worst <= 1e-10, worst, 1e-10))
 
         q = Quaternion(1.0, 1.0, 1.0, 0.0)

@@ -526,3 +526,20 @@ class TestReportBytes:
     def test_golden(self, fixture, argv, capsys):
         assert main(argv) == 0
         assert capsys.readouterr().out == (DATA / fixture).read_text()
+
+
+class TestMatrixReportBytes:
+    """Finite-matrix reports and exit codes must match the recorded fixtures."""
+
+    @pytest.mark.parametrize("command", ["verify", "sspectrum"])
+    @pytest.mark.parametrize("matrix,verify_code", [
+        ("real_symmetric", 0),
+        ("hermitian", 0),
+        ("general", 0),
+        # entries ~1e3 meet the absolute 1e-10 tolerance of shifted_norm_identities
+        ("real_symmetric_large", 1),
+    ])
+    def test_golden(self, command, matrix, verify_code, capsys):
+        argv = [command, "--matrix", str(DATA / f"matrix_{matrix}.json")]
+        assert main(argv) == (verify_code if command == "verify" else 0)
+        assert capsys.readouterr().out == (DATA / f"{command}_matrix_{matrix}.json").read_text()

@@ -1,13 +1,21 @@
+import collections
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qdef.embed
+import qdef.qoperator
+import qdef.spectrum
+import qdef.verify
 
 from qdef import (I, J, Quaternion, QOperator, gram_schmidt,
                   hermitian_random, kernel_q, left_scalar, point_sspectrum,
                   random_operator, random_qvector, random_unit_imaginary,
                   real_symmetric, resolvent_bound_check,
                   resolvent_inverse_norm, resolvent_poly, selfadjoint_iff_real)
+from qdef.cli import main
 from qdef.errors import PreconditionFailed
 
 
@@ -132,3 +140,79 @@ class TestResolventBound:
             bound = 1.0 / q.im_norm() ** 2
             assert resolvent_inverse_norm(A, q) <= bound + 1e-8
             assert resolvent_bound_check(A, q, samples=20, seed=seed) <= 1e-8
+
+
+MATRICES = Path(__file__).parent / "data"
+
+
+class TestVerifyMatrixReuse:
+    """`verify --matrix` computes each expensive fact once and reuses it."""
+
+    def test_call_counts(self, monkeypatch, capsys):
+        counts = collections.Counter()
+        inside = []
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        real_sspectrum = qdef.spectrum.point_sspectrum
+
+        def sspectrum(A, *args, **kwargs):
+            verifying = args[0] if args else kwargs.get("verify_kernels", True)
+            counts["verifying point_sspectrum"] += bool(verifying)
+            inside.append(A)
+            try:
+                return real_sspectrum(A, *args, **kwargs)
+            finally:
+                inside.pop()
+
+        real_matmul = QOperator.__matmul__
+
+        def matmul(self, other):
+            if inside and self is other is inside[-1]:
+                counts["A @ A"] += 1
+            return real_matmul(self, other)
+
+        preds = counting(qdef.qoperator, "symmetry_predicates")
+        for module in (qdef.qoperator, qdef.spectrum, qdef.verify):
+            monkeypatch.setattr(module, "symmetry_predicates", preds)
+        for module in (qdef.spectrum, qdef.verify):
+            monkeypatch.setattr(module, "point_sspectrum", sspectrum)
+        monkeypatch.setattr(qdef.embed, "eigenvalues_c",
+                            counting(qdef.embed, "eigenvalues_c"))
+        monkeypatch.setattr(QOperator, "__matmul__", matmul)
+
+        assert main(["verify", "--matrix", str(MATRICES / "matrix_real_symmetric.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        names = {c["name"] for c in report["checks"]}
+        assert {"spectrum_real_iff_self_adjoint", "shifted_norm_identities",
+                "resolvent_norm_bound"} <= names
+        assert len(report["summary"]["spheres"]) == 4
+        assert counts["verifying point_sspectrum"] == 1
+        assert counts["eigenvalues_c"] == 1
+        assert counts["symmetry_predicates"] <= 2
+        assert counts["A @ A"] == 1
+
+    @pytest.mark.parametrize("matrix", ["real_symmetric", "general"])
+    def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
+        real_kernel_q = qdef.embed.kernel_q
+
+        def kernel_q(A, rank_tol=qdef.embed.RANK_TOL, scale=None):
+            if scale is not None:        # only the sphere verification passes a scale
+                return qdef.embed.KernelBasis([], 0)
+            return real_kernel_q(A, rank_tol)
+
+        monkeypatch.setattr(qdef.embed, "kernel_q", kernel_q)
+        assert main(["verify", "--matrix", str(MATRICES / f"matrix_{matrix}.json")]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        report = json.loads(out.out)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
+        assert "trivial R_q kernel" in failed[0]["detail"]
+        assert report["summary"]["spheres"]
