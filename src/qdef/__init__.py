@@ -32,7 +32,7 @@ from .deficiency import (BandedOperator, DeficiencyReport, FormalSolution,
                          classify_l2, classify_solution, deficiency_indices,
                          formal_solutions, free_jacobi, from_config,
                          index_stability_scan, jacobi_sq, number_operator,
-                         poly_generator, recurrence_residual,
+                         recurrence_residual,
                          truncated_kernel, von_neumann_evidence, PRESETS)
 
 __version__ = "0.1.0"

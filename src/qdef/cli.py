@@ -142,12 +142,16 @@ def _parse_q(cfg: RunConfig, default: Quaternion) -> Quaternion:
 # commands
 # ---------------------------------------------------------------------------
 
-def _cmd_verify(cfg: RunConfig, kind, op):
+def _verify(cfg: RunConfig, kind, op):
+    """verify's exit code and report, and the verified SpectrumReport of a
+    matrix (None for a banded operator or an unverified sphere list)."""
+    spectrum = None
     if kind == "banded":
         checks, extra = verify_banded(op, cfg.seed, cfg.tolerances)
         desc = op.description
     else:
-        checks, extra = verify_matrix(op, cfg.seed, cfg.tolerances, cfg.declared)
+        checks, extra, spectrum = verify_matrix(op, cfg.seed, cfg.tolerances,
+                                                cfg.declared)
         desc = f"matrix dim {op.dim}"
     passed = all(c["passed"] for c in checks)
     report = {
@@ -159,13 +163,19 @@ def _cmd_verify(cfg: RunConfig, kind, op):
         "summary": extra,
         "passed": passed,
     }
-    return (0 if passed else 1), report
+    return (0 if passed else 1), report, spectrum
 
 
-def _cmd_sspectrum(cfg: RunConfig, kind, op):
+def _cmd_verify(cfg: RunConfig, kind, op):
+    return _verify(cfg, kind, op)[:2]
+
+
+def _cmd_sspectrum(cfg: RunConfig, kind, op, spectrum=None):
+    """sspectrum's report; ``spectrum`` is the matrix's verified
+    SpectrumReport when the caller already holds one."""
     if kind == "banded":
         raise ConfigError("sspectrum expects a finite matrix (--matrix)")
-    rep = point_sspectrum(op)
+    rep = point_sspectrum(op) if spectrum is None else spectrum
     report = {
         "command": "sspectrum",
         "operator": f"matrix dim {op.dim}",
@@ -235,10 +245,10 @@ def _cmd_invariance(cfg: RunConfig):
 
 
 def _cmd_report(cfg: RunConfig, kind, op):
-    code, bundle = _cmd_verify(cfg, kind, op)
+    code, bundle, spectrum = _verify(cfg, kind, op)
     parts = {"verify": bundle}
     if kind == "matrix":
-        c2, rep = _cmd_sspectrum(cfg, kind, op)
+        c2, rep = _cmd_sspectrum(cfg, kind, op, spectrum)
         parts["sspectrum"] = rep
     else:
         c2, rep = _cmd_deficiency(cfg, kind, op)

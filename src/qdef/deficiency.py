@@ -1,7 +1,7 @@
 """Deficiency indices of symmetric banded operators on half-line sequences.
 
-A semi-infinite banded symmetric operator is given by a coefficient generator
-coeff(n, d) = A[n, n+d] for |d| <= bandwidth, acting on finitely supported
+A semi-infinite banded symmetric operator is given by polynomials in n, one
+per band offset: A[n, n+d] for |d| <= bandwidth, acting on finitely supported
 sequences.  The kernel equation of the adjoint at a shift q,
 
     sum_d A[n, n+d] c_{n+d} = q * c_n        (left product on coordinates),
@@ -111,87 +111,125 @@ def _qinv(a):
 # ---------------------------------------------------------------------------
 
 class BandedOperator:
-    """Symmetric banded operator on half-line sequences, given by a generator.
+    """Symmetric banded operator on half-line sequences, polynomial in n.
 
-    ``coeff(n, d)`` returns the entry A[n, n+d] for |d| <= bandwidth as a
-    Quaternion.  Finite squared norms, the symmetry relation
-    coeff(n, d) = conj(coeff(n+d, -d)) and the ``real_entries`` flag are
-    validated on sampled rows at construction.
+    ``polys`` maps each band offset d to the coefficients of 1, n, n^2, ...
+    of the entry A[n, n+d] (numbers or Quaternions); offsets it leaves out,
+    and offsets beyond ``bandwidth``, are zero.  Finite squared norms, the
+    symmetry relation A[n, n+d] = conj(A[n+d, n]) and the ``real_entries``
+    flag are validated on rows 0..39 (and the rows they couple to) at
+    construction.
     """
 
-    def __init__(self, bandwidth, coeff, symmetric=True, real_entries=True,
-                 description="", validate_rows=40):
+    def __init__(self, bandwidth, polys, symmetric=True, real_entries=True,
+                 description=""):
         self.bandwidth = int(bandwidth)
-        self._coeff = coeff
         self.symmetric = bool(symmetric)
         self.real_entries = bool(real_entries)
         self.description = description
         if self.bandwidth < 0:
             raise ValueError("bandwidth must be nonnegative")
+        polys = {int(d): np.array([c.to_array() if isinstance(c, Quaternion)
+                                   else [float(c), 0.0, 0.0, 0.0]
+                                   for c in coeffs]).reshape(-1, 4)
+                 for d, coeffs in polys.items()}
+        self._polys = {d: c for d, c in polys.items() if abs(d) <= self.bandwidth}
         self._table = np.zeros((0, 2 * self.bandwidth + 1, 4))
-        self._validate(validate_rows)
+        self._validate()
 
-    def _validate(self, rows):
+    def _rows(self, lo, hi) -> np.ndarray:
+        """Entries A[n, n+d] of rows lo..hi as a (hi-lo+1, 2w+1, 4) array.
+
+        Every polynomial is summed as acc = acc + c_k * n^k from +0.0, with
+        n^k a running product, over all rows at once: the operations, and so
+        the bits, of evaluating one entry in quaternion scalar arithmetic.
+        Entries with n + d < 0 are zero.
+        """
         w = self.bandwidth
+        n = np.arange(lo, hi + 1, dtype=float)
+        rows = np.zeros((len(n), 2 * w + 1, 4))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for d, coeffs in self._polys.items():
+                acc = np.zeros((len(n), 4))
+                p = np.ones(len(n))
+                for c in coeffs:
+                    acc = acc + c * p[:, None]
+                    p = p * n
+                rows[:, d + w] = acc
+        rows[n[:, None] + np.arange(-w, w + 1) < 0] = 0.0
+        return rows
+
+    def _symmetry_pairs(self, rows):
+        """(a, b, inside) over rows 0..rows-1: a[n, d+w] = A[n, n+d],
+        b[n, d+w] = conj(A[n+d, n]) and ``inside`` marks n + d >= 0."""
+        w = self.bandwidth
+        tab = self.table(rows + w)
+        m = np.arange(rows)[:, None] + np.arange(-w, w + 1)
+        b = tab[np.maximum(m, 0), np.arange(2 * w, -1, -1)] * [1.0, -1.0, -1.0, -1.0]
+        return tab[:rows], b, m >= 0
+
+    def _validate(self):
         try:    # every entry the checks below read, before any is compared
-            self.table(rows + w)
+            a, b, inside = self._symmetry_pairs(40)
         except PreconditionFailed as exc:
             raise ValueError(str(exc)) from None
-        for n in range(rows):
-            for d in range(-w, w + 1):
-                if n + d < 0:
-                    continue
-                a = self.coeff(n, d)
-                if self.real_entries and a.im_norm() > 1e-12:
-                    raise ValueError(
-                        f"declared real_entries but coeff({n},{d}) = {a}")
-                if self.symmetric:
-                    b = self.coeff(n + d, -d).conjugate()
-                    if not a.isclose(b, atol=1e-12):
-                        raise ValueError(
-                            f"declared symmetric but coeff({n},{d}) != "
-                            f"conj(coeff({n + d},{-d}))")
+        unreal = self.real_entries & (
+            np.sqrt((a[..., 1] ** 2 + a[..., 2] ** 2) + a[..., 3] ** 2) > 1e-12)
+        asym = self.symmetric & (np.abs(a - b) > 1e-12).any(axis=-1)
+        bad = np.argwhere(inside & (unreal | asym))
+        if len(bad):
+            n, k = bad[0]
+            d = k - self.bandwidth
+            if unreal[n, k]:
+                raise ValueError(f"declared real_entries but coeff({n},{d}) = "
+                                 f"{Quaternion.from_array(a[n, k])}")
+            raise ValueError(f"declared symmetric but coeff({n},{d}) != "
+                             f"conj(coeff({n + d},{-d}))")
+
+    def band_symmetry_defect(self, rows) -> float:
+        """Largest |A[n, n+d] - conj(A[n+d, n])| over rows 0..rows-1."""
+        a, b, inside = self._symmetry_pairs(rows)
+        return float(np.max(np.sqrt(_qnormsq(a - b)), initial=0.0, where=inside))
 
     def coeff(self, n, d) -> Quaternion:
-        if abs(d) > self.bandwidth or n < 0 or n + d < 0:
-            return Quaternion(0.0)
-        return self._coeff(n, d)
+        return Quaternion(*self.coeff_tuple(n, d))
 
     def coeff_tuple(self, n, d):
-        q = self.coeff(n, d)
-        return (q.q0, q.q1, q.q2, q.q3)
+        """Components of A[n, n+d]: read from the table when it holds row n,
+        evaluated alone otherwise, so a loop over rows stays linear."""
+        w = self.bandwidth
+        if abs(d) > w or n < 0:
+            return (0.0, 0.0, 0.0, 0.0)
+        row = self._table[n] if n < len(self._table) else self._rows(n, n)[0]
+        return tuple(row[d + w].tolist())
 
     def table(self, N) -> np.ndarray:
         """Entries A[n, n+d] of rows 0..N as an (N+1, 2w+1, 4) array.
 
-        Filled from ``coeff`` and cached: the longest table built so far is
-        kept, sliced for shorter ones and extended for longer ones.  Raises
+        Cached: the longest table built so far is kept, sliced for shorter
+        ones and extended by the missing rows for longer ones.  Raises
         PreconditionFailed when a coefficient's squared norm is not finite,
         since the recurrence cannot be solved in double precision then.
         """
         built = len(self._table)
         if built <= N:
-            w = self.bandwidth
-            tab = np.zeros((N + 1, 2 * w + 1, 4))
-            tab[:built] = self._table
-            for n in range(built, N + 1):
-                for d in range(-w, w + 1):
-                    tab[n, d + w] = self.coeff_tuple(n, d)
+            new = self._rows(built, N)
             with np.errstate(over="ignore", invalid="ignore"):
-                bad = np.argwhere(~np.isfinite(_qnormsq(tab[built:])))
+                bad = np.argwhere(~np.isfinite(_qnormsq(new)))
             if len(bad):
                 n, k = bad[0]
                 raise PreconditionFailed(
-                    f"coeff({built + n},{k - w}) has a non-finite squared norm")
-            self._table = tab
+                    f"coeff({built + n},{k - self.bandwidth}) has a non-finite "
+                    "squared norm")
+            self._table = np.concatenate([self._table, new])
         return self._table[:N + 1]
 
     def scale_real(self, factor: float) -> BandedOperator:
         """The operator factor*A (real factor, entrywise)."""
-        base = self._coeff
         return BandedOperator(
             self.bandwidth,
-            lambda n, d: base(n, d) * float(factor),
+            {d: [Quaternion.from_array(c) for c in coeffs * float(factor)]
+             for d, coeffs in self._polys.items()},
             symmetric=self.symmetric,
             real_entries=self.real_entries,
             description=f"{factor}*({self.description})",
@@ -201,42 +239,14 @@ class BandedOperator:
         """Leading M x M corner as a quaternionic entry array."""
         arr = np.zeros((M, M, 4))
         w = self.bandwidth
-        for n in range(M):
-            for d in range(-w, w + 1):
-                m = n + d
-                if 0 <= m < M:
-                    arr[n, m] = self.coeff(n, d).to_array()
+        rows = self._rows(0, M - 1)
+        for d in range(-w, w + 1):
+            n = np.arange(max(0, -d), min(M, M - d))
+            arr[n, n + d] = rows[n, d + w]
         return arr
-
-    def truncated_operator(self, M) -> QOperator:
-        return QOperator.from_entries(self.truncate(M))
 
     def __repr__(self):
         return f"BandedOperator(w={self.bandwidth}, {self.description!r})"
-
-
-def _poly_eval(coeffs, n):
-    acc = Quaternion(0.0)
-    p = 1.0
-    for c in coeffs:
-        acc = acc + c * p
-        p *= n
-    return acc
-
-
-def poly_generator(offset_polys):
-    """Coefficient generator from polynomials in n, one per band offset."""
-    polys = {int(d): [c if isinstance(c, Quaternion) else Quaternion(float(c))
-                      for c in coeffs]
-             for d, coeffs in offset_polys.items()}
-
-    def coeff(n, d):
-        poly = polys.get(d)
-        if poly is None:
-            return Quaternion(0.0)
-        return _poly_eval(poly, n)
-
-    return coeff
 
 
 def from_config(obj) -> BandedOperator:
@@ -247,20 +257,14 @@ def from_config(obj) -> BandedOperator:
     "real_entries": true}; polynomial coefficients are numbers or quaternion
     literals.
     """
-    w = int(obj["bandwidth"])
     spec = obj["coeff"]
     if spec.get("type", "poly") != "poly":
         raise ValueError(f"unknown coefficient generator type {spec.get('type')!r}")
-    offsets = {}
-    for key, val in spec.items():
-        if not key.startswith("offset_"):
-            continue
-        d = int(key[len("offset_"):])
-        offsets[d] = [parse_quaternion(c) if isinstance(c, str) else Quaternion(float(c))
-                      for c in val]
+    offsets = {int(key[len("offset_"):]): [parse_quaternion(c) if isinstance(c, str)
+                                           else c for c in val]
+               for key, val in spec.items() if key.startswith("offset_")}
     return BandedOperator(
-        w,
-        poly_generator(offsets),
+        obj["bandwidth"], offsets,
         symmetric=bool(obj.get("symmetric", True)),
         real_entries=bool(obj.get("real_entries", True)),
         description=obj.get("description", "banded operator from config"),
@@ -269,13 +273,13 @@ def from_config(obj) -> BandedOperator:
 
 def number_operator() -> BandedOperator:
     """Diagonal operator with coeff(n, 0) = n; essentially self-adjoint."""
-    return BandedOperator(0, poly_generator({0: [0.0, 1.0]}),
+    return BandedOperator(0, {0: [0.0, 1.0]},
                           description="number operator diag(n)")
 
 
 def free_jacobi() -> BandedOperator:
     """Three-term operator with unit off-diagonals and zero diagonal."""
-    return BandedOperator(1, poly_generator({-1: [1.0], 0: [0.0], 1: [1.0]}),
+    return BandedOperator(1, {-1: [1.0], 0: [0.0], 1: [1.0]},
                           description="free Jacobi, unit off-diagonals")
 
 
@@ -283,7 +287,7 @@ def jacobi_sq() -> BandedOperator:
     """Jacobi operator with off-diagonal couple (n+1)^2 between n and n+1."""
     return BandedOperator(
         1,
-        poly_generator({-1: [0.0, 0.0, 1.0], 0: [0.0], 1: [1.0, 2.0, 1.0]}),
+        {-1: [0.0, 0.0, 1.0], 0: [0.0], 1: [1.0, 2.0, 1.0]},
         description="Jacobi with (n+1)^2 off-diagonals")
 
 
@@ -320,11 +324,6 @@ class FormalSolution:
         if np.max(self.log_scale + self._log_mags()) > 700.0:
             raise OverflowError("solution magnitudes exceed double range")
         return self.mantissas * np.exp(self.log_scale)[:, None]
-
-    @property
-    def coefficients(self):
-        vals = self.values()
-        return [Quaternion.from_array(v) for v in vals]
 
     def _log_mags(self):
         mags = np.sqrt(qnormsq(self.mantissas))
@@ -885,7 +884,8 @@ def _gram_min_eig(vectors):
     return float(eigs[0])
 
 
-def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100):
+def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100,
+                         ratio_margin: float = RATIO_MARGIN):
     """Directness of the defect spaces at q and conj(q).
 
     Banded input: assembles the square-summable kernel solutions at q and at
@@ -901,7 +901,7 @@ def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100):
             raise PreconditionFailed("directness evidence needs a symmetric operator")
         shifts = (q, q.conjugate())
         batch = _formal_batch(op, shifts, N)
-        screened = [_screen(op, _checked(op, sols), window, RATIO_MARGIN)
+        screened = [_screen(op, _checked(op, sols), window, ratio_margin)
                     for sols in batch]
         vectors = []
         dims = {}

@@ -126,9 +126,10 @@ def kernel_q(A, rank_tol=RANK_TOL, scale=None) -> KernelBasis:
         w = w / nw
         vectors.append(unvec(v))
         proj = N - np.outer(v, v.conj() @ N) - np.outer(w, w.conj() @ N)
-        Q, R = np.linalg.qr(proj)
-        keep = np.abs(np.diag(R)) > 1e-8
-        N = Q[:, keep]
+        # the projection has rank two less than N; its left singular vectors
+        # span its range, where an unpivoted QR's columns need not
+        U, sv, _ = np.linalg.svd(proj, full_matrices=False)
+        N = U[:, sv > 1e-8]
     if len(vectors) != nullity // 2:
         raise InternalInconsistency("J-pairing produced a wrong kernel count")
     return KernelBasis(vectors, nullity // 2)

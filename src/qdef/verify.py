@@ -46,7 +46,8 @@ def _norm(v):
 
 
 def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = None):
-    """Invariant suite for a finite quaternionic matrix."""
+    """Invariant suite for a finite quaternionic matrix: check rows, summary and
+    the verified SpectrumReport (None when a sphere's kernel is unconfirmed)."""
     declared = declared or {}
     rng = np.random.default_rng(seed)
     atol = tol["atol"]
@@ -104,12 +105,13 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
     checks.append(_row("eigenvalue_conjugation_closure", pair <= 1e-8, pair, 1e-8))
 
     try:
-        report = point_sspectrum(A, lam=lam)
+        report = verified = point_sspectrum(A, lam=lam)
         checks.append(_row("sphere_kernel_verification", True,
                            detail=f"{len(report.spheres)} spheres"))
     except InternalInconsistency as exc:
         checks.append(_row("sphere_kernel_verification", False, detail=str(exc)))
         report = point_sspectrum(A, verify_kernels=False, lam=lam)
+        verified = None
 
     preds = symmetry_predicates(A)
     if declared.get("hermitian"):
@@ -165,26 +167,21 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
     return checks, {"spheres": [s.to_dict() for s in report.spheres],
                     "all_real": report.all_real,
                     "embedding_eigenvalues": [[float(z.real), float(z.imag)]
-                                              for z in lam]}
+                                              for z in lam]}, verified
 
 
 def verify_banded(op: BandedOperator, seed: int, tol: dict):
     """Invariant suite for a banded half-line operator."""
     N = int(tol["N"])
     window = int(tol["window"])
+    margin = float(tol["ratio"])
     checks = []
 
-    worst = 0.0
-    for n in range(40):
-        for d in range(-op.bandwidth, op.bandwidth + 1):
-            if n + d < 0:
-                continue
-            diff = (op.coeff(n, d) - op.coeff(n + d, -d).conjugate()).norm()
-            worst = max(worst, diff)
+    worst = op.band_symmetry_defect(40)
     checks.append(_row("band_symmetry", worst <= 1e-12, worst, 1e-12))
 
     units = ("i", "j", "k")
-    reports = dict(zip(units, _unit_reports(op, units, N, window)))
+    reports = dict(zip(units, _unit_reports(op, units, N, window, margin)))
     base = reports["i"]
     checks.append(_row("deficiency_indices_conclusive",
                        all(r.status == "ok" for r in reports.values()),
@@ -193,7 +190,8 @@ def verify_banded(op: BandedOperator, seed: int, tol: dict):
                        len({r.indices for r in reports.values()}) == 1,
                        detail=str({u: r.indices for u, r in sorted(reports.items())})))
 
-    doubled = deficiency_indices(op, "i", N=2 * N, window=window)
+    doubled = deficiency_indices(op, "i", N=2 * N, window=window,
+                                 ratio_margin=margin)
     checks.append(_row("truncation_doubling_stable",
                        doubled.indices == base.indices and doubled.status == "ok",
                        detail=f"N={N} -> {base.indices}, N={2 * N} -> {doubled.indices}"))
@@ -206,13 +204,14 @@ def verify_banded(op: BandedOperator, seed: int, tol: dict):
     checks.append(_row("truncated_matrix_oracle_agreement", ok))
 
     try:
-        scan = index_stability_scan(op, I, count=8, N=N, window=window, seed=seed)
+        scan = index_stability_scan(op, I, count=8, N=N, window=window, seed=seed,
+                                    ratio_margin=margin)
         checks.append(_row("index_stability", scan["status"] == "ok",
                            detail=f"constant dim {scan['constant_dim']}"))
     except StabilityViolation as exc:
         checks.append(_row("index_stability", False, detail=str(exc)))
 
-    ev = von_neumann_evidence(op, I, N=N, window=window)
+    ev = von_neumann_evidence(op, I, N=N, window=window, ratio_margin=margin)
     checks.append(_row("defect_space_directness", ev["direct"],
                        detail=f"dims ({ev['dim_plus']}, {ev['dim_minus']})"))
 

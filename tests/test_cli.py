@@ -162,6 +162,17 @@ class TestEnvOverrides:
         out = json.loads(capsys.readouterr().out)
         assert code == 0 and out["tolerances"]["N"] == 500
 
+    def test_ratio_override_reaches_verify(self, capsys, monkeypatch):
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"ratio": 0.5}))
+        argv = ["--preset", "jacobi_sq", "--N", "1000"]
+        main(["deficiency", *argv])
+        deficiency = json.loads(capsys.readouterr().out)["deficiency"]
+        main(["verify", *argv])
+        summary = json.loads(capsys.readouterr().out)["summary"]
+        assert summary["params"]["ratio_margin"] == 0.5
+        assert (summary["n_plus"], summary["n_minus"]) == \
+            (deficiency["n_plus"], deficiency["n_minus"])
+
     def test_bad_env_is_config_error(self, monkeypatch):
         monkeypatch.setenv("QDEF_TOL_OVERRIDES", "{nope")
         assert main(["verify", "--preset", "number_operator"]) == 2

@@ -5,15 +5,16 @@ import numpy as np
 import pytest
 
 import qdef.deficiency
-from qdef import (Basis, I, J, Quaternion, BandedOperator,
-                  basis_invariance_check, classify_l2, classify_solution,
+from qdef import (Basis, I, J, Quaternion, QOperator, BandedOperator,
+                  basis_invariance_check, chi, classify_l2, classify_solution,
                   deficiency_indices, formal_solutions, free_jacobi,
                   from_config, index_stability_scan, inner, jacobi_sq,
-                  number_operator, poly_generator, random_basis,
+                  number_operator, parse_quaternion, random_basis,
                   real_symmetric, recurrence_residual, truncated_kernel,
                   von_neumann_evidence)
 from qdef.cli import main
 from qdef.deficiency import FormalSolution, _march
+from qdef.embed import vec
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
 
 DATA = Path(__file__).parent / "data"
@@ -38,12 +39,12 @@ class TestBandedOperator:
 
     def test_declared_symmetric_rejected_when_not(self):
         with pytest.raises(ValueError):
-            BandedOperator(1, poly_generator({-1: [1.0], 0: [0.0], 1: [2.0]}))
+            BandedOperator(1, {-1: [1.0], 0: [0.0], 1: [2.0]})
 
     def test_declared_real_rejected_when_not(self):
-        gen = poly_generator({0: [Quaternion(0, 1, 0, 0)]})
         with pytest.raises(ValueError):
-            BandedOperator(0, gen, real_entries=True, symmetric=False)
+            BandedOperator(0, {0: [Quaternion(0, 1, 0, 0)]}, real_entries=True,
+                           symmetric=False)
 
     def test_config_roundtrip(self):
         cfg = {
@@ -70,7 +71,7 @@ class TestBandedOperator:
 
     def test_truncate_matches_coeff(self):
         op = jacobi_sq()
-        T = op.truncated_operator(6)
+        T = QOperator.from_entries(op.truncate(6))
         assert T.entry(2, 3).isclose(Quaternion(9), atol=0)
         assert T.entry(3, 2).isclose(Quaternion(9), atol=0)
         assert T.entry(0, 0).isclose(Quaternion(0), atol=0)
@@ -87,7 +88,7 @@ class TestFormalSolutions:
     def test_free_jacobi_three_term_recurrence(self):
         sols = formal_solutions(free_jacobi(), I, 60)
         assert len(sols) == 1
-        c = sols[0].coefficients
+        c = [Quaternion.from_array(v) for v in sols[0].values()]
         assert c[0].isclose(Quaternion(1), atol=0)
         assert c[1].isclose(I, atol=1e-13)
         for n in range(1, 59):
@@ -121,9 +122,21 @@ class TestFormalSolutions:
         with pytest.raises(PreconditionFailed):
             formal_solutions(free_jacobi(), I, 5)
 
+    @pytest.mark.parametrize("c", [1.0, 1.1, 1.2, 1.3])
+    def test_two_chain_truncated_kernel(self, c):
+        # two decoupled chains: quaternionic nullity 2 of the truncated rows
+        op = jacobi(2, 2, c)
+        kb = truncated_kernel(op, I, 60)
+        assert kb.qdim == 2 and len(kb.vectors) == 2
+        arr = op.truncate(60)
+        arr[np.arange(60), np.arange(60)] -= I.to_array()
+        M = chi(arr[:58])
+        for v in kb.vectors:
+            assert np.linalg.norm(M @ vec(v)) <= 1e-10 * np.linalg.norm(M)
+
     def test_singular_leading_coefficient(self):
         # couple between n and n+1 is n, so coeff(0, 1) = 0 blocks row 0
-        op = BandedOperator(1, poly_generator({-1: [-1, 1], 0: [0], 1: [0, 1]}),
+        op = BandedOperator(1, {-1: [-1, 1], 0: [0], 1: [0, 1]},
                             symmetric=True, real_entries=True)
         with pytest.raises(SingularLeadingCoefficient):
             formal_solutions(op, I, 100)
@@ -394,18 +407,96 @@ def scalar_march(op, q, N, seeds, reverse=False):
     return np.array(C, dtype=float), logs
 
 
-def jacobi(w, p, c=1.3, diag=0.0):
+def jacobi_cfg(w, p, c=1.3, diag=0.0):
     """Band A[n, n+w] = c (n+1)^p, A[n, n-w] = c (n-w+1)^p, constant diagonal."""
     up = [c * math.comb(p, k) for k in range(p + 1)]
     down = [c * math.comb(p, k) * (1 - w) ** (p - k) for k in range(p + 1)]
-    return from_config({"bandwidth": w, "real_entries": True,
-                        "coeff": {"type": "poly", f"offset_{w}": up,
-                                  f"offset_{-w}": down, "offset_0": [diag]}})
+    return {"bandwidth": w, "real_entries": True,
+            "coeff": {"type": "poly", f"offset_{w}": up,
+                      f"offset_{-w}": down, "offset_0": [diag]}}
+
+
+def jacobi(w, p, c=1.3, diag=0.0):
+    return from_config(jacobi_cfg(w, p, c, diag))
 
 
 def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
+
+def poly_eval(coeffs, n):
+    """One polynomial entry in Quaternion scalar arithmetic, the reference for
+    the vectorized table."""
+    acc = Quaternion(0.0)
+    p = 1.0
+    for c in coeffs:
+        acc = acc + c * p
+        p *= n
+    return acc
+
+
+def reference_rows(cfg, lo, hi):
+    """Rows lo..hi of a config's table, one entry at a time through poly_eval."""
+    w = cfg["bandwidth"]
+    polys = {int(key[len("offset_"):]): [parse_quaternion(c) if isinstance(c, str)
+                                        else Quaternion(float(c)) for c in val]
+             for key, val in cfg["coeff"].items() if key.startswith("offset_")}
+    out = np.zeros((hi - lo + 1, 2 * w + 1, 4))
+    for n in range(lo, hi + 1):
+        for d in range(-w, w + 1):
+            if n + d >= 0 and d in polys:
+                out[n - lo, d + w] = poly_eval(polys[d], n).to_array()
+    return out
+
+
+# declared non-symmetric, so that the configs the symmetry check rejects
+# still build
+TABLE_CONFIGS = [{**jacobi_cfg(w, p, c), "symmetric": False} for w in (1, 2)
+                 for p in range(4) for c in (1.0, 1.1, 1.2, 1.3)] + [
+    {"bandwidth": 0, "coeff": {"offset_0": [-1.5, 0.25, 1.75]}},
+    {"bandwidth": 1, "symmetric": False, "real_entries": False,
+     "coeff": {"offset_-1": ["1+2i", "-0.5j+3k"], "offset_0": ["-1.5-2k", 0.25],
+               "offset_1": ["2-i", "0.1+j", "-k", 1e-3]}},
+    # n^k overflows on the late rows: inf and nan entries
+    {"bandwidth": 1, "symmetric": False,
+     "coeff": {"offset_-1": [1.0] * 90,
+               "offset_0": [(-1.0) ** k for k in range(90)]}},
+]
+
+
+class TestPolyTable:
+    @pytest.mark.parametrize("cfg", TABLE_CONFIGS)
+    def test_bits_of_scalar_evaluation(self, cfg):
+        op = from_config(cfg)
+        for lo, hi in ((0, 80), (7950, 8000)):
+            got, ref = op._rows(lo, hi), reference_rows(cfg, lo, hi)
+            assert np.array_equal(got, ref, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(ref))
+        assert same_bits(op.table(40), reference_rows(cfg, 0, 40))
+
+    @pytest.mark.parametrize("w,message", [
+        (1, "declared symmetric but coeff(20,1) != conj(coeff(21,-1))"),
+        (2, "declared symmetric but coeff(21,2) != conj(coeff(23,-2))"),
+    ])
+    def test_cubic_jacobi_rejected(self, w, message):
+        with pytest.raises(ValueError) as exc:
+            jacobi(w, 3, c=1.3)
+        assert str(exc.value) == message
+
+    def test_unreal_entry_named(self):
+        with pytest.raises(ValueError) as exc:
+            BandedOperator(0, {0: [Quaternion(0.5, 1, 0, -2)]}, symmetric=False)
+        assert str(exc.value) == "declared real_entries but coeff(0,0) = 0.5+i-2k"
+
+    def test_coefficient_reads(self):
+        op = jacobi_sq()
+        for n in (0, 5, 41, 42, 5000):       # inside and beyond the cached rows
+            for d in (-1, 0, 1):
+                ref = poly_eval({-1: [0, 0, 1], 0: [0], 1: [1, 2, 1]}[d], n)
+                if n + d < 0:
+                    ref = Quaternion(0.0)
+                assert op.coeff_tuple(n, d) == tuple(ref.to_array())
+        assert op.coeff_tuple(3, 2) == (0.0, 0.0, 0.0, 0.0)
 
 class TestEngine:
     SHIFTS = [I * 3.0, Quaternion(0.3, -0.2, 0.5, 0.1), Quaternion(-1.0, 0.0, 0.0, 0.2)]
@@ -490,23 +581,25 @@ class TestEngine:
         assert index_stability_scan(op, I, count=20, N=600, window=60, seed=4) == whole
         assert max(sizes) == 5 and sum(sizes) == 2 * 24
 
-    def test_table_rows_built_once(self):
-        seen = []
-        base = poly_generator({-1: [1.0], 0: [0.0], 1: [1.0]})
+    def test_table_rows_built_once(self, monkeypatch):
+        asked = []
+        real_rows = BandedOperator._rows
 
-        def gen(n, d):
-            seen.append((n, d))
-            return base(n, d)
+        def counting(self, lo, hi):
+            asked.extend(range(lo, hi + 1))
+            return real_rows(self, lo, hi)
 
-        op = BandedOperator(1, gen)
-        seen.clear()                              # validation reads rows 0..41
+        monkeypatch.setattr(BandedOperator, "_rows", counting)
+        op = free_jacobi()
+        assert asked == list(range(42))           # validation reads rows 0..41
+        asked.clear()
         assert op.table(100).shape == (101, 3, 4)
-        assert sorted(seen) == [(n, d) for n in range(42, 101) for d in (-1, 0, 1)]
+        assert asked == list(range(42, 101))
         op.table(50)
         deficiency_indices(op, "i", N=100, window=20)
-        assert len(seen) == 59 * 3                # shorter tables are slices
+        assert asked == list(range(42, 101))      # shorter tables are slices
         op.table(200)                             # rows 101..200 added
-        assert sorted(seen) == [(n, d) for n in range(42, 201) for d in (-1, 0, 1)]
+        assert asked == list(range(42, 201))
 
 
 class TestReportBytes:

@@ -101,6 +101,21 @@ class TestKernel:
             for v in kb.vectors:
                 assert A(v).norm() / v.norm() <= 1e-8
 
+    def test_quaternionic_nullity_three(self):
+        # X Y has right rank 4 of 7, so chi(X Y) has a J-closed complex null
+        # space of dimension 6
+        rng = np.random.default_rng(3)
+        A = qmatmul(rng.standard_normal((7, 4, 4)), rng.standard_normal((4, 7, 4)))
+        kb = kernel_q(A)
+        assert kb.qdim == 3 and len(kb.vectors) == 3
+        M = chi(A)
+        for v in kb.vectors:
+            assert np.linalg.norm(M @ vec(v)) <= 1e-10 * np.linalg.norm(M)
+        G = np.array([[inner(a, b).to_array() for b in kb.vectors]
+                      for a in kb.vectors])
+        np.testing.assert_allclose(G, np.eye(3)[..., None] * [1, 0, 0, 0],
+                                   atol=1e-12)
+
     def test_kernel_vectors_right_independent(self):
         A = QOperator.zero(3)
         kb = kernel_q(A)

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import qdef.cli
 import qdef.embed
 import qdef.qoperator
 import qdef.spectrum
@@ -148,7 +149,9 @@ MATRICES = Path(__file__).parent / "data"
 class TestVerifyMatrixReuse:
     """`verify --matrix` computes each expensive fact once and reuses it."""
 
-    def test_call_counts(self, monkeypatch, capsys):
+    @staticmethod
+    def instrument(monkeypatch):
+        """Counts of the costly calls a command makes, by monkeypatch."""
         counts = collections.Counter()
         inside = []
 
@@ -181,12 +184,15 @@ class TestVerifyMatrixReuse:
         preds = counting(qdef.qoperator, "symmetry_predicates")
         for module in (qdef.qoperator, qdef.spectrum, qdef.verify):
             monkeypatch.setattr(module, "symmetry_predicates", preds)
-        for module in (qdef.spectrum, qdef.verify):
+        for module in (qdef.spectrum, qdef.verify, qdef.cli):
             monkeypatch.setattr(module, "point_sspectrum", sspectrum)
         monkeypatch.setattr(qdef.embed, "eigenvalues_c",
                             counting(qdef.embed, "eigenvalues_c"))
         monkeypatch.setattr(QOperator, "__matmul__", matmul)
+        return counts
 
+    def test_call_counts(self, monkeypatch, capsys):
+        counts = self.instrument(monkeypatch)
         assert main(["verify", "--matrix", str(MATRICES / "matrix_real_symmetric.json")]) == 0
         report = json.loads(capsys.readouterr().out)
         names = {c["name"] for c in report["checks"]}
@@ -197,6 +203,45 @@ class TestVerifyMatrixReuse:
         assert counts["eigenvalues_c"] == 1
         assert counts["symmetry_predicates"] <= 2
         assert counts["A @ A"] == 1
+
+    def test_report_computes_spectrum_once(self, monkeypatch, capsys):
+        counts = self.instrument(monkeypatch)
+        assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
+                     "--dim", "4", "--trials", "2"]) == 0
+        parts = json.loads(capsys.readouterr().out)["parts"]
+        assert len(parts["sspectrum"]["spheres"]) == 4
+        assert counts["verifying point_sspectrum"] == 1
+        assert counts["eigenvalues_c"] == 1
+        assert counts["A @ A"] == 1
+
+    @pytest.mark.parametrize("matrix", ["real_symmetric", "hermitian", "general",
+                                        "real_symmetric_large"])
+    def test_report_parts_match_commands(self, matrix, capsys):
+        path = str(MATRICES / f"matrix_{matrix}.json")
+        code = main(["report", "--matrix", path, "--dim", "4", "--trials", "2"])
+        parts = json.loads(capsys.readouterr().out)["parts"]
+        assert code == (1 if matrix == "real_symmetric_large" else 0)
+        for command in ("verify", "sspectrum"):
+            golden = MATRICES / f"{command}_matrix_{matrix}.json"
+            assert parts[command] == json.loads(golden.read_text())
+
+    def test_report_sphere_failure_is_one_line(self, monkeypatch, capsys):
+        # the sspectrum part recomputes an unverified sphere list and fails
+        # as the sspectrum command does: one line, no report
+        real_kernel_q = qdef.embed.kernel_q
+
+        def kernel_q(A, rank_tol=qdef.embed.RANK_TOL, scale=None):
+            if scale is not None:        # only the sphere verification passes a scale
+                return qdef.embed.KernelBasis([], 0)
+            return real_kernel_q(A, rank_tol)
+
+        monkeypatch.setattr(qdef.embed, "kernel_q", kernel_q)
+        assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
+                     "--dim", "4", "--trials", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("property failure: folded sphere")
+        assert out.err.count("\n") == 1
 
     @pytest.mark.parametrize("matrix", ["real_symmetric", "general"])
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
