@@ -22,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict
 
 import numpy as np
 
@@ -35,26 +35,10 @@ from .qoperator import QOperator, real_symmetric
 from .quat import Quaternion, parse_quaternion
 from .rmodule import random_basis
 from .spectrum import point_sspectrum
-from .verify import DEFAULT_TOLERANCES, verify_banded, verify_matrix
+from .tolerances import Tolerances
+from .verify import verify_banded, verify_matrix
 
 COMMANDS = ("verify", "sspectrum", "deficiency", "invariance", "report")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    preset: str | None = None
-    matrix: str | None = None
-    q: str | None = None
-    unit: str = "i"
-    seed: int = 0
-    fmt: str = "json"
-    out: str | None = None
-    dim: int = 6
-    trials: int = 50
-    count: int = 20
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    declared: dict = field(default_factory=dict)
 
 
 def _jsonable(obj):
@@ -71,69 +55,42 @@ def _jsonable(obj):
     return obj
 
 
-def _load_tolerances(args) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    env = os.environ.get("QDEF_TOL_OVERRIDES")
-    if env:
-        try:
-            overrides = json.loads(env)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"QDEF_TOL_OVERRIDES is not valid JSON: {exc}")
-        if not isinstance(overrides, dict):
-            raise ConfigError("QDEF_TOL_OVERRIDES must be a JSON object")
-        for key, val in overrides.items():
-            if key not in tol:
-                raise ConfigError(f"unknown tolerance override {key!r}")
-            try:
-                tol[key] = type(tol[key])(val)
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"tolerance override {key!r} is not a number: {val!r}")
-    if args.N is not None:
-        tol["N"] = int(args.N)
-    if args.window is not None:
-        tol["window"] = int(args.window)
-    for key in ("N", "window"):
-        if tol[key] <= 0:
-            raise ConfigError(f"{key} must be positive, got {tol[key]}")
-    return tol
-
-
-def _load_operator(cfg: RunConfig):
-    """Return ("banded", BandedOperator) or ("matrix", QOperator)."""
-    if cfg.preset and cfg.matrix:
+def _load_operator(args):
+    """Return (kind, operator, declared): "banded" and a BandedOperator, or
+    "matrix", a QOperator and the properties its file declares ("hermitian")."""
+    if args.preset and args.matrix:
         raise ConfigError("give either --preset or --matrix, not both")
-    if cfg.preset:
-        maker = PRESETS.get(cfg.preset)
+    if args.preset:
+        maker = PRESETS.get(args.preset)
         if maker is None:
             raise ConfigError(
-                f"unknown preset {cfg.preset!r}; choose from {sorted(PRESETS)}")
-        return "banded", maker()
-    if cfg.matrix:
+                f"unknown preset {args.preset!r}; choose from {sorted(PRESETS)}")
+        return "banded", maker(), {}
+    if args.matrix:
         try:
-            with open(cfg.matrix) as fh:
+            with open(args.matrix) as fh:
                 obj = json.load(fh)
         except OSError as exc:
-            raise ConfigError(f"cannot read {cfg.matrix}: {exc}")
+            raise ConfigError(f"cannot read {args.matrix}: {exc}")
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"{cfg.matrix} is not valid JSON: {exc}")
+            raise ConfigError(f"{args.matrix} is not valid JSON: {exc}")
         if not isinstance(obj, dict):
-            raise ConfigError(f"{cfg.matrix}: expected a JSON object")
+            raise ConfigError(f"{args.matrix}: expected a JSON object")
         try:
             if "bandwidth" in obj:
-                return "banded", from_config(obj)
+                return "banded", from_config(obj), {}
             op = QOperator.from_dict(obj)
         except (KeyError, ValueError, TypeError) as exc:
-            raise ConfigError(f"{cfg.matrix}: {exc}")
-        cfg.declared = {k: obj[k] for k in ("hermitian",) if k in obj}
-        return "matrix", op
+            raise ConfigError(f"{args.matrix}: {exc}")
+        return "matrix", op, {k: obj[k] for k in ("hermitian",) if k in obj}
     raise ConfigError("an operator is required: --preset NAME or --matrix PATH")
 
 
-def _parse_q(cfg: RunConfig, default: Quaternion) -> Quaternion:
-    if cfg.q is None:
+def _parse_q(args, default: Quaternion) -> Quaternion:
+    if args.q is None:
         return default
     try:
-        return parse_quaternion(cfg.q)
+        return parse_quaternion(args.q)
     except ValueError as exc:
         raise ConfigError(str(exc))
 
@@ -142,23 +99,22 @@ def _parse_q(cfg: RunConfig, default: Quaternion) -> Quaternion:
 # commands
 # ---------------------------------------------------------------------------
 
-def _verify(cfg: RunConfig, kind, op):
+def _verify(args, tol: Tolerances, kind, op, declared):
     """verify's exit code and report, and the verified SpectrumReport of a
     matrix (None for a banded operator or an unverified sphere list)."""
     spectrum = None
     if kind == "banded":
-        checks, extra = verify_banded(op, cfg.seed, cfg.tolerances)
+        checks, extra = verify_banded(op, args.seed, tol)
         desc = op.description
     else:
-        checks, extra, spectrum = verify_matrix(op, cfg.seed, cfg.tolerances,
-                                                cfg.declared)
+        checks, extra, spectrum = verify_matrix(op, args.seed, tol, declared)
         desc = f"matrix dim {op.dim}"
     passed = all(c["passed"] for c in checks)
     report = {
         "command": "verify",
         "operator": desc,
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
+        "seed": args.seed,
+        "tolerances": asdict(tol),
         "checks": checks,
         "summary": extra,
         "passed": passed,
@@ -166,21 +122,21 @@ def _verify(cfg: RunConfig, kind, op):
     return (0 if passed else 1), report, spectrum
 
 
-def _cmd_verify(cfg: RunConfig, kind, op):
-    return _verify(cfg, kind, op)[:2]
+def _cmd_verify(args, tol: Tolerances, kind, op, declared):
+    return _verify(args, tol, kind, op, declared)[:2]
 
 
-def _cmd_sspectrum(cfg: RunConfig, kind, op, spectrum=None):
+def _cmd_sspectrum(args, tol: Tolerances, kind, op, declared, spectrum=None):
     """sspectrum's report; ``spectrum`` is the matrix's verified
     SpectrumReport when the caller already holds one."""
     if kind == "banded":
         raise ConfigError("sspectrum expects a finite matrix (--matrix)")
-    rep = point_sspectrum(op) if spectrum is None else spectrum
+    rep = point_sspectrum(op, rank_tol=tol.rank_tol) if spectrum is None else spectrum
     report = {
         "command": "sspectrum",
         "operator": f"matrix dim {op.dim}",
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
+        "seed": args.seed,
+        "tolerances": asdict(tol),
         "spheres": [s.to_dict() for s in rep.spheres],
         "all_real": rep.all_real,
         "note": rep.note,
@@ -189,22 +145,19 @@ def _cmd_sspectrum(cfg: RunConfig, kind, op, spectrum=None):
     return 0, report
 
 
-def _cmd_deficiency(cfg: RunConfig, kind, op):
+def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
     if kind != "banded":
         raise ConfigError("deficiency expects a banded operator "
                           "(--preset or a banded --matrix config)")
-    tol = cfg.tolerances
-    rep = deficiency_indices(op, cfg.unit, N=int(tol["N"]),
-                             window=int(tol["window"]),
-                             ratio_margin=float(tol["ratio"]))
-    center = _parse_q(cfg, Quaternion(0.0, 1.0, 0.0, 0.0))
+    rep = deficiency_indices(op, args.unit, N=tol.N, window=tol.window,
+                             ratio_margin=tol.ratio)
+    center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
     if center.im_norm() == 0.0:
         raise ConfigError("stability scan center must be non-real")
     try:
-        scan = index_stability_scan(op, center, count=cfg.count,
-                                    N=int(tol["N"]), window=int(tol["window"]),
-                                    seed=cfg.seed,
-                                    ratio_margin=float(tol["ratio"]))
+        scan = index_stability_scan(op, center, count=args.count, N=tol.N,
+                                    window=tol.window, seed=args.seed,
+                                    ratio_margin=tol.ratio)
         scan_failed = scan["status"] != "ok"
     except StabilityViolation as exc:
         scan = {"status": "violation", "detail": str(exc),
@@ -216,51 +169,52 @@ def _cmd_deficiency(cfg: RunConfig, kind, op):
     report = {
         "command": "deficiency",
         "operator": op.description,
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
+        "seed": args.seed,
+        "tolerances": asdict(tol),
         "deficiency": rep_dict,
         "passed": passed,
     }
     return (0 if passed else 1), report
 
 
-def _cmd_invariance(cfg: RunConfig):
-    rng = np.random.default_rng(cfg.seed)
-    A = real_symmetric(cfg.dim, seed=cfg.seed)
-    B2 = random_basis(rng, cfg.dim)
-    q = _parse_q(cfg, Quaternion(1.0, 1.0, -1.0, 0.0))
+def _cmd_invariance(args, tol: Tolerances):
+    rng = np.random.default_rng(args.seed)
+    A = real_symmetric(args.dim, seed=args.seed)
+    B2 = random_basis(rng, args.dim)
+    q = _parse_q(args, Quaternion(1.0, 1.0, -1.0, 0.0))
     if q.im_norm() == 0.0:
         raise ConfigError("invariance check needs a non-real q")
-    disc = basis_invariance_check(A, B2, q, trials=cfg.trials, seed=cfg.seed)
+    disc = basis_invariance_check(A, B2, q, trials=args.trials, seed=args.seed,
+                                  rank_tol=tol.rank_tol)
     report = {
         "command": "invariance",
-        "operator": f"random real symmetric dim {cfg.dim}",
-        "seed": cfg.seed,
-        "trials": cfg.trials,
-        "tolerances": cfg.tolerances,
+        "operator": f"random real symmetric dim {args.dim}",
+        "seed": args.seed,
+        "trials": args.trials,
+        "tolerances": asdict(tol),
         "max_discrepancy": int(disc),
         "passed": disc == 0,
     }
     return (0 if disc == 0 else 1), report
 
 
-def _cmd_report(cfg: RunConfig, kind, op):
-    code, bundle, spectrum = _verify(cfg, kind, op)
+def _cmd_report(args, tol: Tolerances, kind, op, declared):
+    code, bundle, spectrum = _verify(args, tol, kind, op, declared)
     parts = {"verify": bundle}
     if kind == "matrix":
-        c2, rep = _cmd_sspectrum(cfg, kind, op, spectrum)
+        c2, rep = _cmd_sspectrum(args, tol, kind, op, declared, spectrum)
         parts["sspectrum"] = rep
     else:
-        c2, rep = _cmd_deficiency(cfg, kind, op)
+        c2, rep = _cmd_deficiency(args, tol, kind, op, declared)
         parts["deficiency"] = rep
     code = max(code, c2)
-    c3, rep = _cmd_invariance(cfg)
+    c3, rep = _cmd_invariance(args, tol)
     parts["invariance"] = rep
     code = max(code, c3)
     report = {
         "command": "report",
-        "seed": cfg.seed,
-        "tolerances": cfg.tolerances,
+        "seed": args.seed,
+        "tolerances": asdict(tol),
         "parts": parts,
         "passed": code == 0,
     }
@@ -366,31 +320,20 @@ def run(argv=None):
     except SystemExit:
         return 2, None
     try:
-        cfg = RunConfig(
-            command=args.command,
-            preset=args.preset,
-            matrix=args.matrix,
-            q=args.q,
-            unit=args.unit,
-            seed=args.seed,
-            fmt=args.fmt,
-            out=args.out,
-            dim=args.dim,
-            trials=args.trials,
-            count=args.count,
-            tolerances=_load_tolerances(args),
-        )
+        tol = Tolerances.load(os.environ.get("QDEF_TOL_OVERRIDES"),
+                              args.N, args.window)
         for name, low in (("dim", 1), ("trials", 1), ("count", 0)):
-            if getattr(cfg, name) < low:
+            if getattr(args, name) < low:
                 raise ConfigError(f"--{name} must be at least {low}, "
-                                  f"got {getattr(cfg, name)}")
+                                  f"got {getattr(args, name)}")
         # overflow shows as a failed check or a one-line error, not as warnings
         with np.errstate(all="ignore"):
-            if cfg.command == "invariance":
-                code, report = _cmd_invariance(cfg)
+            if args.command == "invariance":
+                code, report = _cmd_invariance(args, tol)
             else:
-                code, report = _DISPATCH[cfg.command](cfg, *_load_operator(cfg))
-        text = _render(report, cfg.fmt)
+                code, report = _DISPATCH[args.command](args, tol,
+                                                       *_load_operator(args))
+        text = _render(report, args.fmt)
     except (ConfigError, PreconditionFailed) as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2, None
@@ -400,8 +343,8 @@ def run(argv=None):
     except (OverflowError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"property failure: {type(exc).__name__}: {exc}\n")
         return 1, None
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

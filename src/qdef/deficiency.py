@@ -50,10 +50,10 @@ from .qoperator import QOperator, shift_left_scalar
 from .quat import (UNITS, Quaternion, format_quaternion, parse_quaternion,
                    qnormsq)
 from .rmodule import Basis, LeftMul, QVector, inner
+from .tolerances import DEFAULT
 
 RESCALE_HI = 1e120
 RESCALE_LO = 1e-120
-RATIO_MARGIN = 1e-3          # geometric trend margin around ratio 1
 DIAG_MATCH_TOL = 1e-12       # exact-hit tolerance for diagonal operators
 RESIDUAL_TOL = 1e-10         # relative recurrence residual bound
 BACKWARD_TOL = 1e-6          # forward/backward discrepancy for downgrades
@@ -516,13 +516,13 @@ class SummabilityVerdict:
         return NotImplemented
 
 
-def classify_l2(sol: FormalSolution, window: int = 100,
-                ratio_margin: float = RATIO_MARGIN) -> SummabilityVerdict:
+def classify_l2(sol: FormalSolution, window: int = DEFAULT.window,
+                ratio_margin: float = DEFAULT.ratio) -> SummabilityVerdict:
     """Fit the geometric trend of trailing block energies of a solution.
 
     Blocks of ``window`` consecutive |c_n|^2 sums are taken from the trailing
-    half; a fitted block-to-block ratio <= 1 - 1e-3 is square-summable,
-    >= 1 + 1e-3 divergent, anything in between inconclusive.
+    half; a fitted block-to-block ratio <= 1 - ratio_margin is square-summable,
+    >= 1 + ratio_margin divergent, anything in between inconclusive.
     """
     n = sol.length
     if n < 4 * window:
@@ -610,7 +610,8 @@ def _backward_status(job, C, logs) -> str:
     return "ok" if disc <= BACKWARD_TOL else "discrepancy"
 
 
-def _probe_result(op: BandedOperator, q: Quaternion, C, logs, window: int):
+def _probe_result(op: BandedOperator, q: Quaternion, C, logs, window: int,
+                  ratio_margin: float):
     """Boundary-row relative residual and verdict of a minimal solution.
 
     Miller-style probe (bandwidth 1): the backward march from the zero tail
@@ -627,11 +628,11 @@ def _probe_result(op: BandedOperator, q: Quaternion, C, logs, window: int):
     rq = _qmul(_signed(q.to_array()), c0)
     resid = math.sqrt(_qnormsq((t0 + t1) - rq))
     denom = max(*(math.sqrt(_qnormsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
-    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe"), window)
+    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe"), window, ratio_margin)
     return resid / denom, verdict
 
 
-def _safeguard(op: BandedOperator, screened, N: int, window: int):
+def _safeguard(op: BandedOperator, screened, N: int, window: int, ratio_margin: float):
     """Final (verdict, backward_check) for every screened solution.
 
     The backward re-solves and minimal-solution probes of all solutions run
@@ -651,7 +652,8 @@ def _safeguard(op: BandedOperator, screened, N: int, window: int):
             outcomes = ["skipped" if job[0] == "backward" else None for job in jobs]
         else:
             outcomes = [_backward_status(job, C[b], logs[b]) if job[0] == "backward"
-                        else _probe_result(op, job[1], C[b], logs[b], window)
+                        else _probe_result(op, job[1], C[b], logs[b], window,
+                                           ratio_margin)
                         for b, job in enumerate(jobs)]
             del C, logs
     outcomes = iter(outcomes)
@@ -679,11 +681,12 @@ def _safeguard(op: BandedOperator, screened, N: int, window: int):
 
 
 def classify_solution(op: BandedOperator, sol: FormalSolution,
-                      window: int = 100,
-                      ratio_margin: float = RATIO_MARGIN) -> SummabilityVerdict:
+                      window: int = DEFAULT.window,
+                      ratio_margin: float = DEFAULT.ratio) -> SummabilityVerdict:
     """classify_l2 plus the bidirectional safeguards of the module docstring."""
     [[(verdict, sol.backward_check)]] = _safeguard(
-        op, [_screen(op, [sol], window, ratio_margin)], sol.length - 1, window)
+        op, [_screen(op, [sol], window, ratio_margin)], sol.length - 1, window,
+        ratio_margin)
     return verdict
 
 
@@ -731,8 +734,7 @@ class DeficiencyReport:
 _BATCH_BYTES = 32 * 2 ** 20
 
 
-def _count_l2(op: BandedOperator, shifts, N: int, window: int,
-              ratio_margin: float = RATIO_MARGIN):
+def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: float):
     """Per shift: (count of square-summable solutions, evidence rows,
     any_inconclusive), from one forward and one reverse march for as many
     shifts as fit in _BATCH_BYTES."""
@@ -747,7 +749,7 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int,
     del batch   # the reverse march needs none of the forward mantissas
     counts = []
     for q, shift, results in zip(shifts, screened,
-                                 _safeguard(op, screened, N, window)):
+                                 _safeguard(op, screened, N, window, ratio_margin)):
         rows = []
         count = 0
         inconclusive = False
@@ -767,9 +769,9 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int,
     return counts
 
 
-def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = 2000,
-                       window: int = 100,
-                       ratio_margin: float = RATIO_MARGIN) -> DeficiencyReport:
+def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = DEFAULT.N,
+                       window: int = DEFAULT.window,
+                       ratio_margin: float = DEFAULT.ratio) -> DeficiencyReport:
     """Deficiency indices (n+, n-) of a symmetric banded operator.
 
     n+ and n- count the square-summable solutions of the kernel recurrence at
@@ -782,8 +784,7 @@ def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = 2000,
     return _unit_reports(op, [unit], N, window, ratio_margin)[0]
 
 
-def _unit_reports(op: BandedOperator, units, N: int, window: int,
-                  ratio_margin: float = RATIO_MARGIN):
+def _unit_reports(op: BandedOperator, units, N: int, window: int, ratio_margin: float):
     """deficiency_indices for each of ``units``, with all their +e and -e
     shifts solved as one batch."""
     if not op.symmetric:
@@ -826,9 +827,9 @@ def _sample_ball(rng, center: Quaternion, radius: float):
             return q
 
 
-def index_stability_scan(op: BandedOperator, center: Quaternion,
-                         count: int = 20, N: int = 2000, window: int = 100,
-                         seed: int = 0, ratio_margin: float = RATIO_MARGIN):
+def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20,
+                         N: int = DEFAULT.N, window: int = DEFAULT.window,
+                         seed: int = 0, ratio_margin: float = DEFAULT.ratio):
     """Kernel dimension of (adjoint(A) - q) across shifts where it is constant.
 
     Samples ``count`` non-real shifts in the ball B(center, |Im center|),
@@ -884,8 +885,8 @@ def _gram_min_eig(vectors):
     return float(eigs[0])
 
 
-def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100,
-                         ratio_margin: float = RATIO_MARGIN):
+def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
+                         window: int = DEFAULT.window, ratio_margin: float = DEFAULT.ratio):
     """Directness of the defect spaces at q and conj(q).
 
     Banded input: assembles the square-summable kernel solutions at q and at
@@ -907,7 +908,7 @@ def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100,
         dims = {}
         inconclusive = False
         for label, sols, results in zip(("plus", "minus"), batch,
-                                        _safeguard(op, screened, N, window)):
+                                        _safeguard(op, screened, N, window, ratio_margin)):
             kept = 0
             for sol, (v, _) in zip(sols, results):
                 if v.verdict == SQUARE_SUMMABLE:
@@ -951,7 +952,8 @@ def von_neumann_evidence(op, q: Quaternion, N: int = 2000, window: int = 100,
 # truncated-matrix oracle and basis invariance
 # ---------------------------------------------------------------------------
 
-def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60) -> embed.KernelBasis:
+def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60,
+                     rank_tol: float = DEFAULT.rank_tol) -> embed.KernelBasis:
     """Kernel of the truncated shifted matrix, boundary rows deleted.
 
     The leading M x M corner of (A - q) keeps only its first M - w rows (the
@@ -962,11 +964,12 @@ def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60) -> embed.Ke
     w = op.bandwidth
     arr = op.truncate(M)
     arr[np.arange(M), np.arange(M)] -= q.to_array()
-    return embed.kernel_q(arr[:M - w if w else M])
+    return embed.kernel_q(arr[:M - w if w else M], rank_tol)
 
 
 def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,
-                           trials: int = 1, seed: int = 0) -> int:
+                           trials: int = 1, seed: int = 0,
+                           rank_tol: float = DEFAULT.rank_tol) -> int:
     """Discrepancy of dim ran(A - q)^perp across two left multiplications.
 
     The first trial uses the supplied (A, B2, q); further trials draw random
@@ -986,8 +989,8 @@ def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,
         if B2_.dim != A_.dim:
             raise DimensionMismatch("basis dimension differs from operator")
         n = A_.dim
-        d1 = n - embed.rank_q(shift_left_scalar(A_, q_, None))
-        d2 = n - embed.rank_q(shift_left_scalar(A_, q_, LeftMul(B2_)))
+        d1 = n - embed.rank_q(shift_left_scalar(A_, q_, None), rank_tol)
+        d2 = n - embed.rank_q(shift_left_scalar(A_, q_, LeftMul(B2_)), rank_tol)
         return abs(d1 - d2)
 
     worst = one(A, B2, q)

@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InternalInconsistency, NoConvergence
 from .rmodule import QVector
-
-RANK_TOL = 1e-10  # relative singular-value threshold for rank/kernel decisions
+from .tolerances import DEFAULT
 
 
 def _entries(A):
@@ -87,7 +86,7 @@ class KernelBasis:
         return f"KernelBasis(qdim={self.qdim})"
 
 
-def kernel_q(A, rank_tol=RANK_TOL, scale=None) -> KernelBasis:
+def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
     """Quaternionic null space of ``A`` via SVD of the complex embedding.
 
     Complex null vectors are paired under the structure map J (each pair spans
@@ -135,7 +134,7 @@ def kernel_q(A, rank_tol=RANK_TOL, scale=None) -> KernelBasis:
     return KernelBasis(vectors, nullity // 2)
 
 
-def rank_q(A, rank_tol=RANK_TOL, scale=None) -> int:
+def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     """Rank over the quaternions: complex rank of the embedding, halved."""
     M = chi(A)
     if min(M.shape) == 0:

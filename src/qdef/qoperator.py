@@ -23,6 +23,7 @@ from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .quat import (Quaternion, format_quaternion, parse_quaternion, qconj,
                    qmatmul, qmul, qnormsq)
 from .rmodule import LeftMul, QVector
+from .tolerances import DEFAULT
 
 SYM_ATOL = 1e-10  # entrywise tolerance for symmetry predicates
 
@@ -321,7 +322,7 @@ class CriteriaReport:
 
 def criteria_report(A: QOperator, L: LeftMul | None = None,
                     q: Quaternion | None = None,
-                    rank_tol=embed.RANK_TOL, *,
+                    rank_tol=DEFAULT.rank_tol, *,
                     preds: SymmetryReport | None = None) -> CriteriaReport:
     """Evaluate the three equivalent self-adjointness criteria.
 

@@ -27,6 +27,7 @@ from .qoperator import (QOperator, SymmetryReport, resolvent_poly,
                         symmetry_predicates)
 from .quat import Quaternion, qnormsq
 from .rmodule import LeftMul
+from .tolerances import DEFAULT
 
 REAL_TOL = 1e-9    # |Im lambda| below this is treated as a real point
 FOLD_TOL = 1e-8    # conjugate pairing / sphere clustering tolerance
@@ -100,14 +101,14 @@ def _fold_conjugate_pairs(lam, real_tol, fold_tol):
 
 def point_sspectrum(A: QOperator, verify_kernels: bool = True,
                     real_tol=REAL_TOL, fold_tol=FOLD_TOL, *,
-                    lam=None) -> SpectrumReport:
+                    lam=None, rank_tol=DEFAULT.rank_tol) -> SpectrumReport:
     """Eigensphere list of ``A`` with kernel verification.
 
     Folds the embedding eigenvalues into spheres and, for each sphere
     representative q = re + i*im_mag, confirms that R_q(A) has a nontrivial
     kernel.  In finite dimension the report also states that the residual and
     continuous parts are empty.  ``lam`` is ``embed.eigenvalues_c(A)``, if the
-    caller already holds it.
+    caller already holds it; ``rank_tol`` is the kernels' singular-value cut.
     """
     if lam is None:
         lam = embed.eigenvalues_c(A)
@@ -127,7 +128,7 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
         for s in spheres:
             q = s.representative()
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            kb = embed.kernel_q(resolvent_poly(A, q, AA=AA), scale=scale)
+            kb = embed.kernel_q(resolvent_poly(A, q, AA=AA), rank_tol, scale=scale)
             if kb.qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel")

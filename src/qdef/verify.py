@@ -14,21 +14,15 @@ from .deficiency import (BandedOperator, _unit_reports, deficiency_indices,
                          index_stability_scan, truncated_kernel,
                          von_neumann_evidence, formal_solutions)
 from .errors import InternalInconsistency, StabilityViolation
-from .qoperator import (QOperator, norm_identity_check, resolvent_poly,
-                        scalar_op, shift_left_scalar, symmetry_predicates,
-                        criteria_report)
+from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
+                        resolvent_poly, scalar_op, shift_left_scalar,
+                        symmetry_predicates, criteria_report)
 from .quat import I, Quaternion, qnormsq, random_quaternion
 from .rmodule import LeftMul, inner, random_basis, random_qvector
-from .spectrum import point_sspectrum, resolvent_bound_check, selfadjoint_iff_real
+from .spectrum import (REAL_SPECTRUM_TOL, point_sspectrum,
+                       resolvent_bound_check, selfadjoint_iff_real)
 from .deficiency import basis_invariance_check
-
-DEFAULT_TOLERANCES = {
-    "atol": 1e-12,
-    "rank_tol": 1e-10,
-    "ratio": 1e-3,
-    "window": 100,
-    "N": 2000,
-}
+from .tolerances import Tolerances
 
 
 def _row(name, passed, residual=None, tolerance=None, detail=""):
@@ -41,23 +35,27 @@ def _row(name, passed, residual=None, tolerance=None, detail=""):
     }
 
 
+def _bounded(name, value, limit, detail=""):
+    """A row that passes when ``value <= limit``."""
+    return _row(name, value <= limit, value, limit, detail)
+
+
 def _norm(v):
     return float(np.sqrt(qnormsq(v.components).sum()))
 
 
-def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = None):
+def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
+                  declared: dict | None = None):
     """Invariant suite for a finite quaternionic matrix: check rows, summary and
     the verified SpectrumReport (None when a sphere's kernel is unconfirmed)."""
     declared = declared or {}
     rng = np.random.default_rng(seed)
-    atol = tol["atol"]
-    rank_tol = tol["rank_tol"]
     n = A.dim
     checks = []
 
     B = QOperator.from_entries(rng.standard_normal((n, n, 4)))
     hom = np.max(np.abs(embed.chi(A @ B) - embed.chi(A) @ embed.chi(B)))
-    checks.append(_row("embedding_homomorphism", hom <= 1e-12, hom, 1e-12))
+    checks.append(_bounded("embedding_homomorphism", hom, 1e-12))
 
     adj = A.adjoint()
     worst = 0.0
@@ -69,10 +67,10 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
         lhs = inner(psi, A(phi))
         rhs = inner(adj(psi), phi)
         worst = max(worst, (lhs - rhs).norm())
-    checks.append(_row("adjoint_identity", worst <= 1e-10, worst, 1e-10))
+    checks.append(_bounded("adjoint_identity", worst, 1e-10))
 
     invol = adj.adjoint().max_entry_diff(A)
-    checks.append(_row("adjoint_involution", invol <= atol, invol, atol))
+    checks.append(_bounded("adjoint_involution", invol, tol.atol))
 
     worst = 0.0
     for _ in range(10):
@@ -83,12 +81,12 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
         lhs = A(phi * x + psi * y)
         rhs = A(phi) * x + A(psi) * y
         worst = max(worst, _norm(lhs - rhs) / max(_norm(lhs), 1.0))
-    checks.append(_row("right_linearity", worst <= atol, worst, atol))
+    checks.append(_bounded("right_linearity", worst, tol.atol))
 
-    kb = embed.kernel_q(adj, rank_tol)
-    rank = embed.rank_q(A, rank_tol)
+    kb = embed.kernel_q(adj, tol.rank_tol)
+    rank = embed.rank_q(A, tol.rank_tol)
     checks.append(_row("rank_nullity",
-                       rank + embed.kernel_q(A, rank_tol).qdim == n,
+                       rank + embed.kernel_q(A, tol.rank_tol).qdim == n,
                        detail=f"rank {rank} of {n}"))
 
     worst = 0.0
@@ -96,16 +94,15 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
         for m in range(n):
             col = A.entries[:, m, :]
             worst = max(worst, inner(v, type(v).from_components(col)).norm())
-    checks.append(_row("range_perp_equals_adjoint_kernel", worst <= 1e-10,
-                       worst, 1e-10,
-                       detail=f"adjoint kernel dim {kb.qdim}"))
+    checks.append(_bounded("range_perp_equals_adjoint_kernel", worst, 1e-10,
+                           f"adjoint kernel dim {kb.qdim}"))
 
     lam = embed.eigenvalues_c(A)
     pair = embed.conjugation_defect(lam)
-    checks.append(_row("eigenvalue_conjugation_closure", pair <= 1e-8, pair, 1e-8))
+    checks.append(_bounded("eigenvalue_conjugation_closure", pair, 1e-8))
 
     try:
-        report = verified = point_sspectrum(A, lam=lam)
+        report = verified = point_sspectrum(A, lam=lam, rank_tol=tol.rank_tol)
         checks.append(_row("sphere_kernel_verification", True,
                            detail=f"{len(report.spheres)} spheres"))
     except InternalInconsistency as exc:
@@ -116,13 +113,13 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
     preds = symmetry_predicates(A)
     if declared.get("hermitian"):
         checks.append(_row("declared_hermitian", preds.is_symmetric,
-                           preds.max_defect, 1e-10))
+                           preds.max_defect, SYM_ATOL))
 
     if preds.is_symmetric:
         try:
-            cr = criteria_report(A, preds=preds)
+            cr = criteria_report(A, rank_tol=tol.rank_tol, preds=preds)
             checks.append(_row("self_adjointness_criteria_agree", cr.agree,
-                               cr.max_defect, 1e-10))
+                               cr.max_defect, SYM_ATOL))
         except InternalInconsistency as exc:
             checks.append(_row("self_adjointness_criteria_agree", False,
                                detail=str(exc)))
@@ -130,10 +127,10 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
         checks.append(_row("spectrum_real_iff_self_adjoint",
                            verdict.self_adjoint == verdict.all_real
                            or not verdict.hypotheses_met,
-                           verdict.max_im_mag, 1e-8))
+                           verdict.max_im_mag, REAL_SPECTRUM_TOL))
         q = Quaternion(1.0, 1.0, 1.0, 0.0)
         viol = resolvent_bound_check(A, q, samples=20, seed=seed, preds=preds)
-        checks.append(_row("resolvent_norm_bound", viol <= 1e-8, viol, 1e-8))
+        checks.append(_bounded("resolvent_norm_bound", viol, 1e-8))
 
     if preds.is_symmetric and preds.all_units_anti():
         L = LeftMul.canonical(n)
@@ -144,25 +141,26 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
         for q in shifts:
             worst = max(worst, norm_identity_check(A, L, q, samples=40, seed=seed,
                                                    preds=preds_L))
-        checks.append(_row("shifted_norm_identities", worst <= 1e-10, worst, 1e-10))
+        checks.append(_bounded("shifted_norm_identities", worst, 1e-10))
 
         q = Quaternion(1.0, 1.0, 1.0, 0.0)
         Rq = resolvent_poly(A, q)
         M1 = shift_left_scalar(A, q) @ shift_left_scalar(A, q.conjugate())
         M2 = shift_left_scalar(A, q.conjugate()) @ shift_left_scalar(A, q)
         fact = max(Rq.max_entry_diff(M1), Rq.max_entry_diff(M2))
-        checks.append(_row("resolvent_factorization", fact <= 1e-10, fact, 1e-10))
+        checks.append(_bounded("resolvent_factorization", fact, 1e-10))
 
         iA = scalar_op(I, A)
         Ai = scalar_op(I, A, side="right")
         comm = iA.max_entry_diff(Ai)
-        checks.append(_row("unit_commutes_through", comm <= atol, comm, atol))
+        checks.append(_bounded("unit_commutes_through", comm, tol.atol))
 
         if A.is_real():
             B2 = random_basis(rng, n)
-            disc = basis_invariance_check(A, B2, Quaternion(1.0, 1.0, -1.0, 0.0))
-            checks.append(_row("defect_dimension_basis_invariance", disc == 0,
-                               float(disc), 0.0))
+            disc = basis_invariance_check(A, B2, Quaternion(1.0, 1.0, -1.0, 0.0),
+                                          rank_tol=tol.rank_tol)
+            checks.append(_bounded("defect_dimension_basis_invariance",
+                                   float(disc), 0.0))
 
     return checks, {"spheres": [s.to_dict() for s in report.spheres],
                     "all_real": report.all_real,
@@ -170,15 +168,13 @@ def verify_matrix(A: QOperator, seed: int, tol: dict, declared: dict | None = No
                                               for z in lam]}, verified
 
 
-def verify_banded(op: BandedOperator, seed: int, tol: dict):
+def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     """Invariant suite for a banded half-line operator."""
-    N = int(tol["N"])
-    window = int(tol["window"])
-    margin = float(tol["ratio"])
+    N, window, margin = tol.N, tol.window, tol.ratio
     checks = []
 
     worst = op.band_symmetry_defect(40)
-    checks.append(_row("band_symmetry", worst <= 1e-12, worst, 1e-12))
+    checks.append(_bounded("band_symmetry", worst, tol.atol))
 
     units = ("i", "j", "k")
     reports = dict(zip(units, _unit_reports(op, units, N, window, margin)))
@@ -198,7 +194,7 @@ def verify_banded(op: BandedOperator, seed: int, tol: dict):
 
     ok = True
     for q in (I, -I):
-        lhs = truncated_kernel(op, q, 60).qdim
+        lhs = truncated_kernel(op, q, 60, tol.rank_tol).qdim
         rhs = len(formal_solutions(op, q, 60))
         ok = ok and lhs == rhs
     checks.append(_row("truncated_matrix_oracle_agreement", ok))

@@ -230,7 +230,7 @@ class TestVerifyMatrixReuse:
         # as the sspectrum command does: one line, no report
         real_kernel_q = qdef.embed.kernel_q
 
-        def kernel_q(A, rank_tol=qdef.embed.RANK_TOL, scale=None):
+        def kernel_q(A, rank_tol=qdef.tolerances.DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
                 return qdef.embed.KernelBasis([], 0)
             return real_kernel_q(A, rank_tol)
@@ -247,7 +247,7 @@ class TestVerifyMatrixReuse:
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
         real_kernel_q = qdef.embed.kernel_q
 
-        def kernel_q(A, rank_tol=qdef.embed.RANK_TOL, scale=None):
+        def kernel_q(A, rank_tol=qdef.tolerances.DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
                 return qdef.embed.KernelBasis([], 0)
             return real_kernel_q(A, rank_tol)
