@@ -41,7 +41,7 @@ for q in (I, I * 2.0, Quaternion(1, 1, 1, 0)):
     bound = 1.0 / q.im_norm() ** 2
     viol = resolvent_bound_check(H, q, samples=30, seed=0)
     print(f"  q={str(q):>8}: computed {inv_norm:.4f} <= bound {bound:.4f} "
-          f"(violation {viol:.1e})")
+          f"(signed excess {viol:.1e}, <= 0 when the bound holds)")
 
 print("\n== CSV export for plotting ==")
 print(point_sspectrum(H).to_csv())

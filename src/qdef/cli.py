@@ -340,7 +340,7 @@ def run(argv=None):
     except QdefError as exc:
         sys.stderr.write(f"property failure: {exc}\n")
         return 1, None
-    except (OverflowError, np.linalg.LinAlgError) as exc:
+    except (OverflowError, MemoryError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"property failure: {type(exc).__name__}: {exc}\n")
         return 1, None
     if args.out:

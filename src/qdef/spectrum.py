@@ -205,13 +205,14 @@ def resolvent_inverse_norm(A: QOperator, q: Quaternion) -> float:
 def resolvent_bound_check(A: QOperator, q: Quaternion, samples: int = 50,
                           seed: int = 0, *,
                           preds: SymmetryReport | None = None) -> float:
-    """Max violation of ||R_q(A)^{-1}|| <= (q1^2+q2^2+q3^2)^{-1}, clipped at 0.
+    """Worst signed excess over ||R_q(A)^{-1}|| <= (q1^2+q2^2+q3^2)^{-1}.
 
     Solves R_q(A) x = psi through the embedding for random unit psi and also
     checks the stronger per-vector inequality
     ||R_q(A) phi|| >= (q1^2+q2^2+q3^2) ||phi||.  Requires A self-adjoint and
-    q non-real.  ``preds`` is ``symmetry_predicates(A)``, if the caller
-    already holds it.
+    q non-real.  Each sampled ratio is compared with 1, so the result is <= 0
+    when the bound holds and its size is the margin.  ``preds`` is
+    ``symmetry_predicates(A)``, if the caller already holds it.
     """
     if q.im_norm() == 0.0:
         raise PreconditionFailed("resolvent bound needs a non-real shift")
@@ -231,4 +232,4 @@ def resolvent_bound_check(A: QOperator, q: Quaternion, samples: int = 50,
     upper = np.linalg.norm(x, axis=0) * im2 / np.linalg.norm(b, axis=0)
     applied = R.apply_block(block)
     lower = np.sqrt(qnormsq(applied).sum(axis=0)) / im2   # ||R phi|| / (im2 * ||phi||)
-    return max(0.0, float(np.max(upper - 1.0)), float(np.max(1.0 - lower)))
+    return max(float(np.max(upper - 1.0)), float(np.max(1.0 - lower)))

@@ -1,16 +1,18 @@
 """The thresholds a run may set, each default stated once.
 
-``atol`` bounds the entrywise identities of the invariant suites and the band
-symmetry of a banded operator; ``rank_tol`` is the relative singular-value
-cut of the suites' rank and kernel decisions; ``ratio`` is the summability
-margin around block ratio 1, ``window`` the block length of that fit and
-``N`` the truncation length of banded solves.  Thresholds no run can set stay
-constants beside the one decision they govern.
+``atol`` bounds the entrywise identities of the invariant suites (relative to
+the factors' Frobenius norms for a computed product) and the band symmetry of
+a banded operator; ``rank_tol`` is the relative singular-value cut of the
+suites' rank and kernel decisions; ``ratio`` is the summability margin around
+block ratio 1, ``window`` the block length of that fit and ``N`` the
+truncation length of banded solves.  Thresholds no run can set stay constants
+beside the one decision they govern.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .errors import ConfigError
@@ -28,7 +30,9 @@ class Tolerances:
     def load(cls, overrides_json=None, N=None, window=None) -> Tolerances:
         """The defaults, overridden by the JSON object ``overrides_json``
         (QDEF_TOL_OVERRIDES) and then by the ``N`` and ``window`` flags.
-        Raises ConfigError, naming the key, for a value it cannot use."""
+        Raises ConfigError, naming the key, for a value it cannot use: a
+        boolean, a non-finite number, a non-integral or non-positive N or
+        window, a ratio outside (0, 1) or a negative atol or rank_tol."""
         values = asdict(cls())
         if overrides_json:
             try:
@@ -40,17 +44,35 @@ class Tolerances:
             for key, val in overrides.items():
                 if key not in values:
                     raise ConfigError(f"unknown tolerance override {key!r}")
-                try:
-                    values[key] = type(values[key])(val)
-                except (TypeError, ValueError, OverflowError):
-                    raise ConfigError(
-                        f"tolerance override {key!r} is not a number: {val!r}")
+                values[key] = _number(key, val, isinstance(values[key], int))
         for key, flag in (("N", N), ("window", window)):
             if flag is not None:
                 values[key] = flag
             if values[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
+        if not 0.0 < values["ratio"] < 1.0:
+            raise ConfigError(f"ratio must lie in (0, 1), got {values['ratio']}")
+        for key in ("atol", "rank_tol"):
+            if values[key] < 0.0:
+                raise ConfigError(f"{key} must not be negative, got {values[key]}")
         return cls(**values)
+
+
+def _number(key, val, integral):
+    """One override value as a finite float, or as an int when ``integral``."""
+    try:
+        num = float(val)
+    except (TypeError, ValueError, OverflowError):
+        num = None
+    if num is None or isinstance(val, bool):
+        raise ConfigError(f"tolerance override {key!r} is not a number: {val!r}")
+    if not math.isfinite(num):
+        raise ConfigError(f"tolerance override {key!r} is not finite: {val!r}")
+    if not integral:
+        return num
+    if not num.is_integer():
+        raise ConfigError(f"tolerance override {key!r} is not an integer: {val!r}")
+    return int(val) if isinstance(val, int) else int(num)
 
 
 DEFAULT = Tolerances()

@@ -7,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
+import qdef.deficiency
 from qdef import hermitian_random
 from qdef.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def write_matrix(path, dim=4, seed=5, declare=True, perturb=False):
@@ -173,6 +176,73 @@ class TestEnvOverrides:
         assert (summary["n_plus"], summary["n_minus"]) == \
             (deficiency["n_plus"], deficiency["n_minus"])
 
+    @pytest.mark.parametrize("rank_tol,row", [
+        (0.0, "sphere_kernel_verification"),          # point_sspectrum
+        (0.5, "self_adjointness_criteria_agree"),     # criteria_report
+    ])
+    def test_rank_tol_override_moves_row(self, rank_tol, row, capsys, monkeypatch):
+        argv = ["verify", "--matrix", str(DATA / "matrix_real_symmetric.json")]
+        assert main(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"rank_tol": rank_tol}))
+        assert main(argv) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["passed"] for c in checks if c["name"] == row] == [False]
+
+    def test_rank_tol_override_reaches_sspectrum(self, capsys, monkeypatch):
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"rank_tol": 0.0}))
+        argv = ["sspectrum", "--matrix", str(DATA / "matrix_real_symmetric.json")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("property failure: folded sphere")
+
+    def test_atol_override_moves_band_symmetry(self, tmp_path, capsys, monkeypatch):
+        # A[n+1, n] - A[n, n+1] = 1e-13: within the constructor's 1e-12 check
+        band = tmp_path / "band.json"
+        band.write_text(json.dumps({"bandwidth": 1, "real_entries": True, "coeff": {
+            "type": "poly", "offset_-1": [1.0 + 1e-13], "offset_0": [0.0],
+            "offset_1": [1.0]}}))
+        argv = ["verify", "--matrix", str(band), "--N", "400", "--window", "50"]
+        verdicts = []
+        for env in ({}, {"atol": 1e-14}):
+            monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps(env))
+            main(argv)
+            checks = json.loads(capsys.readouterr().out)["checks"]
+            verdicts += [c["passed"] for c in checks if c["name"] == "band_symmetry"]
+        assert verdicts == [True, False]
+
+    @pytest.mark.parametrize("command", ["deficiency", "verify"])
+    @pytest.mark.parametrize("field,value,flags", [
+        ("ratio", 0.25, ["--N", "800", "--window", "80"]),
+        ("window", 40, ["--N", "800"]),
+        ("N", 480, []),
+    ])
+    def test_banded_override_reaches_every_fit(self, command, field, value, flags,
+                                               capsys, monkeypatch):
+        """Every summability fit (probes included) and every march of the
+        command uses the overridden value."""
+        seen = {"N": set(), "window": set(), "ratio": set()}
+        real_fit = qdef.deficiency.classify_l2
+        real_batch = qdef.deficiency._formal_batch
+
+        def fit(sol, window, ratio_margin):
+            seen["window"].add(window)
+            seen["ratio"].add(ratio_margin)
+            return real_fit(sol, window, ratio_margin)
+
+        def batch(op, shifts, N):
+            seen["N"].add(N)
+            return real_batch(op, shifts, N)
+
+        monkeypatch.setattr(qdef.deficiency, "classify_l2", fit)
+        monkeypatch.setattr(qdef.deficiency, "_formal_batch", batch)
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({field: value}))
+        assert main([command, "--preset", "free_jacobi", "--count", "2", *flags]) == 0
+        capsys.readouterr()
+        expected = {value}
+        if field == "N" and command == "verify":
+            expected = {value, 2 * value, 60}   # the doubled run, the 60-row oracle
+        assert seen[field] == expected
+
     def test_bad_env_is_config_error(self, monkeypatch):
         monkeypatch.setenv("QDEF_TOL_OVERRIDES", "{nope")
         assert main(["verify", "--preset", "number_operator"]) == 2
@@ -206,6 +276,26 @@ BAD_INPUT = [
      None, 2),
     ("env-N-negative", ["verify", "--preset", "free_jacobi"], {"N": -5}, None, 2),
     ("env-N-text", ["verify", "--preset", "free_jacobi"], {"N": "many"}, None, 2),
+    # NaN once made every ratio test false, so jacobi_sq read (0, 0) with exit 0
+    ("env-ratio-nan", ["deficiency", "--preset", "jacobi_sq", "--N", "1000",
+                       "--count", "2"], {"ratio": float("nan")}, None, 2),
+    ("env-ratio-one", ["deficiency", "--preset", "free_jacobi"], {"ratio": 1.0},
+     None, 2),
+    ("env-ratio-zero", ["deficiency", "--preset", "free_jacobi"], {"ratio": 0},
+     None, 2),
+    ("env-atol-negative", ["verify", "--preset", "free_jacobi"], {"atol": -1e-12},
+     None, 2),
+    ("env-atol-inf", ["verify", "--preset", "free_jacobi"], {"atol": float("inf")},
+     None, 2),
+    ("env-rank-tol-negative", ["sspectrum", "--matrix"], {"rank_tol": -1.0},
+     [1, 0, 0, 2], 2),
+    ("env-N-fraction", ["deficiency", "--preset", "free_jacobi"], {"N": 2.7}, None, 2),
+    ("env-window-bool", ["deficiency", "--preset", "free_jacobi"], {"window": True},
+     None, 2),
+    # a 7 TiB coefficient table: the allocation fails at once, never test an N
+    # whose table could be allocated
+    ("N-huge", ["deficiency", "--preset", "free_jacobi", "--N", "1000000000000"],
+     None, None, 1),
     ("nan-entry", ["verify", "--matrix"], None, [1, float("nan"), 0, 2], 2),
     ("inf-entry", ["sspectrum", "--matrix"], None,
      [1, float("inf"), float("-inf"), 2], 2),
@@ -251,6 +341,8 @@ class TestBadInput:
                 "config error: " if code == 2 else "property failure: ")
         if isinstance(entries, dict):
             assert "non-finite squared norm" in err
+        if env is not None:                 # the message names the bad key
+            assert any(f"'{key}'" in err or f"error: {key} " in err for key in env)
 
 
 def test_cli_run_does_not_import_scipy():

@@ -629,8 +629,8 @@ class TestMatrixReportBytes:
         ("real_symmetric", 0),
         ("hermitian", 0),
         ("general", 0),
-        # entries ~1e3 meet the absolute 1e-10 tolerance of shifted_norm_identities
-        ("real_symmetric_large", 1),
+        # entries ~1e3: the product rows pass as their limits scale with A
+        ("real_symmetric_large", 0),
     ])
     def test_golden(self, command, matrix, verify_code, capsys):
         argv = [command, "--matrix", str(DATA / f"matrix_{matrix}.json")]

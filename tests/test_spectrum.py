@@ -18,6 +18,8 @@ from qdef import (I, J, Quaternion, QOperator, gram_schmidt,
                   resolvent_inverse_norm, resolvent_poly, selfadjoint_iff_real)
 from qdef.cli import main
 from qdef.errors import PreconditionFailed
+from qdef.tolerances import DEFAULT
+from qdef.verify import verify_matrix
 
 
 def spheres_of(report):
@@ -116,6 +118,12 @@ class TestResolventBound:
         A = QOperator([[1, 0], [0, 2]])
         assert resolvent_inverse_norm(A, I) == pytest.approx(0.5, rel=1e-12)
         assert resolvent_bound_check(A, I, samples=30, seed=0) <= 1e-8
+
+    def test_excess_is_signed(self):
+        # R_i = diag(2, 5): each sampled ||R^-1 psi|| / ||psi|| lies in
+        # [1/5, 1/2], so the worst excess over the bound 1 lies in [-0.8, -0.5]
+        excess = resolvent_bound_check(QOperator([[1, 0], [0, 2]]), I, samples=30, seed=0)
+        assert -0.8 <= excess <= -0.5
 
     def test_diag_at_2i(self):
         A = QOperator([[1, 0], [0, 2]])
@@ -220,7 +228,7 @@ class TestVerifyMatrixReuse:
         path = str(MATRICES / f"matrix_{matrix}.json")
         code = main(["report", "--matrix", path, "--dim", "4", "--trials", "2"])
         parts = json.loads(capsys.readouterr().out)["parts"]
-        assert code == (1 if matrix == "real_symmetric_large" else 0)
+        assert code == 0
         for command in ("verify", "sspectrum"):
             golden = MATRICES / f"{command}_matrix_{matrix}.json"
             assert parts[command] == json.loads(golden.read_text())
@@ -230,7 +238,7 @@ class TestVerifyMatrixReuse:
         # as the sspectrum command does: one line, no report
         real_kernel_q = qdef.embed.kernel_q
 
-        def kernel_q(A, rank_tol=qdef.tolerances.DEFAULT.rank_tol, scale=None):
+        def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
                 return qdef.embed.KernelBasis([], 0)
             return real_kernel_q(A, rank_tol)
@@ -247,7 +255,7 @@ class TestVerifyMatrixReuse:
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
         real_kernel_q = qdef.embed.kernel_q
 
-        def kernel_q(A, rank_tol=qdef.tolerances.DEFAULT.rank_tol, scale=None):
+        def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
                 return qdef.embed.KernelBasis([], 0)
             return real_kernel_q(A, rank_tol)
@@ -261,3 +269,56 @@ class TestVerifyMatrixReuse:
         assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
         assert "trivial R_q kernel" in failed[0]["detail"]
         assert report["summary"]["spheres"]
+
+
+def _scaled(result):
+    """``result`` with a relative error of 1e-6 in every entry."""
+    return QOperator.from_entries(result.entries * (1.0 + 1e-6))
+
+
+def _perturb_matmul(real):
+    return lambda self, other: _scaled(real(self, other))
+
+
+def _perturb_shifted(real):
+    # only the shift with an imaginary part: ||(A - q) phi||^2 moves, the
+    # right-hand side does not
+    return lambda A, q, *args: _scaled(real(A, q, *args)) if q.im_norm() else \
+        real(A, q, *args)
+
+
+def _perturb_result(real):
+    return lambda *args, **kwargs: _scaled(real(*args, **kwargs))
+
+
+class TestScaledLimits:
+    """The product rows of verify_matrix have limits relative to the size of A,
+    and still catch a relative 1e-6 error in the compared product."""
+
+    # row -> (owner and name of the function whose result the row compares,
+    # how to perturb it)
+    INJECT = {
+        "embedding_homomorphism": (QOperator, "__matmul__", _perturb_matmul),
+        "shifted_norm_identities": (qdef.qoperator, "shift_left_scalar",
+                                    _perturb_shifted),
+        "resolvent_factorization": (qdef.verify, "resolvent_poly", _perturb_result),
+    }
+
+    @staticmethod
+    def rows(scale):
+        A = QOperator.from_real(real_symmetric(4, seed=3).entries[:, :, 0] * scale)
+        checks, _, _ = verify_matrix(A, 0, DEFAULT)
+        return {c["name"]: c for c in checks}
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_pass_at_any_scale(self, scale):
+        rows = self.rows(scale)
+        assert all(rows[name]["passed"] for name in self.INJECT), rows
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("name", sorted(INJECT))
+    def test_relative_error_fails(self, name, scale, monkeypatch):
+        owner, attr, perturb = self.INJECT[name]
+        monkeypatch.setattr(owner, attr, perturb(getattr(owner, attr)))
+        row = self.rows(scale)[name]
+        assert not row["passed"], row
