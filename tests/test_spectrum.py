@@ -276,19 +276,17 @@ def _scaled(result):
     return QOperator.from_entries(result.entries * (1.0 + 1e-6))
 
 
-def _perturb_matmul(real):
-    return lambda self, other: _scaled(real(self, other))
+def _perturb_result(real):
+    return lambda *args, **kwargs: _scaled(real(*args, **kwargs))
 
 
 def _perturb_shifted(real):
     # only the shift with an imaginary part: ||(A - q) phi||^2 moves, the
     # right-hand side does not
-    return lambda A, q, *args: _scaled(real(A, q, *args)) if q.im_norm() else \
-        real(A, q, *args)
-
-
-def _perturb_result(real):
-    return lambda *args, **kwargs: _scaled(real(*args, **kwargs))
+    def shifted(A, q, *args):
+        M = real(A, q, *args)
+        return _scaled(M) if q.im_norm() else M
+    return shifted
 
 
 class TestScaledLimits:
@@ -298,7 +296,7 @@ class TestScaledLimits:
     # row -> (owner and name of the function whose result the row compares,
     # how to perturb it)
     INJECT = {
-        "embedding_homomorphism": (QOperator, "__matmul__", _perturb_matmul),
+        "embedding_homomorphism": (QOperator, "__matmul__", _perturb_result),
         "shifted_norm_identities": (qdef.qoperator, "shift_left_scalar",
                                     _perturb_shifted),
         "resolvent_factorization": (qdef.verify, "resolvent_poly", _perturb_result),
