@@ -21,8 +21,26 @@ trivially (directness evidence).
 
 All shifts and seed slots of one call are solved together: one forward
 march carries every formal solution as a batch, and one reverse march
-carries every backward re-solve and probe.  Each solution's arithmetic is
-the scalar component formulas in their order, so batching changes no bit.
+carries every backward re-solve and probe; problems equal in value (shift
+and seeds) are marched once and share their rows.  In Hamilton arithmetic
+each solution's arithmetic is the scalar component formulas in their order,
+so batching changes no bit.
+
+The slice.  When every coefficient is real, a solution with real seeds at
+the shift q = a + bI (b = |Im q|, I a unit imaginary, I^2 = -1) stays in the
+slice C_I = {x + yI}: real coefficients commute with I, and C_I is closed
+under sums, products and inverses.  x + yI -> x + iy maps C_I onto the
+complex numbers, so such operators march in complex128 at z = a + ib, one
+complex product per term, and quaternion components are formed only where
+they are read (values, residual chunks, the probe's row 0, the backward
+comparison).  A solution thus depends on Re q and |Im q| alone, the axial
+symmetry of the S-spectrum: +e and -e of a unit, and the scan's three unit
+directions, are one problem.  For I = +-i, +-j, +-k each complex product
+rounds as the Hamilton product of the mapped numbers (the extra terms are
+signed zeros), so those solutions keep their bits up to the signs of zeros;
+at other axes the two agree to rounding.  Operators with quaternion entries
+march in Hamilton arithmetic, and so does the verify suite's unit check at
++-j, as a route independent of the slice.
 
 Growth handling: the march rescales each solution's active window whenever
 its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
@@ -66,7 +84,7 @@ INCONCLUSIVE = "inconclusive"
 
 
 # ---------------------------------------------------------------------------
-# quaternion component arrays (hot recurrence path)
+# element arithmetic of the recurrence (hot path)
 # ---------------------------------------------------------------------------
 
 # Term m of component k of the Hamilton product a*b, at position 4m + k, is
@@ -93,17 +111,43 @@ def _qmul(sa, b):
     return ((t[..., 0:4] + t[..., 4:8]) + t[..., 8:12]) + t[..., 12:16]
 
 
-def _qnormsq(a):
-    """((a0^2 + a1^2) + a2^2) + a3^2 along the last axis."""
+def _normsq(a):
+    """Squares summed left to right along the last axis: ((a0^2 + a1^2) +
+    a2^2) + a3^2 for quaternion components, re^2 + im^2 for a complex
+    number's (re, im), a^2 for a real number's one component."""
     s = a * a
-    return ((s[..., 0] + s[..., 1]) + s[..., 2]) + s[..., 3]
+    out = s[..., 0]
+    for k in range(1, s.shape[-1]):
+        out = out + s[..., k]
+    return out
 
 
-def _qinv(a):
-    """Inverses conj(a) / |a|^2 along the last axis."""
-    inv = a / _qnormsq(a)[..., None]
+def _inv(a):
+    """Inverses conj(a) / |a|^2 along the last axis (quaternion components,
+    or a real number's one component)."""
+    inv = a / _normsq(a)[..., None]
     inv[..., 1:] *= -1.0
     return inv
+
+
+def _slice_of(q: Quaternion):
+    """(z, I) with q = Re z + (Im z) I, Im z = |Im q| and I a unit imaginary
+    (i for a real q): the complex number a real-entried recurrence marches
+    for q, and the axis of the slice C_I its solutions lie in."""
+    r = float(q.im_norm())
+    axis = q.to_array()[1:] / r if r > 0.0 else np.array([1.0, 0.0, 0.0])
+    return complex(q.q0, r), axis
+
+
+def _quaternions(m, axis):
+    """Quaternion components (..., 4) of mantissas ``m``: ``m`` itself, or
+    with a slice ``axis`` I the numbers x + yI of the complex m = x + iy."""
+    if axis is None:
+        return m
+    out = np.empty(m.shape + (4,))
+    out[..., 0] = m.real
+    out[..., 1:] = m.imag[..., None] * axis
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +233,7 @@ class BandedOperator:
     def band_symmetry_defect(self, rows) -> float:
         """Largest |A[n, n+d] - conj(A[n+d, n])| over rows 0..rows-1."""
         a, b, inside = self._symmetry_pairs(rows)
-        return float(np.max(np.sqrt(_qnormsq(a - b)), initial=0.0, where=inside))
+        return float(np.max(np.sqrt(_normsq(a - b)), initial=0.0, where=inside))
 
     def coeff(self, n, d) -> Quaternion:
         return Quaternion(*self.coeff_tuple(n, d))
@@ -215,7 +259,7 @@ class BandedOperator:
         if built <= N:
             new = self._rows(built, N)
             with np.errstate(over="ignore", invalid="ignore"):
-                bad = np.argwhere(~np.isfinite(_qnormsq(new)))
+                bad = np.argwhere(~np.isfinite(_normsq(new)))
             if len(bad):
                 n, k = bad[0]
                 raise PreconditionFailed(
@@ -307,28 +351,38 @@ class FormalSolution:
     """Truncated solution c_0..c_N stored as mantissas with per-index log scale.
 
     The true coefficient is mantissas[n] * exp(log_scale[n]); the split keeps
-    exponentially growing or decaying solutions representable.
+    exponentially growing or decaying solutions representable.  Mantissas
+    are quaternion components, or for a solution marched on the slice C_I
+    (``axis`` I, see the module docstring) complex numbers x + iy standing
+    for x + yI.
     """
-    mantissas: np.ndarray        # (N+1, 4)
+    mantissas: np.ndarray        # (N+1, 4), or (N+1,) complex on a slice
     log_scale: np.ndarray        # (N+1,)
     q: Quaternion
     seed_slot: int
     backward_check: str = "not_run"   # "ok" | "discrepancy" | "skipped" | "not_run"
+    axis: np.ndarray | None = None    # the slice's unit imaginary I, 3 components
 
     @property
     def length(self):
         return self.mantissas.shape[0]
 
+    def components(self, rows=slice(None)) -> np.ndarray:
+        """Quaternion components (..., 4) of the mantissas at ``rows``."""
+        return _quaternions(self.mantissas[rows], self.axis)
+
     def values(self) -> np.ndarray:
         """True coefficients as an (N+1, 4) array; raises on overflow."""
         if np.max(self.log_scale + self._log_mags()) > 700.0:
             raise OverflowError("solution magnitudes exceed double range")
-        return self.mantissas * np.exp(self.log_scale)[:, None]
+        return self.components() * np.exp(self.log_scale)[:, None]
 
     def _log_mags(self):
-        mags = np.sqrt(qnormsq(self.mantissas))
+        m = self.mantissas
+        if self.axis is not None:
+            m = np.stack([m.real, m.imag], axis=-1)
         with np.errstate(divide="ignore"):
-            return np.log(mags)
+            return np.log(np.sqrt(_normsq(m)))
 
     def log_sq_magnitudes(self) -> np.ndarray:
         """log |c_n|^2 per index (-inf where the coefficient vanishes)."""
@@ -338,23 +392,31 @@ class FormalSolution:
         return QVector.from_components(self.values())
 
 
-def _march(table, qs, N, seeds, reverse=False):
+def _march(table, shifts, N, seeds, reverse=False):
     """Solve the banded recurrence for a batch of B solutions, either direction.
 
-    ``table`` holds the coefficients of rows 0..N at least (see
-    ``BandedOperator.table``) and ``qs`` the shift of each solution as a
-    (B, 4) array.  Forward: ``seeds`` (B, w, 4) fills c_0..c_{w-1} and rows
-    0..N-w produce c_w..c_N.  Reverse: ``seeds`` (B, 2w, 4) fills
-    c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  Each solution
-    rescales its active window on its own whenever its magnitudes leave
-    [RESCALE_LO, RESCALE_HI].  Returns mantissas (B, N+1, 4) and log scales
-    (B, N+1); every solution is bit for bit what it would be if marched
-    alone.
+    ``table`` holds the coefficients of rows 0..N at least and picks the
+    element arithmetic.  Quaternion entries (N+1, 2w+1, 4) (see
+    ``BandedOperator.table``) march Hamilton products of (B, 4) ``shifts``
+    and seeds with components on a last axis; real entries (N+1, 2w+1)
+    march complex products of (B,) complex shifts and seeds, the slice
+    arithmetic of the module docstring.  Forward: ``seeds`` (B, w) fills
+    c_0..c_{w-1} and rows 0..N-w produce c_w..c_N.  Reverse: ``seeds``
+    (B, 2w) fills c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  Each
+    solution rescales its active window on its own whenever its magnitudes
+    leave [RESCALE_LO, RESCALE_HI].  Returns mantissas (B, N+1, 4), or
+    (B, N+1) complex, and log scales (B, N+1); every solution is bit for
+    bit what it would be if marched alone.
     """
     w = (table.shape[1] - 1) // 2
     tab = table[:N + 1]
-    B = len(qs)
-    C = np.zeros((B, N + 1, 4))
+    if tab.ndim == 3:
+        prep, mul, shifts = _signed, _qmul, np.asarray(shifts, dtype=float)
+    else:
+        prep, mul, shifts = np.asarray, np.multiply, np.asarray(shifts, dtype=complex)
+    B = len(shifts)
+    C = np.zeros((B, N + 1) + tab.shape[2:], dtype=shifts.dtype)
+    comps = C.view(float).reshape(B, N + 1, -1)     # float view: (re, im) or 4
     logs = np.zeros((B, N + 1))
     scale = np.zeros(B)
     if reverse:
@@ -363,49 +425,76 @@ def _march(table, qs, N, seeds, reverse=False):
     else:
         rows, off = range(N - w + 1), w
         C[:, :w] = seeds
-    lead = tab[:, off + w]
-    singular = np.sqrt(_qnormsq(lead[np.array(rows)])) <= 1e-12
+    lead = tab[:, off + w].reshape(N + 1, -1)
+    singular = np.sqrt(_normsq(lead[np.array(rows)])) <= 1e-12
     if singular.any():
         n = rows[int(np.argmax(singular))]
         raise SingularLeadingCoefficient(n, tuple(lead[n]))
     with np.errstate(all="ignore"):
-        inv = _signed(_qinv(lead))
+        inv = prep(_inv(lead).reshape(tab[:, off + w].shape))
         # all-zero coefficients are skipped: subtracting their zero term
         # could still flip the sign of a zero sum
-        terms = [(d, _signed(tab[:, d + w]), tab[:, d + w].any(axis=1).tolist())
+        terms = [(d, prep(tab[:, d + w]),
+                  tab[:, d + w].reshape(N + 1, -1).any(axis=1).tolist())
                  for d in range(-w, w + 1) if d != off and tab[:, d + w].any()]
-        sq = _signed(np.asarray(qs, dtype=float))
+        sq = prep(shifts)
         for n in rows:
-            acc = _qmul(sq, C[:, n])
+            acc = mul(sq, C[:, n])
             for d, coef, nonzero in terms:
                 m = n + d
                 if 0 <= m <= N and nonzero[n]:
-                    acc -= _qmul(coef[n], C[:, m])
+                    acc -= mul(coef[n], C[:, m])
             out = n + off
-            C[:, out] = _qmul(inv[n], acc)
+            C[:, out] = mul(inv[n], acc)
             logs[:, out] = scale
             if reverse:
                 lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
             else:
                 lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
-            # |c| lies in [m, 2m] for the largest component magnitude m, so a
-            # window whose m stays inside [2 RESCALE_LO, RESCALE_HI / 4] in
-            # every solution needs no rescale; NaN fails this and is judged
-            # by the exact test below
-            big = np.abs(C[:, lo:hi]).max(axis=(1, 2))
-            if big.min() >= 2.0 * RESCALE_LO and big.max() <= 0.25 * RESCALE_HI:
+            # After the first row every window entry but the new one had |c|
+            # <= RESCALE_HI when the previous row was judged, so a new entry
+            # with |c| inside [RESCALE_LO, RESCALE_HI] in every solution (in
+            # the first row, every entry of the window) needs no rescale.
+            # The quick test reads the largest component magnitude m, with
+            # |c| in [m, 2m], or a complex |c| to one rounding, against
+            # [2 RESCALE_LO, RESCALE_HI / 4]; NaN fails it and is judged by
+            # the exact test below
+            new = slice(out, out + 1) if n != rows[0] else slice(lo, hi)
+            quick = np.abs(C[:, new])
+            if tab.ndim == 3:
+                quick = np.maximum.reduce(quick, axis=-1)
+            quick = quick.ravel().tolist()
+            if min(quick) >= 2.0 * RESCALE_LO and max(quick) <= 0.25 * RESCALE_HI:
                 continue
-            mags = np.sqrt(_qnormsq(C[:, lo:hi]))
+            mags = np.sqrt(_normsq(comps[:, lo:hi]))
             top = mags[:, 0]
             for k in range(1, hi - lo):   # first maximum, as Python's max
                 top = np.where(mags[:, k] > top, mags[:, k], top)
             hit = (top > RESCALE_HI) | ((0.0 < top) & (top < RESCALE_LO))
             for b in np.flatnonzero(hit):
                 K = math.log(top[b])
-                C[b, lo:hi] *= math.exp(-K)
+                comps[b, lo:hi] *= math.exp(-K)
                 logs[b, lo:hi] += K
                 scale[b] += K
     return C, logs
+
+
+def _march_distinct(table, shifts, seeds, N, reverse=False):
+    """``_march`` over the distinct (shift, seeds) pairs of a batch.
+
+    Returns mantissas, log scales and, per pair, its row in them: pairs
+    equal in value share one row, which is what each would get alone.
+    """
+    index, picks, rows = {}, [], []
+    for b, (q, seed) in enumerate(zip(shifts, seeds)):
+        key = (q if isinstance(q, complex) else tuple(q), seed.tobytes())
+        if key not in index:
+            index[key] = len(picks)
+            picks.append(b)
+        rows.append(index[key])
+    C, logs = _march(table, [shifts[b] for b in picks], N,
+                     np.array([seeds[b] for b in picks]), reverse)
+    return C, logs, rows
 
 
 _RESIDUAL_ROWS = 512   # rows per chunk of the residual's array expression
@@ -415,7 +504,8 @@ def recurrence_residual(op: BandedOperator, sol: FormalSolution) -> float:
     """Max relative residual of the recurrence over all interior rows.
 
     Each row is evaluated in the scale of its largest log factor and divided
-    by the largest of its terms.
+    by the largest of its terms, in Hamilton arithmetic at the solution's
+    quaternion shift: for a slice solution this also checks the slice map.
     """
     w = op.bandwidth
     N = sol.length - 1
@@ -432,30 +522,33 @@ def recurrence_residual(op: BandedOperator, sol: FormalSolution) -> float:
             lg = np.where(valid, sol.log_scale[m], -np.inf)
             ref = lg.max(axis=1, keepdims=True)
             c = np.where(valid[..., None],
-                         sol.mantissas[m] * np.exp(lg - ref)[..., None], 0.0)
+                         sol.components(m) * np.exp(lg - ref)[..., None], 0.0)
             qc = _qmul(sq, c[:, w])
             t = _qmul(_signed(tab[n]), c)
             acc = t.sum(axis=1) - qc
-            denom = np.maximum(np.maximum(np.sqrt(_qnormsq(qc)),
-                                          np.sqrt(_qnormsq(t)).max(axis=1)),
+            denom = np.maximum(np.maximum(np.sqrt(_normsq(qc)),
+                                          np.sqrt(_normsq(t)).max(axis=1)),
                                1e-300)
             # NaN rows are passed over, as Python's max passes them over
-            worst = float(np.fmax.reduce(np.sqrt(_qnormsq(acc)) / denom,
+            worst = float(np.fmax.reduce(np.sqrt(_normsq(acc)) / denom,
                                          initial=worst))
     return worst
 
 
-def _formal_batch(op: BandedOperator, shifts, N: int):
+def _formal_batch(op: BandedOperator, shifts, N: int, on_slice=True):
     """Formal solutions at every shift (one list per shift), not yet checked.
 
-    All shifts and seed slots of a banded operator share one forward march.
+    All shifts and seed slots of a banded operator share one forward march,
+    which solves each distinct problem once.  A table without imaginary
+    components marches on the slice unless ``on_slice`` is False, which
+    keeps the Hamilton arithmetic.
     """
     w = op.bandwidth
     if w == 0:
         diag = op.table(N)[:, 0]
         batch = []
         for q in shifts:
-            hits = np.sqrt(_qnormsq(diag - q.to_array())) <= DIAG_MATCH_TOL
+            hits = np.sqrt(_normsq(diag - q.to_array())) <= DIAG_MATCH_TOL
             sols = []
             for n in np.flatnonzero(hits):
                 C = np.zeros((N + 1, 4))
@@ -466,16 +559,21 @@ def _formal_batch(op: BandedOperator, shifts, N: int):
     if N < 10 * w:
         raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
     tab = op.table(N)
-    singular = np.sqrt(_qnormsq(tab[:N - w + 1, 2 * w])) <= 1e-12
+    singular = np.sqrt(_normsq(tab[:N - w + 1, 2 * w])) <= 1e-12
     if singular.any():
         raise SingularLeadingCoefficient(int(np.argmax(singular)))
-    qs = np.repeat([q.to_array() for q in shifts], w, axis=0)
-    seeds = np.zeros((len(shifts), w, w, 4))
-    seeds[:, np.arange(w), np.arange(w), 0] = 1.0     # slot s: c_s = 1
-    seeds = seeds.reshape(-1, w, 4)
-    C, logs = _march(tab, qs, N, seeds)
-    return [[FormalSolution(C[i * w + s], logs[i * w + s], q, s) for s in range(w)]
-            for i, q in enumerate(shifts)]
+    seeds = np.eye(w)                                  # slot s: c_s = 1
+    if on_slice and not tab[..., 1:].any():
+        problems = [_slice_of(q) for q in shifts]
+        tab = tab[..., 0]
+    else:
+        problems = [(q.to_array(), None) for q in shifts]
+        seeds = seeds[..., None] * [1.0, 0.0, 0.0, 0.0]
+    C, logs, rows = _march_distinct(tab, [z for z, _ in problems for _ in range(w)],
+                                    [seed for _ in shifts for seed in seeds], N)
+    return [[FormalSolution(C[rows[i * w + s]], logs[rows[i * w + s]], q, s,
+                            axis=axis) for s in range(w)]
+            for i, (q, (_, axis)) in enumerate(zip(shifts, problems))]
 
 
 def _checked(op: BandedOperator, sols):
@@ -566,6 +664,7 @@ def _safeguard_job(op: BandedOperator, sol: FormalSolution, verdict):
     the tail's log factor and the head rows to compare), or "skipped" when a
     rescale boundary lies inside the seed window; a divergent bandwidth-1
     solution gets a minimal-solution probe at its shift; anything else None.
+    Each job keeps the solution's shift and slice axis.
     """
     w = op.bandwidth
     if w == 0:
@@ -576,11 +675,11 @@ def _safeguard_job(op: BandedOperator, sol: FormalSolution, verdict):
         if np.max(tail_logs) - np.min(tail_logs) > 1e-9:
             return "skipped"
         upto = max(2 * w, min(N // 4, 200))
-        return ("backward", sol.q, sol.mantissas[N - 2 * w + 1:].copy(),
+        return ("backward", sol.q, sol.axis, sol.mantissas[N - 2 * w + 1:].copy(),
                 tail_logs[0], sol.mantissas[:upto].copy(),
                 sol.log_scale[:upto].copy())
     if verdict.verdict == DIVERGENT and w == 1:
-        return ("probe", sol.q)
+        return ("probe", sol.q, sol.axis)
     return None
 
 
@@ -596,11 +695,12 @@ def _screen(op: BandedOperator, sols, window: int, ratio_margin: float):
 
 def _backward_status(job, C, logs) -> str:
     """Compare the forward head with the backward re-solve from its tail."""
-    _, q, _, tail_log, head, head_logs = job
+    _, q, axis, _, tail_log, head, head_logs = job
     upto = len(head)
     try:
-        fwd = FormalSolution(head, head_logs, q, 0).values()
-        bwd = FormalSolution(C[:upto], logs[:upto] + tail_log, q, 0).values()
+        fwd = FormalSolution(head, head_logs, q, 0, axis=axis).values()
+        bwd = FormalSolution(C[:upto], logs[:upto] + tail_log, q, 0,
+                             axis=axis).values()
     except OverflowError:
         return "discrepancy"
     scale = np.max(np.sqrt(qnormsq(fwd)))
@@ -610,25 +710,27 @@ def _backward_status(job, C, logs) -> str:
     return "ok" if disc <= BACKWARD_TOL else "discrepancy"
 
 
-def _probe_result(op: BandedOperator, q: Quaternion, C, logs, window: int,
+def _probe_result(op: BandedOperator, q: Quaternion, axis, C, logs, window: int,
                   ratio_margin: float):
     """Boundary-row relative residual and verdict of a minimal solution.
 
     Miller-style probe (bandwidth 1): the backward march from the zero tail
     seed c_{N-1} = 1, c_N = 0 converges to the minimal solution; row 0,
     a(0,0) c_0 + a(0,1) c_1 = q c_0, is checked in the local scale of the
-    head.
+    head, in Hamilton arithmetic.
     """
     ref = max(logs[0], logs[1])
-    c0 = C[0] * math.exp(logs[0] - ref)
-    c1 = C[1] * math.exp(logs[1] - ref)
+    head = _quaternions(C[:2], axis)
+    c0 = head[0] * math.exp(logs[0] - ref)
+    c1 = head[1] * math.exp(logs[1] - ref)
     row = op.table(1)[0]
     t0 = _qmul(_signed(row[1]), c0)
     t1 = _qmul(_signed(row[2]), c1)
     rq = _qmul(_signed(q.to_array()), c0)
-    resid = math.sqrt(_qnormsq((t0 + t1) - rq))
-    denom = max(*(math.sqrt(_qnormsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
-    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe"), window, ratio_margin)
+    resid = math.sqrt(_normsq((t0 + t1) - rq))
+    denom = max(*(math.sqrt(_normsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
+    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe", axis),
+                          window, ratio_margin)
     return resid / denom, verdict
 
 
@@ -636,25 +738,33 @@ def _safeguard(op: BandedOperator, screened, N: int, window: int, ratio_margin: 
     """Final (verdict, backward_check) for every screened solution.
 
     The backward re-solves and minimal-solution probes of all solutions run
-    as one reverse march; a discrepancy, or a probe whose decaying solution
-    satisfies the boundary row, downgrades the verdict to ``inconclusive``.
+    as one reverse march in the arithmetic of their forward march (the
+    solutions of one batch share it), each distinct problem once; a
+    discrepancy, or a probe whose decaying solution satisfies the boundary
+    row, downgrades the verdict to ``inconclusive``.
     """
     jobs = [job for shift in screened for _, _, _, job in shift
             if isinstance(job, tuple)]
     outcomes = []
     if jobs:
-        probe_seeds = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
-        qs = [job[1].to_array() for job in jobs]
-        seeds = [job[2] if job[0] == "backward" else probe_seeds for job in jobs]
+        tab = op.table(N)
+        if jobs[0][2] is None:
+            shifts = [job[1].to_array() for job in jobs]
+            probe_seeds = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+        else:
+            shifts = [_slice_of(job[1])[0] for job in jobs]
+            probe_seeds = np.array([1.0, 0.0])
+            tab = tab[..., 0]
+        seeds = [job[3] if job[0] == "backward" else probe_seeds for job in jobs]
         try:
-            C, logs = _march(op.table(N), qs, N, seeds, reverse=True)
+            C, logs, rows = _march_distinct(tab, shifts, seeds, N, reverse=True)
         except SingularLeadingCoefficient:
             outcomes = ["skipped" if job[0] == "backward" else None for job in jobs]
         else:
             outcomes = [_backward_status(job, C[b], logs[b]) if job[0] == "backward"
-                        else _probe_result(op, job[1], C[b], logs[b], window,
+                        else _probe_result(op, job[1], job[2], C[b], logs[b], window,
                                            ratio_margin)
-                        for b, job in enumerate(jobs)]
+                        for b, job in zip(rows, jobs)]
             del C, logs
     outcomes = iter(outcomes)
     results = []
@@ -730,20 +840,22 @@ class DeficiencyReport:
 
 
 # Largest batch of one march: its mantissas and log scales take 40 bytes a
-# row per solution, so a scan with a huge --count cannot exhaust memory.
+# row per solution in Hamilton arithmetic (24 on a slice), so a scan with a
+# huge --count cannot exhaust memory.
 _BATCH_BYTES = 32 * 2 ** 20
 
 
-def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: float):
+def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: float,
+              on_slice=True):
     """Per shift: (count of square-summable solutions, evidence rows,
     any_inconclusive), from one forward and one reverse march for as many
-    shifts as fit in _BATCH_BYTES."""
+    shifts as fit in _BATCH_BYTES (``on_slice`` as for ``_formal_batch``)."""
     per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
     if len(shifts) > per_batch:
         return [counted for i in range(0, len(shifts), per_batch)
                 for counted in _count_l2(op, shifts[i:i + per_batch], N,
-                                         window, ratio_margin)]
-    batch = _formal_batch(op, shifts, N)
+                                         window, ratio_margin, on_slice)]
+    batch = _formal_batch(op, shifts, N, on_slice)
     screened = [_screen(op, _checked(op, sols), window, ratio_margin)
                 for sols in batch]
     del batch   # the reverse march needs none of the forward mantissas
@@ -784,13 +896,14 @@ def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = DEFAULT.N,
     return _unit_reports(op, [unit], N, window, ratio_margin)[0]
 
 
-def _unit_reports(op: BandedOperator, units, N: int, window: int, ratio_margin: float):
+def _unit_reports(op: BandedOperator, units, N: int, window: int, ratio_margin: float,
+                  on_slice=True):
     """deficiency_indices for each of ``units``, with all their +e and -e
-    shifts solved as one batch."""
+    shifts solved as one batch (``on_slice`` as for ``_formal_batch``)."""
     if not op.symmetric:
         raise PreconditionFailed("deficiency indices require a symmetric operator")
     counts = _count_l2(op, [s for u in units for s in (UNITS[u], -UNITS[u])],
-                       N, window, ratio_margin)
+                       N, window, ratio_margin, on_slice)
     reports = []
     for unit, (n_plus, ev_plus, inc_p), (n_minus, ev_minus, inc_m) in zip(
             units, counts[0::2], counts[1::2]):

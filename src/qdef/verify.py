@@ -9,10 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import embed
+from . import deficiency, embed
 from .deficiency import (BandedOperator, _unit_reports, deficiency_indices,
                          index_stability_scan, truncated_kernel,
-                         von_neumann_evidence, formal_solutions)
+                         von_neumann_evidence)
 from .errors import InternalInconsistency, StabilityViolation
 from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
                         resolvent_poly, scalar_op, shift_left_scalar,
@@ -183,8 +183,10 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     worst = op.band_symmetry_defect(40)
     checks.append(_bounded("band_symmetry", worst, tol.atol))
 
-    units = ("i", "j", "k")
-    reports = dict(zip(units, _unit_reports(op, units, N, window, margin)))
+    # +-j march in Hamilton arithmetic: on the slice the three units are one
+    # problem, and this row would compare a result with itself
+    reports = dict(zip(("i", "k"), _unit_reports(op, ("i", "k"), N, window, margin)))
+    [reports["j"]] = _unit_reports(op, ("j",), N, window, margin, on_slice=False)
     base = reports["i"]
     checks.append(_row("deficiency_indices_conclusive",
                        all(r.status == "ok" for r in reports.values()),
@@ -199,12 +201,10 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
                        doubled.indices == base.indices and doubled.status == "ok",
                        detail=f"N={N} -> {base.indices}, N={2 * N} -> {doubled.indices}"))
 
-    ok = True
-    for q in (I, -I):
-        lhs = truncated_kernel(op, q, 60, tol.rank_tol).qdim
-        rhs = len(formal_solutions(op, q, 60))
-        ok = ok and lhs == rhs
-    checks.append(_row("truncated_matrix_oracle_agreement", ok))
+    agree = [truncated_kernel(op, q, 60, tol.rank_tol).qdim
+             == len(deficiency._checked(op, sols))
+             for q, sols in zip((I, -I), deficiency._formal_batch(op, (I, -I), 60))]
+    checks.append(_row("truncated_matrix_oracle_agreement", all(agree)))
 
     try:
         scan = index_stability_scan(op, I, count=8, N=N, window=window, seed=seed,

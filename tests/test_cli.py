@@ -229,9 +229,9 @@ class TestEnvOverrides:
             seen["ratio"].add(ratio_margin)
             return real_fit(sol, window, ratio_margin)
 
-        def batch(op, shifts, N):
+        def batch(op, shifts, N, *arithmetic):
             seen["N"].add(N)
-            return real_batch(op, shifts, N)
+            return real_batch(op, shifts, N, *arithmetic)
 
         monkeypatch.setattr(qdef.deficiency, "classify_l2", fit)
         monkeypatch.setattr(qdef.deficiency, "_formal_batch", batch)

@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from qdef import (Basis, I, J, Quaternion, QOperator, BandedOperator,
                   real_symmetric, recurrence_residual, truncated_kernel,
                   von_neumann_evidence)
 from qdef.cli import main
-from qdef.deficiency import FormalSolution, _march
+from qdef.deficiency import FormalSolution, _formal_batch, _march, _normsq
 from qdef.embed import vec
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
 
@@ -554,6 +555,59 @@ class TestEngine:
             rel = np.exp(sol.log_sq_magnitudes() / 2.0 - ref) - 1.0
             assert np.max(np.abs(rel)) <= 1e-13
 
+    @pytest.mark.parametrize("w,p,diag", [(1, 0, 0.5), (1, 1, 0.0), (1, 2, 0.5),
+                                          (2, 0, 0.0), (2, 1, 0.5), (2, 2, 0.0)])
+    def test_slice_agrees_with_hamilton(self, w, p, diag):
+        # real entries keep every solution in the slice of its shift, so the
+        # complex march, mapped back, is the Hamilton march up to rounding
+        op = jacobi(w, p, diag=diag)
+        shifts = self.SHIFTS + [Quaternion(0.3, 0.0, 0.6, -0.8), -J * 0.5]
+        N = 2000
+        for sols, refs in zip(_formal_batch(op, shifts, N),
+                              _formal_batch(op, shifts, N, on_slice=False)):
+            for sol, ref in zip(sols, refs):
+                assert sol.axis is not None and ref.axis is None
+                got = sol.components() * np.exp(sol.log_scale - ref.log_scale)[:, None]
+                gap = np.sqrt(_normsq(got - ref.mantissas))
+                assert np.all(gap <= 1e-12 * np.sqrt(_normsq(ref.mantissas)))
+
+    def test_verify_marches_each_problem_once(self, monkeypatch, capsys):
+        forward = []
+
+        def counting(table, shifts, N, seeds, reverse=False):
+            if not reverse:
+                forward.append(("hamilton" if table.ndim == 3 else "slice", N,
+                                len(shifts)))
+            return _march(table, shifts, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        assert main(["verify", "--preset", "jacobi_sq"]) == 0
+        capsys.readouterr()
+        # one march per stage, one row per distinct (Re q, |Im q|): units i
+        # and k, the doubled run, the 60-row oracle at +-i, the scan (centre
+        # and unit directions one problem, 8 samples), the directness
+        # evidence at +-i; and +-j in Hamilton arithmetic
+        assert forward == [("slice", 2000, 1), ("hamilton", 2000, 2),
+                           ("slice", 4000, 1), ("slice", 60, 1),
+                           ("slice", 2000, 9), ("slice", 2000, 1)]
+
+    def test_unit_independence_sees_a_wrong_hamilton_route(self, monkeypatch, capsys):
+        def wrong(table, shifts, N, seeds, reverse=False):
+            C, logs = _march(table, shifts, N, seeds, reverse)
+            if table.ndim == 3 and not reverse:
+                logs = logs + 0.05 * np.arange(N + 1)    # growth not in the recurrence
+            return C, logs
+
+        monkeypatch.setattr(qdef.deficiency, "_march", wrong)
+        # the residual check would stop the wrong solutions before the row
+        monkeypatch.setattr(qdef.deficiency, "RESIDUAL_TOL", math.inf)
+        assert main(["verify", "--preset", "jacobi_sq", "--N", "1000"]) == 1
+        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert not checks["unit_independence"]["passed"]
+        assert checks["unit_independence"]["detail"] == \
+            "{'i': (1, 1), 'j': (0, 0), 'k': (1, 1)}"
+        assert checks["truncation_doubling_stable"]["passed"]
+
     def test_scan_marches_forward_once(self, monkeypatch):
         calls = []
 
@@ -564,8 +618,10 @@ class TestEngine:
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
         scan = index_stability_scan(jacobi_sq(), I, count=20, N=600, window=60, seed=3)
         assert len(scan["samples"]) == 24
-        assert [c for c in calls if not c[1]] == [(24, False)]
-        assert [c for c in calls if c[1]] == [(24, True)]   # 24 backward re-solves
+        # on the slice the centre i and the fixed i, j and k directions are
+        # one problem: 21 distinct of 24 shifts
+        assert [c for c in calls if not c[1]] == [(21, False)]
+        assert [c for c in calls if c[1]] == [(21, True)]   # 21 backward re-solves
 
     def test_batches_capped_without_changing_results(self, monkeypatch):
         op = jacobi_sq()
@@ -579,7 +635,9 @@ class TestEngine:
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
         monkeypatch.setattr(qdef.deficiency, "_BATCH_BYTES", 40 * 601 * 5)
         assert index_stability_scan(op, I, count=20, N=600, window=60, seed=4) == whole
-        assert max(sizes) == 5 and sum(sizes) == 2 * 24
+        # the first batch of five shifts holds the centre and the three unit
+        # directions, one problem on the slice, and one sample
+        assert max(sizes) == 5 and sum(sizes) == 2 * 21
 
     def test_table_rows_built_once(self, monkeypatch):
         asked = []
