@@ -451,20 +451,13 @@ def _march(table, shifts, N, seeds, reverse=False):
                 lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
             else:
                 lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
-            # After the first row every window entry but the new one had |c|
-            # <= RESCALE_HI when the previous row was judged, so a new entry
-            # with |c| inside [RESCALE_LO, RESCALE_HI] in every solution (in
-            # the first row, every entry of the window) needs no rescale.
-            # The quick test reads the largest component magnitude m, with
-            # |c| in [m, 2m], or a complex |c| to one rounding, against
-            # [2 RESCALE_LO, RESCALE_HI / 4]; NaN fails it and is judged by
-            # the exact test below
-            new = slice(out, out + 1) if n != rows[0] else slice(lo, hi)
-            quick = np.abs(C[:, new])
-            if tab.ndim == 3:
-                quick = np.maximum.reduce(quick, axis=-1)
-            quick = quick.ravel().tolist()
-            if min(quick) >= 2.0 * RESCALE_LO and max(quick) <= 0.25 * RESCALE_HI:
+            # A window needs no rescale when its largest |c| lies in
+            # [RESCALE_LO, RESCALE_HI] in every solution.  After the first row
+            # every entry but the new one had |c| <= RESCALE_HI when the
+            # previous row was judged, so a new entry inside that range
+            # clears the window; else the whole window is read.  NaN fails
+            # both quick tests and is judged by the exact test below
+            if (n != rows[0] and _in_range(C[:, out:out + 1])) or _in_range(C[:, lo:hi]):
                 continue
             mags = np.sqrt(_normsq(comps[:, lo:hi]))
             top = mags[:, 0]
@@ -477,6 +470,18 @@ def _march(table, shifts, N, seeds, reverse=False):
                 logs[b, lo:hi] += K
                 scale[b] += K
     return C, logs
+
+
+def _in_range(c) -> bool:
+    """Quick test that the largest magnitude in ``c`` (B, ...) of every
+    solution lies in [RESCALE_LO, RESCALE_HI]: complex |c| (to one rounding),
+    or the largest component magnitude m, with |c| in [m, 2m], is compared
+    with [2 RESCALE_LO, RESCALE_HI / 4]."""
+    mags = np.abs(c).reshape(len(c), -1)
+    if mags.shape[1] > 1:
+        mags = np.maximum.reduce(mags, axis=1)
+    top = mags.ravel().tolist()
+    return min(top) >= 2.0 * RESCALE_LO and max(top) <= 0.25 * RESCALE_HI
 
 
 def _march_distinct(table, shifts, seeds, N, reverse=False):
