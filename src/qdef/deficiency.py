@@ -160,9 +160,9 @@ class BandedOperator:
     ``polys`` maps each band offset d to the coefficients of 1, n, n^2, ...
     of the entry A[n, n+d] (numbers or Quaternions); offsets it leaves out,
     and offsets beyond ``bandwidth``, are zero.  Finite squared norms, the
-    symmetry relation A[n, n+d] = conj(A[n+d, n]) and the ``real_entries``
-    flag are validated on rows 0..39 (and the rows they couple to) at
-    construction.
+    symmetry relation A[n, n+d] = conj(A[n+d, n]) (to 1e-12 relative to the
+    larger of 1 and both entries' norms) and the ``real_entries`` flag are
+    validated on rows 0..39 (and the rows they couple to) at construction.
     """
 
     def __init__(self, bandwidth, polys, symmetric=True, real_entries=True,
@@ -204,22 +204,26 @@ class BandedOperator:
         return rows
 
     def _symmetry_pairs(self, rows):
-        """(a, b, inside) over rows 0..rows-1: a[n, d+w] = A[n, n+d],
-        b[n, d+w] = conj(A[n+d, n]) and ``inside`` marks n + d >= 0."""
+        """(a, defect, inside) over rows 0..rows-1: a[n, d+w] = A[n, n+d],
+        defect[n, d+w] = |A[n, n+d] - conj(A[n+d, n])| / max(1, |A[n, n+d]|,
+        |A[n+d, n]|) and ``inside`` marks n + d >= 0."""
         w = self.bandwidth
         tab = self.table(rows + w)
         m = np.arange(rows)[:, None] + np.arange(-w, w + 1)
+        a = tab[:rows]
         b = tab[np.maximum(m, 0), np.arange(2 * w, -1, -1)] * [1.0, -1.0, -1.0, -1.0]
-        return tab[:rows], b, m >= 0
+        scale = np.maximum(1.0, np.sqrt(np.maximum(_normsq(a), _normsq(b))))
+        return a, np.sqrt(_normsq(a - b)) / scale, m >= 0
 
     def _validate(self):
         try:    # every entry the checks below read, before any is compared
-            a, b, inside = self._symmetry_pairs(40)
+            a, defect, inside = self._symmetry_pairs(40)
         except PreconditionFailed as exc:
             raise ValueError(str(exc)) from None
         unreal = self.real_entries & (
             np.sqrt((a[..., 1] ** 2 + a[..., 2] ** 2) + a[..., 3] ** 2) > 1e-12)
-        asym = self.symmetric & (np.abs(a - b) > 1e-12).any(axis=-1)
+        # relative, as rounding in an entry grows with it
+        asym = self.symmetric & (defect > 1e-12)
         bad = np.argwhere(inside & (unreal | asym))
         if len(bad):
             n, k = bad[0]
@@ -231,9 +235,10 @@ class BandedOperator:
                              f"conj(coeff({n + d},{-d}))")
 
     def band_symmetry_defect(self, rows) -> float:
-        """Largest |A[n, n+d] - conj(A[n+d, n])| over rows 0..rows-1."""
-        a, b, inside = self._symmetry_pairs(rows)
-        return float(np.max(np.sqrt(_normsq(a - b)), initial=0.0, where=inside))
+        """Largest |A[n, n+d] - conj(A[n+d, n])| / max(1, |A[n, n+d]|,
+        |A[n+d, n]|) over rows 0..rows-1."""
+        _, defect, inside = self._symmetry_pairs(rows)
+        return float(np.max(defect, initial=0.0, where=inside))
 
     def coeff(self, n, d) -> Quaternion:
         return Quaternion(*self.coeff_tuple(n, d))

@@ -1,8 +1,8 @@
 """The thresholds a run may set, each default stated once.
 
 ``atol`` bounds the entrywise identities of the invariant suites (relative to
-the factors' Frobenius norms for a computed product) and the band symmetry of
-a banded operator; ``rank_tol`` is the relative singular-value cut of the
+the factors' Frobenius norms for a computed product) and the band symmetry
+defect of a banded operator (relative to its entries); ``rank_tol`` is the relative singular-value cut of the
 suites' rank and kernel decisions; ``ratio`` is the summability margin around
 block ratio 1, ``window`` the block length of that fit and ``N`` the
 truncation length of banded solves.  Thresholds no run can set stay constants

@@ -475,14 +475,24 @@ class TestPolyTable:
             assert np.array_equal(np.signbit(got), np.signbit(ref))
         assert same_bits(op.table(40), reference_rows(cfg, 0, 40))
 
-    @pytest.mark.parametrize("w,message", [
-        (1, "declared symmetric but coeff(20,1) != conj(coeff(21,-1))"),
-        (2, "declared symmetric but coeff(21,2) != conj(coeff(23,-2))"),
-    ])
-    def test_cubic_jacobi_rejected(self, w, message):
+    @pytest.mark.parametrize("w", [1, 2])
+    def test_cubic_jacobi_accepted(self, w):
+        # entries near 1e5 by row 40: their rounding is far above an absolute
+        # 1e-12, not above a relative one
+        op = jacobi(w, 3, c=1.3)
+        assert op.band_symmetry_defect(40) <= 1e-15
+        rep = deficiency_indices(op, "i")
+        assert rep.indices == (w, w) and rep.status == "ok"     # Berezanskii
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_relative_asymmetry_rejected(self, scale):
+        # A[n+1, n] = s (1 + 1e-6) against A[n, n+1] = s
+        polys = {-1: [scale * (1 + 1e-6)], 0: [0.0], 1: [scale]}
         with pytest.raises(ValueError) as exc:
-            jacobi(w, 3, c=1.3)
-        assert str(exc.value) == message
+            BandedOperator(1, polys)
+        assert str(exc.value) == "declared symmetric but coeff(0,1) != conj(coeff(1,-1))"
+        defect = BandedOperator(1, polys, symmetric=False).band_symmetry_defect(40)
+        assert 0.9e-6 <= defect <= 1e-6
 
     def test_unreal_entry_named(self):
         with pytest.raises(ValueError) as exc:
