@@ -32,7 +32,8 @@ class Tolerances:
         (QDEF_TOL_OVERRIDES) and then by the ``N`` and ``window`` flags.
         Raises ConfigError, naming the key, for a value it cannot use: a
         boolean, a non-finite number, a non-integral or non-positive N or
-        window, a ratio outside (0, 1) or a negative atol or rank_tol."""
+        window, an N of 2**53 or more, a ratio outside (0, 1) or a negative
+        atol or rank_tol."""
         values = asdict(cls())
         if overrides_json:
             try:
@@ -50,6 +51,9 @@ class Tolerances:
                 values[key] = flag
             if values[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {values[key]}")
+        # banded row indices are evaluated as floats, exact below 2**53 only
+        if values["N"] >= 2 ** 53:
+            raise ConfigError(f"N must be below 2**53, got {values['N']}")
         if not 0.0 < values["ratio"] < 1.0:
             raise ConfigError(f"ratio must lie in (0, 1), got {values['ratio']}")
         for key in ("atol", "rank_tol"):

@@ -296,6 +296,11 @@ BAD_INPUT = [
     # whose table could be allocated
     ("N-huge", ["deficiency", "--preset", "free_jacobi", "--N", "1000000000000"],
      None, None, 1),
+    # row indices are floats, exact below 2**53: larger N is a config error
+    ("N-beyond-float", ["deficiency", "--preset", "free_jacobi", "--N",
+                        "100000000000000000000"], None, None, 2),
+    ("env-N-beyond-float", ["verify", "--preset", "free_jacobi"], {"N": 2 ** 53},
+     None, 2),
     ("nan-entry", ["verify", "--matrix"], None, [1, float("nan"), 0, 2], 2),
     ("inf-entry", ["sspectrum", "--matrix"], None,
      [1, float("inf"), float("-inf"), 2], 2),
