@@ -2,11 +2,12 @@
 
 ``atol`` bounds the entrywise identities of the invariant suites (relative to
 the factors' Frobenius norms for a computed product) and the band symmetry
-defect of a banded operator (relative to its entries); ``rank_tol`` is the relative singular-value cut of the
-suites' rank and kernel decisions; ``ratio`` is the summability margin around
-block ratio 1, ``window`` the block length of that fit and ``N`` the
-truncation length of banded solves.  Thresholds no run can set stay constants
-beside the one decision they govern.
+defect of a banded operator (relative to its entries); ``rank_tol`` is the
+relative singular-value cut of the suites' rank and kernel decisions;
+``ratio`` is the summability margin around block ratio 1, ``window`` the
+block length of that fit and ``N`` the truncation length of banded solves.
+Thresholds no run can set stay constants beside the one decision they
+govern.
 """
 
 from __future__ import annotations
