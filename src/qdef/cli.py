@@ -26,9 +26,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .deficiency import (PRESETS, basis_invariance_check,
-                         deficiency_indices, from_config,
-                         index_stability_scan)
+from .deficiency import (PRESETS, _indices_and_scan, _scan_shifts,
+                         basis_invariance_check, deficiency_indices, from_config)
 from .errors import (ConfigError, PreconditionFailed, QdefError,
                      StabilityViolation)
 from .qoperator import QOperator, real_symmetric
@@ -90,9 +89,12 @@ def _parse_q(args, default: Quaternion) -> Quaternion:
     if args.q is None:
         return default
     try:
-        return parse_quaternion(args.q)
+        q = parse_quaternion(args.q)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    if not np.all(np.isfinite(q.to_array())):
+        raise ConfigError(f"--q {args.q!r} has a non-finite component")
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -149,23 +151,25 @@ def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
     if kind != "banded":
         raise ConfigError("deficiency expects a banded operator "
                           "(--preset or a banded --matrix config)")
-    rep = deficiency_indices(op, args.unit, N=tol.N, window=tol.window,
-                             ratio_margin=tol.ratio)
-    center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
-    if center.im_norm() == 0.0:
-        raise ConfigError("stability scan center must be non-real")
     try:
-        scan = index_stability_scan(op, center, count=args.count, N=tol.N,
-                                    window=tol.window, seed=args.seed,
-                                    ratio_margin=tol.ratio)
-        scan_failed = scan["status"] != "ok"
-    except StabilityViolation as exc:
-        scan = {"status": "violation", "detail": str(exc),
-                "samples": exc.discordant}
-        scan_failed = True
+        center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
+        if center.im_norm() == 0.0:
+            raise ConfigError("stability scan center must be non-real")
+        scan_shifts = _scan_shifts(op, center, args.count, args.seed)
+    except (ConfigError, PreconditionFailed):
+        # the indices are counted before the scan is set up: an error of
+        # theirs comes first
+        deficiency_indices(op, args.unit, N=tol.N, window=tol.window,
+                           ratio_margin=tol.ratio)
+        raise
+    rep, scan = _indices_and_scan(op, args.unit, scan_shifts, tol.N, tol.window,
+                                  args.seed, tol.ratio)
+    if isinstance(scan, StabilityViolation):
+        scan = {"status": "violation", "detail": str(scan),
+                "samples": scan.discordant}
     rep_dict = rep.to_dict()
     rep_dict["stability"] = scan
-    passed = rep.status == "ok" and not scan_failed
+    passed = rep.status == "ok" and scan["status"] == "ok"
     report = {
         "command": "deficiency",
         "operator": op.description,

@@ -19,10 +19,13 @@ self-adjointness, the indices are independent of the chosen unit and constant
 over non-real shifts, and the defect spaces at q and conj(q) intersect
 trivially (directness evidence).
 
-All shifts and seed slots of one call are solved together: one forward
-march carries every formal solution as a batch, and one reverse march
-carries every backward re-solve and probe; problems equal in value (shift
-and seeds) are marched once and share their rows.  In Hamilton arithmetic
+All shifts and seed slots of one command at one truncation length and
+arithmetic are solved together: one forward march carries every formal
+solution as a batch, and one reverse march carries every backward re-solve
+and probe; problems equal in value (shift and seeds) are marched once and
+share their rows.  The ``deficiency`` command counts the indices and its
+stability scan in one batch, and ``verify`` its unit reports at i and k, its
+scan and its directness evidence.  In Hamilton arithmetic
 each solution's arithmetic is the scalar component formulas in their order,
 so batching changes no bit.
 
@@ -56,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -856,22 +859,28 @@ _BATCH_BYTES = 32 * 2 ** 20
 
 
 def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: float,
-              on_slice=True):
+              on_slice=True, keep=()):
     """Per shift: (count of square-summable solutions, evidence rows,
-    any_inconclusive), from one forward and one reverse march for as many
+    any_inconclusive, its square-summable solutions if its index is in
+    ``keep``, else None), from one forward and one reverse march for as many
     shifts as fit in _BATCH_BYTES (``on_slice`` as for ``_formal_batch``)."""
     per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
     if len(shifts) > per_batch:
         return [counted for i in range(0, len(shifts), per_batch)
-                for counted in _count_l2(op, shifts[i:i + per_batch], N,
-                                         window, ratio_margin, on_slice)]
+                for counted in _count_l2(op, shifts[i:i + per_batch], N, window,
+                                         ratio_margin, on_slice, [k - i for k in keep])]
     batch = _formal_batch(op, shifts, N, on_slice)
     screened = [_screen(op, _checked(op, sols), window, ratio_margin)
                 for sols in batch]
-    del batch   # the reverse march needs none of the forward mantissas
+    # the reverse march needs none of the forward mantissas; kept solutions
+    # are copied out of the batch, so that it is freed
+    kept = {k: [replace(sol, mantissas=sol.mantissas.copy(),
+                        log_scale=sol.log_scale.copy()) for sol in batch[k]]
+            for k in keep if 0 <= k < len(batch)}
+    del batch
     counts = []
-    for q, shift, results in zip(shifts, screened,
-                                 _safeguard(op, screened, N, window, ratio_margin)):
+    for k, (q, shift, results) in enumerate(zip(
+            shifts, screened, _safeguard(op, screened, N, window, ratio_margin))):
         rows = []
         count = 0
         inconclusive = False
@@ -887,7 +896,9 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: flo
                 count += 1
             elif v.verdict == INCONCLUSIVE:
                 inconclusive = True
-        counts.append((count, rows, inconclusive))
+        l2 = None if k not in kept else [
+            sol for sol, (v, _) in zip(kept[k], results) if v.verdict == SQUARE_SUMMABLE]
+        counts.append((count, rows, inconclusive, l2))
     return counts
 
 
@@ -901,21 +912,26 @@ def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = DEFAULT.N,
     self-adjointness verdict.  Any unclassifiable solution marks the whole
     report ``inconclusive`` and is not counted.
     """
-    if unit not in UNITS:
+    counts = _count_l2(op, _unit_shifts(op, [unit]), N, window, ratio_margin)
+    return _unit_reports(op, [unit], counts, N, window, ratio_margin)[0]
+
+
+def _unit_shifts(op: BandedOperator, units):
+    """The shifts +e, -e of each of ``units``, checked as deficiency_indices
+    checks its unit and operator."""
+    if not set(units) <= set(UNITS):
         raise ValueError("unit must be one of 'i', 'j', 'k'")
-    return _unit_reports(op, [unit], N, window, ratio_margin)[0]
-
-
-def _unit_reports(op: BandedOperator, units, N: int, window: int, ratio_margin: float,
-                  on_slice=True):
-    """deficiency_indices for each of ``units``, with all their +e and -e
-    shifts solved as one batch (``on_slice`` as for ``_formal_batch``)."""
     if not op.symmetric:
         raise PreconditionFailed("deficiency indices require a symmetric operator")
-    counts = _count_l2(op, [s for u in units for s in (UNITS[u], -UNITS[u])],
-                       N, window, ratio_margin, on_slice)
+    return [s for u in units for s in (UNITS[u], -UNITS[u])]
+
+
+def _unit_reports(op: BandedOperator, units, counts, N: int, window: int,
+                  ratio_margin: float):
+    """deficiency_indices for each of ``units`` from the ``_count_l2``
+    entries of their ``_unit_shifts``."""
     reports = []
-    for unit, (n_plus, ev_plus, inc_p), (n_minus, ev_minus, inc_m) in zip(
+    for unit, (n_plus, ev_plus, inc_p, _), (n_minus, ev_minus, inc_m, _) in zip(
             units, counts[0::2], counts[1::2]):
         for row in ev_plus:
             row["sign"] = "+"
@@ -960,6 +976,14 @@ def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20
     |Im center|.  All square-summable kernel dimensions must agree; a
     discordant shift raises StabilityViolation.
     """
+    shifts = _scan_shifts(op, center, count, seed)
+    return _scan_result(shifts, _count_l2(op, shifts, N, window, ratio_margin),
+                        N, window, seed)
+
+
+def _scan_shifts(op: BandedOperator, center: Quaternion, count: int, seed: int):
+    """index_stability_scan's shifts: the center, the three unit directions
+    and ``count`` seeded samples; PreconditionFailed when it cannot run."""
     if center.im_norm() == 0.0:
         raise PreconditionFailed("stability scan needs a non-real center")
     if not op.symmetric or not op.real_entries:
@@ -970,11 +994,16 @@ def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20
     shifts = [center]
     shifts += [UNITS[u] * radius for u in ("i", "j", "k")]
     shifts += [_sample_ball(rng, center, radius) for _ in range(count)]
+    return shifts
+
+
+def _scan_result(shifts, counts, N: int, window: int, seed: int):
+    """index_stability_scan's result from the ``_count_l2`` entries of its
+    ``_scan_shifts``."""
     samples = []
     dims = set()
     inconclusive = False
-    for q, (d, _, inc) in zip(shifts, _count_l2(op, shifts, N, window,
-                                                 ratio_margin)):
+    for q, (d, _, inc, _) in zip(shifts, counts):
         samples.append({"q": format_quaternion(q), "dim": d,
                         "status": INCONCLUSIVE if inc else "ok"})
         if inc:
@@ -989,9 +1018,23 @@ def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20
         "constant_dim": dims.pop() if dims else None,
         "status": INCONCLUSIVE if inconclusive else "ok",
         "samples": samples,
-        "params": {"N": N, "window": window, "count": count, "seed": seed,
-                   "center": format_quaternion(center)},
+        "params": {"N": N, "window": window, "count": len(shifts) - 4, "seed": seed,
+                   "center": format_quaternion(shifts[0])},
     }
+
+
+def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
+                      window: int, seed: int, ratio_margin: float):
+    """deficiency_indices at ``unit`` and index_stability_scan over its
+    ``scan_shifts`` (from ``_scan_shifts``) from one ``_count_l2``: the report
+    and the scan's result, or the StabilityViolation the scan raises."""
+    counts = _count_l2(op, _unit_shifts(op, [unit]) + scan_shifts, N, window,
+                       ratio_margin)
+    [report] = _unit_reports(op, [unit], counts[:2], N, window, ratio_margin)
+    try:
+        return report, _scan_result(scan_shifts, counts[2:], N, window, seed)
+    except StabilityViolation as exc:
+        return report, exc
 
 
 # ---------------------------------------------------------------------------
@@ -1006,6 +1049,31 @@ def _gram_min_eig(vectors):
             G[a, b] = inner(vectors[a], vectors[b]).to_array()
     eigs = np.linalg.eigvalsh(embed.chi(G))
     return float(eigs[0])
+
+
+def _evidence(kind, dim_plus, dim_minus, vectors, status):
+    gram_min = _gram_min_eig(vectors) if vectors else None
+    return {
+        "kind": kind,
+        "dim_plus": dim_plus,
+        "dim_minus": dim_minus,
+        "gram_min_eig": gram_min,
+        "direct": gram_min is None or gram_min > GRAM_MIN_EIG,
+        "status": status,
+        "trivial_decomposition": dim_plus == 0 and dim_minus == 0,
+    }
+
+
+def _banded_evidence(plus, minus):
+    """von_neumann_evidence's banded result from the ``_count_l2`` entries of
+    q and conj(q), with their square-summable solutions kept."""
+    vectors = []
+    for *_, sols in (plus, minus):
+        for sol in sols:
+            vec = sol.to_qvector()
+            vectors.append(vec / vec.norm())
+    return _evidence("banded", plus[0], minus[0], vectors,
+                     INCONCLUSIVE if plus[2] or minus[2] else "ok")
 
 
 def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
@@ -1023,51 +1091,16 @@ def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
     if isinstance(op, BandedOperator):
         if not op.symmetric:
             raise PreconditionFailed("directness evidence needs a symmetric operator")
-        shifts = (q, q.conjugate())
-        batch = _formal_batch(op, shifts, N)
-        screened = [_screen(op, _checked(op, sols), window, ratio_margin)
-                    for sols in batch]
-        vectors = []
-        dims = {}
-        inconclusive = False
-        for label, sols, results in zip(("plus", "minus"), batch,
-                                        _safeguard(op, screened, N, window, ratio_margin)):
-            kept = 0
-            for sol, (v, _) in zip(sols, results):
-                if v.verdict == SQUARE_SUMMABLE:
-                    vec = sol.to_qvector()
-                    vectors.append(vec / vec.norm())
-                    kept += 1
-                elif v.verdict == INCONCLUSIVE:
-                    inconclusive = True
-            dims[label] = kept
-        gram_min = _gram_min_eig(vectors) if vectors else None
-        return {
-            "kind": "banded",
-            "dim_plus": dims["plus"],
-            "dim_minus": dims["minus"],
-            "gram_min_eig": gram_min,
-            "direct": gram_min is None or gram_min > GRAM_MIN_EIG,
-            "status": INCONCLUSIVE if inconclusive else "ok",
-            "trivial_decomposition": dims["plus"] == 0 and dims["minus"] == 0,
-        }
+        return _banded_evidence(*_count_l2(op, (q, q.conjugate()), N, window,
+                                           ratio_margin, keep=(0, 1)))
     if isinstance(op, QOperator):
         adj = op.adjoint()
         if op.max_entry_diff(adj) > 1e-10:
             raise PreconditionFailed("directness evidence needs a symmetric operator")
         k_plus = embed.kernel_q(shift_left_scalar(adj, q))
         k_minus = embed.kernel_q(shift_left_scalar(adj, q.conjugate()))
-        vectors = [v / v.norm() for v in k_plus.vectors + k_minus.vectors]
-        gram_min = _gram_min_eig(vectors) if vectors else None
-        return {
-            "kind": "finite",
-            "dim_plus": k_plus.qdim,
-            "dim_minus": k_minus.qdim,
-            "gram_min_eig": gram_min,
-            "direct": gram_min is None or gram_min > GRAM_MIN_EIG,
-            "status": "ok",
-            "trivial_decomposition": k_plus.qdim == 0 and k_minus.qdim == 0,
-        }
+        return _evidence("finite", k_plus.qdim, k_minus.qdim,
+                         [v / v.norm() for v in k_plus.vectors + k_minus.vectors], "ok")
     raise TypeError("expected a BandedOperator or QOperator")
 
 

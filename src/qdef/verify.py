@@ -10,10 +10,10 @@ from __future__ import annotations
 import numpy as np
 
 from . import deficiency, embed
-from .deficiency import (BandedOperator, _unit_reports, deficiency_indices,
-                         index_stability_scan, truncated_kernel,
-                         von_neumann_evidence)
-from .errors import InternalInconsistency, StabilityViolation
+from .deficiency import (BandedOperator, _banded_evidence, _count_l2,
+                         _scan_result, _scan_shifts, _unit_reports, _unit_shifts,
+                         deficiency_indices, truncated_kernel)
+from .errors import InternalInconsistency, QdefError, StabilityViolation
 from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
                         resolvent_poly, scalar_op, shift_left_scalar,
                         symmetry_predicates, criteria_report)
@@ -183,10 +183,34 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     worst = op.band_symmetry_defect(40)
     checks.append(_bounded("band_symmetry", worst, tol.atol))
 
-    # +-j march in Hamilton arithmetic: on the slice the three units are one
-    # problem, and this row would compare a result with itself
-    reports = dict(zip(("i", "k"), _unit_reports(op, ("i", "k"), N, window, margin)))
-    [reports["j"]] = _unit_reports(op, ("j",), N, window, margin, on_slice=False)
+    def own_marches():
+        """The stages that march on their own, in report order."""
+        # +-j march in Hamilton arithmetic: on the slice the three units are
+        # one problem, and this row would compare a result with itself
+        j = _unit_reports(op, ("j",), _count_l2(op, _unit_shifts(op, ("j",)), N, window,
+                                                margin, on_slice=False), N, window, margin)
+        doubled = deficiency_indices(op, "i", N=2 * N, window=window,
+                                     ratio_margin=margin)
+        agree = [truncated_kernel(op, q, 60, tol.rank_tol).qdim
+                 == len(deficiency._checked(op, sols))
+                 for q, sols in zip((I, -I), deficiency._formal_batch(op, (I, -I), 60))]
+        return j[0], doubled, agree
+
+    # One _count_l2 at N for the unit reports at i and k, the scan and the
+    # directness evidence at +-i, which reads the kept solutions of unit i
+    units = _unit_shifts(op, ("i", "k"))
+    try:
+        scan_shifts = _scan_shifts(op, I, 8, seed)
+        shared = _count_l2(op, units + scan_shifts, N, window, margin, keep=(0, 1))
+    except QdefError:
+        # the stages before the scan run alone, in report order, so that the
+        # first of them to fail names the error; else this error stands
+        _count_l2(op, units, N, window, margin)
+        own_marches()
+        raise
+    reports = dict(zip(("i", "k"), _unit_reports(op, ("i", "k"), shared[:4], N, window,
+                                                 margin)))
+    reports["j"], doubled, agree = own_marches()
     base = reports["i"]
     checks.append(_row("deficiency_indices_conclusive",
                        all(r.status == "ok" for r in reports.values()),
@@ -194,27 +218,19 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     checks.append(_row("unit_independence",
                        len({r.indices for r in reports.values()}) == 1,
                        detail=str({u: r.indices for u, r in sorted(reports.items())})))
-
-    doubled = deficiency_indices(op, "i", N=2 * N, window=window,
-                                 ratio_margin=margin)
     checks.append(_row("truncation_doubling_stable",
                        doubled.indices == base.indices and doubled.status == "ok",
                        detail=f"N={N} -> {base.indices}, N={2 * N} -> {doubled.indices}"))
-
-    agree = [truncated_kernel(op, q, 60, tol.rank_tol).qdim
-             == len(deficiency._checked(op, sols))
-             for q, sols in zip((I, -I), deficiency._formal_batch(op, (I, -I), 60))]
     checks.append(_row("truncated_matrix_oracle_agreement", all(agree)))
 
     try:
-        scan = index_stability_scan(op, I, count=8, N=N, window=window, seed=seed,
-                                    ratio_margin=margin)
+        scan = _scan_result(scan_shifts, shared[4:], N, window, seed)
         checks.append(_row("index_stability", scan["status"] == "ok",
                            detail=f"constant dim {scan['constant_dim']}"))
     except StabilityViolation as exc:
         checks.append(_row("index_stability", False, detail=str(exc)))
 
-    ev = von_neumann_evidence(op, I, N=N, window=window, ratio_margin=margin)
+    ev = _banded_evidence(shared[0], shared[1])
     checks.append(_row("defect_space_directness", ev["direct"],
                        detail=f"dims ({ev['dim_plus']}, {ev['dim_minus']})"))
 

@@ -259,6 +259,10 @@ def band_config(offdiagonal, diagonal=(0.0,)):
 
 
 BAND_ARGV = ["deficiency", "--N", "400", "--window", "50", "--count", "0", "--matrix"]
+# A[n, n+1] = (n+1)^2 + j
+QUATERNION_BAND = {"bandwidth": 1, "real_entries": False,
+                   "coeff": {"type": "poly", "offset_-1": ["-1j", 0.0, 1.0],
+                             "offset_0": [0.0], "offset_1": ["1+1j", 2.0, 1.0]}}
 
 BAD_INPUT = [
     # (label, argv, QDEF_TOL_OVERRIDES, matrix entries or operator JSON or
@@ -309,6 +313,12 @@ BAD_INPUT = [
      ["1e308", "0", "0", "1e308"], 1),
     ("count-zero", ["deficiency", "--preset", "free_jacobi", "--N", "400",
                     "--window", "50", "--count", "0"], None, None, 0),
+    # an infinite shift once marched as 24 infinite shifts (deficiency) or
+    # failed an SVD (invariance)
+    ("q-overflow-deficiency", ["deficiency", "--preset", "free_jacobi", "--q", "1e400i"],
+     None, None, 2),
+    ("q-overflow-invariance", ["invariance", "--q", "1e400i", "--dim", "3",
+                               "--trials", "2"], None, None, 2),
     ("nan-band", BAND_ARGV, None, band_config([float("nan")]), 2),
     ("overflow-band", BAND_ARGV, None, band_config([1e308]), 2),
     # (n)^60 on the diagonal: finite on the 40 validated rows, overflowing
@@ -348,6 +358,57 @@ class TestBadInput:
             assert "non-finite squared norm" in err
         if env is not None:                 # the message names the bad key
             assert any(f"'{key}'" in err or f"error: {key} " in err for key in env)
+
+
+class TestErrorPrecedence:
+    """The stages of a command share marches, but the first stage that fails
+    still names the error."""
+
+    @pytest.mark.parametrize("argv,band,err", [
+        # the indices are counted before the scan's centre is read
+        (["deficiency", "--preset", "free_jacobi", "--N", "5", "--q", "1"], None,
+         "truncation length 5 < 10*bandwidth"),
+        (["deficiency", "--preset", "free_jacobi", "--N", "400", "--window", "50",
+          "--q", "1"], None, "stability scan center must be non-real"),
+        (["deficiency", "--preset", "free_jacobi", "--N", "400", "--window", "50",
+          "--q", "1e400i"], None, "--q '1e400i' has a non-finite component"),
+        (["deficiency", "--N", "5", "--matrix"], QUATERNION_BAND,
+         "truncation length 5 < 10*bandwidth"),
+        (["deficiency", "--N", "600", "--window", "60", "--matrix"], QUATERNION_BAND,
+         "stability scan is implemented for real-entried symmetric operators"),
+        (["verify", "--N", "600", "--window", "60", "--matrix"], QUATERNION_BAND,
+         "stability scan is implemented for real-entried symmetric operators"),
+        (["verify", "--N", "5", "--matrix"], QUATERNION_BAND,
+         "truncation length 5 < 10*bandwidth"),
+        # the 60-row oracle comes after the shared march
+        (["verify", "--N", "600", "--window", "60", "--matrix"],
+         {"bandwidth": 7, "coeff": {"type": "poly", "offset_-7": [1.0],
+                                    "offset_0": [0.0, 1.0], "offset_7": [1.0]}},
+         "truncation length 60 < 10*bandwidth"),
+    ])
+    def test_first_error(self, argv, band, err, tmp_path, capsys):
+        if band is not None:
+            path = tmp_path / "band.json"
+            path.write_text(json.dumps(band))
+            argv = argv + [str(path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+
+    def test_verify_raises_the_earlier_stage_error(self, monkeypatch, capsys):
+        residual = qdef.deficiency.recurrence_residual
+
+        # the doubled run, a stage before the scan, and the scan's samples
+        # fail, with different residuals
+        def failing(op, sol):
+            if sol.length == 1201:
+                return 1.0
+            return 2.0 if sol.q.q0 != 0.0 else residual(op, sol)
+
+        monkeypatch.setattr(qdef.deficiency, "recurrence_residual", failing)
+        assert main(["verify", "--preset", "jacobi_sq", "--N", "600",
+                     "--window", "60"]) == 1
+        assert capsys.readouterr().err == \
+            "property failure: forward recurrence residual 1.000e+00 exceeds 1e-10\n"
 
 
 def test_cli_run_does_not_import_scipy():

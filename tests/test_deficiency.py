@@ -593,13 +593,27 @@ class TestEngine:
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
         assert main(["verify", "--preset", "jacobi_sq"]) == 0
         capsys.readouterr()
-        # one march per stage, one row per distinct (Re q, |Im q|): units i
-        # and k, the doubled run, the 60-row oracle at +-i, the scan (centre
-        # and unit directions one problem, 8 samples), the directness
-        # evidence at +-i; and +-j in Hamilton arithmetic
-        assert forward == [("slice", 2000, 1), ("hamilton", 2000, 2),
-                           ("slice", 4000, 1), ("slice", 60, 1),
-                           ("slice", 2000, 9), ("slice", 2000, 1)]
+        # one march per (N, arithmetic), one row per distinct (Re q, |Im q|):
+        # units i and k, the scan (centre and unit directions one problem,
+        # 8 samples) and the directness evidence at +-i share one; then +-j
+        # in Hamilton arithmetic, the doubled run and the 60-row oracle
+        assert forward == [("slice", 2000, 9), ("hamilton", 2000, 2),
+                           ("slice", 4000, 1), ("slice", 60, 1)]
+
+    def test_deficiency_marches_once_each_way(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(table, shifts, N, seeds, reverse=False):
+            calls.append(("slice" if table.ndim == 2 else "hamilton", N,
+                          len(shifts), reverse))
+            return _march(table, shifts, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        assert main(["deficiency", "--preset", "jacobi_sq"]) == 0
+        capsys.readouterr()
+        # +-e are the scan's centre i: 21 distinct problems of 26 shifts, and
+        # every square-summable one is re-solved backward
+        assert calls == [("slice", 2000, 21, False), ("slice", 2000, 21, True)]
 
     def test_unit_independence_sees_a_wrong_hamilton_route(self, monkeypatch, capsys):
         def wrong(table, shifts, N, seeds, reverse=False):
@@ -648,6 +662,27 @@ class TestEngine:
         # the first batch of five shifts holds the centre and the three unit
         # directions, one problem on the slice, and one sample
         assert max(sizes) == 5 and sum(sizes) == 2 * 21
+
+    @pytest.mark.parametrize("make,unit,center", [
+        (jacobi_sq, "i", I),
+        (free_jacobi, "k", Quaternion(0.2, 0.7, 0.0, 0.0)),
+        (lambda: jacobi(2, 2, 1.0), "j", Quaternion(0.4, 0.0, 0.0, 1.2)),
+    ])
+    # 5 shifts of bandwidth 1 per batch at N = 600: the shared batch and the
+    # scan alone split at different shifts
+    @pytest.mark.parametrize("batch_bytes", [None, 40 * 601 * 5])
+    def test_indices_and_scan_equal_separate_calls(self, make, unit, center,
+                                                   batch_bytes, monkeypatch):
+        if batch_bytes:
+            monkeypatch.setattr(qdef.deficiency, "_BATCH_BYTES", batch_bytes)
+        op = make()
+        shifts = qdef.deficiency._scan_shifts(op, center, 20, 5)
+        rep, scan = qdef.deficiency._indices_and_scan(op, unit, shifts, 600, 60, 5,
+                                                      0.05)
+        assert rep.to_dict() == deficiency_indices(op, unit, N=600, window=60,
+                                                   ratio_margin=0.05).to_dict()
+        assert scan == index_stability_scan(op, center, count=20, N=600, window=60,
+                                            seed=5, ratio_margin=0.05)
 
     def test_table_rows_built_once(self, monkeypatch):
         asked = []
