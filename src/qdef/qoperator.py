@@ -141,6 +141,8 @@ class QOperator:
     @classmethod
     def from_dict(cls, obj) -> QOperator:
         dim = int(obj["dim"])
+        if dim < 1:
+            raise ValueError(f"dim must be at least 1, got {dim}")
         lits = obj["entries"]
         if len(lits) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
@@ -179,7 +181,7 @@ def left_scalar(q: Quaternion, dim=None, L: LeftMul | None = None) -> QOperator:
     """Matrix of the left scalar operator phi -> q . phi.
 
     With the canonical basis this is diag(q); for a general basis {e_k} the
-    matrix is sum_k e_k q <e_k|.>, assembled from outer products.
+    matrix is sum_k e_k q <e_k|.>, one quaternionic matrix product.
     """
     if L is None:
         if dim is None:
@@ -189,8 +191,7 @@ def left_scalar(q: Quaternion, dim=None, L: LeftMul | None = None) -> QOperator:
         return QOperator.from_entries(arr)
     B = L.basis.matrix                                    # (k, n, 4)
     bq = qmul(B, q.to_array()[None, None, :])             # e_k q
-    outer = qmul(bq[:, :, None, :], qconj(B)[:, None, :, :])
-    return QOperator.from_entries(outer.sum(axis=0))
+    return QOperator.from_entries(qmatmul(bq.transpose(1, 0, 2), qconj(B)))
 
 
 def shift_left_scalar(A: QOperator, q: Quaternion, L: LeftMul | None = None) -> QOperator:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BasisError, DimensionMismatch, RankDeficient, ZeroScalar
-from .quat import Quaternion, qconj, qmul, qnormsq
+from .quat import Quaternion, qconj, qmatmul, qmul, qnormsq
 
 ORTHO_ATOL = 1e-10  # orthonormality validation tolerance
 
@@ -160,7 +160,7 @@ class Basis:
         n, dim = mat.shape[0], mat.shape[1]
         if n != dim:
             raise BasisError(f"a basis of H^{dim} needs {dim} vectors, got {n}")
-        gram = qmul(qconj(mat[:, None, :, :]), mat[None, :, :, :]).sum(axis=2)
+        gram = qmatmul(qconj(mat), mat.transpose(1, 0, 2))   # <e_a|e_b>
         target = np.zeros_like(gram)
         target[np.arange(n), np.arange(n), 0] = 1.0
         defect = np.max(np.abs(gram - target))
@@ -261,26 +261,27 @@ def gram_schmidt(vectors, label="orthonormalized") -> Basis:
     """Right-module Gram-Schmidt with coefficients applied on the right.
 
     Returns a basis of H^n, so it needs exactly n right-linearly independent
-    vectors: fewer raise BasisError.  Projections subtract e_k * <e_k|v>;
-    order matters because scalars do not commute.  Raises RankDeficient when
-    a pivot norm falls below 1e-10.
+    vectors: fewer raise BasisError.  Each vector is projected against all
+    finished ones at once, subtracting sum_k e_k <e_k|v> (order matters
+    because scalars do not commute), in two classical passes ("twice is
+    enough").  Raises RankDeficient when a pivot norm falls below 1e-10.
     """
     vecs = [v if isinstance(v, QVector) else QVector(v) for v in vectors]
     if not vecs:
         raise RankDeficient("no input vectors")
     dim = vecs[0].dim
-    done = []
-    for v in vecs:
+    done = np.empty((len(vecs), dim, 4))
+    for k, v in enumerate(vecs):
         if v.dim != dim:
             raise DimensionMismatch("mixed dimensions in Gram-Schmidt input")
-        u = v
-        for _ in range(2):  # one re-orthogonalization pass for stability
-            for e in done:
-                u = u - e * inner(e, u)
-        nrm = u.norm()
+        E, conj_E = done[:k], qconj(done[:k])
+        u = v.components
+        for _ in range(2):
+            u = u - qmatmul(E.transpose(1, 0, 2), qmatmul(conj_E, u))
+        nrm = np.sqrt(qnormsq(u).sum())
         if nrm < 1e-10:
             raise RankDeficient("right-linearly dependent input detected")
-        done.append(u / nrm)
+        done[k] = u / nrm
     return Basis(done, label=label)
 
 

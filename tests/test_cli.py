@@ -360,6 +360,17 @@ class TestBadInput:
             assert any(f"'{key}'" in err or f"error: {key} " in err for key in env)
 
 
+@pytest.mark.parametrize("command", ["verify", "sspectrum", "report"])
+def test_dim_zero_matrix_is_config_error(command, tmp_path, capsys):
+    # once a zero-size reduction traceback in verify, and accepted by sspectrum
+    m = tmp_path / "m.json"
+    m.write_text(json.dumps({"dim": 0, "entries": []}))
+    assert main([command, "--matrix", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {m}: dim must be at least 1, got 0\n"
+
+
 class TestErrorPrecedence:
     """The stages of a command share marches, but the first stage that fails
     still names the error."""

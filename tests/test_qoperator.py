@@ -7,6 +7,7 @@ from qdef import (I, J, K, LeftMul, Quaternion, QOperator, QVector, adjoint,
                   random_qvector, real_symmetric, resolvent_poly, scalar_op,
                   shift_left_scalar, symmetry_predicates)
 from qdef.errors import (DimensionMismatch, PreconditionFailed)
+from qdef.rmodule import left_scale, random_basis
 
 
 def rand_q(rng):
@@ -81,6 +82,27 @@ class TestAdjoint:
                 for m in range(n):
                     col = QVector.from_components(A.entries[:, m, :])
                     assert inner(v, col).norm() <= 1e-10
+
+
+class TestLeftScalar:
+    @pytest.mark.parametrize("dim", [2, 3, 7, 12, 24])
+    def test_basis_matrix_equals_left_scale(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        L = LeftMul(random_basis(rng, dim))
+        for _ in range(5):
+            q = rand_q(rng)
+            Lq = left_scalar(q, L=L)
+            for _ in range(3):
+                phi = random_qvector(rng, dim)
+                diff = Lq.apply(phi).components - left_scale(L, q, phi).components
+                assert np.max(np.abs(diff)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 4, 9])
+    def test_canonical_basis_is_diag_exactly(self, dim):
+        rng = np.random.default_rng(dim)
+        for q in (I, J, K, rand_q(rng), rand_q(rng)):
+            got = left_scalar(q, L=LeftMul.canonical(dim)).entries
+            assert got.tobytes() == left_scalar(q, dim).entries.tobytes()
 
 
 class TestSymmetryPredicates:
@@ -248,3 +270,8 @@ class TestJsonFormat:
     def test_bad_entry_count(self):
         with pytest.raises(ValueError):
             QOperator.from_dict({"dim": 2, "entries": ["1"]})
+
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_dim_below_one_rejected(self, dim):
+        with pytest.raises(ValueError, match="dim must be at least 1"):
+            QOperator.from_dict({"dim": dim, "entries": []})

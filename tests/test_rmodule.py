@@ -7,6 +7,7 @@ from qdef import (Basis, I, J, K, LeftMul, Quaternion, QVector, delta_map,
                   right_scale)
 from qdef.errors import (BasisError, DimensionMismatch, RankDeficient,
                          ZeroScalar)
+from qdef.quat import qconj, qmatmul
 
 
 def e(dim, k):
@@ -260,6 +261,92 @@ class TestGramSchmidt:
             gram_schmidt([e(3, 0), QVector([Quaternion(1), J, Quaternion(0)])])
 
 
+def gram_schmidt_loop(vectors):
+    """Oracle: the per-vector two-pass loop, one inner product at a time.
+
+    Returns the finished vectors as an (m, n, 4) array and raises what
+    ``gram_schmidt`` raises before the Basis check.
+    """
+    vecs = [v if isinstance(v, QVector) else QVector(v) for v in vectors]
+    if not vecs:
+        raise RankDeficient("no input vectors")
+    dim = vecs[0].dim
+    done = []
+    for v in vecs:
+        if v.dim != dim:
+            raise DimensionMismatch("mixed dimensions in Gram-Schmidt input")
+        u = v
+        for _ in range(2):
+            for e_k in done:
+                u = u - e_k * inner(e_k, u)
+        nrm = u.norm()
+        if nrm < 1e-10:
+            raise RankDeficient("right-linearly dependent input detected")
+        done.append(u / nrm)
+    return np.array([u.components for u in done])
+
+
+def gram_defect(mat):
+    gram = qmatmul(qconj(mat), mat.transpose(1, 0, 2))
+    gram[np.arange(len(mat)), np.arange(len(mat)), 0] -= 1.0
+    return float(np.max(np.abs(gram)))
+
+
+class TestBlockGramSchmidt:
+    """The block projection against the per-vector loop it replaced."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 24, 48])
+    def test_matches_loop_oracle(self, dim):
+        rng = np.random.default_rng(100 + dim)
+        for scale in (1.0, 1e3):
+            vecs = [random_qvector(rng, dim, scale) for _ in range(dim)]
+            B = gram_schmidt(vecs)
+            assert np.max(np.abs(B.matrix - gram_schmidt_loop(vecs))) <= 1e-12
+            assert gram_defect(B.matrix) <= 1e-13
+
+    @pytest.mark.parametrize("dim", [6, 12, 24])
+    def test_ill_conditioned_input_stays_orthonormal(self, dim):
+        # v_k = sum_j e_j c_jk with a real c of condition number 1e7: one
+        # classical pass leaves a Gram defect of 1e-5 to 5e-3 here, the
+        # second pass brings it back to rounding
+        rng = np.random.default_rng(200 + dim)
+        E = random_basis(rng, dim).matrix
+        q1 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        q2 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
+        c = np.zeros((dim, dim, 4))
+        c[..., 0] = q1 @ np.diag(np.logspace(0, -7, dim)) @ q2
+        V = qmatmul(E.transpose(1, 0, 2), c)
+        B = gram_schmidt([QVector.from_components(V[:, k]) for k in range(dim)])
+        assert gram_defect(B.matrix) <= 1e-13
+
+    def test_dependent_before_mismatched(self):
+        # the second vector is dependent and the third has another dimension:
+        # the dependence is met first
+        v = QVector([Quaternion(1), J, K])
+        vecs = [v, v * Quaternion(0.5, 1, 0, 2), QVector([Quaternion(1), I])]
+        for run in (gram_schmidt, gram_schmidt_loop):
+            with pytest.raises(RankDeficient):
+                run(vecs)
+
+    def test_mismatched_before_dependent(self):
+        v = QVector([Quaternion(1), J])
+        vecs = [v, QVector([Quaternion(1), I, K]), v * J]
+        for run in (gram_schmidt, gram_schmidt_loop):
+            with pytest.raises(DimensionMismatch):
+                run(vecs)
+
+    def test_surplus_vector_is_dependent(self):
+        rng = np.random.default_rng(16)
+        vecs = [random_qvector(rng, 3) for _ in range(4)]
+        for run in (gram_schmidt, gram_schmidt_loop):
+            with pytest.raises(RankDeficient):
+                run(vecs)
+
+    def test_empty_input(self):
+        with pytest.raises(RankDeficient):
+            gram_schmidt([])
+
+
 class TestLiteralLoading:
     def test_vector_from_literals(self):
         from qdef import vector_from_literals
@@ -291,6 +378,28 @@ class TestBasisValidation:
     def test_rejects_mixed_dimensions(self):
         with pytest.raises(DimensionMismatch, match=r"\[2, 3\]"):
             Basis([QVector([1, 0]), QVector([1, 0, 0])])
+
+    @pytest.mark.parametrize("family", ["canonical", "random"])
+    def test_perturbation_of_1e9_rejected_1e12_accepted(self, family):
+        # a 1e-9 change of one entry, or of one vector's length, is caught;
+        # a 1e-12 one is within ORTHO_ATOL
+        dim = 6
+        mat = (Basis.canonical(dim) if family == "canonical"
+               else random_basis(np.random.default_rng(17), dim)).matrix
+        a = 2
+        i = int(np.argmax(np.abs(mat[a]).sum(axis=1)))   # the largest entry of e_a
+        unit = mat[a, i] / np.linalg.norm(mat[a, i])
+        for eps, ok in ((1e-9, False), (1e-12, True)):
+            bumped = mat.copy()
+            bumped[a, i] += eps * unit
+            scaled = mat.copy()
+            scaled[a] *= 1.0 + eps
+            for candidate in (bumped, scaled):
+                if ok:
+                    assert Basis(candidate).dim == dim
+                else:
+                    with pytest.raises(BasisError):
+                        Basis(candidate)
 
     def test_literals_with_unequal_rows_rejected(self):
         from qdef import basis_from_literals
