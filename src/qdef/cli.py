@@ -79,7 +79,7 @@ def _load_operator(args):
             if "bandwidth" in obj:
                 return "banded", from_config(obj), {}
             op = QOperator.from_dict(obj)
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{args.matrix}: {exc}")
         return "matrix", op, {k: obj[k] for k in ("hermitian",) if k in obj}
     raise ConfigError("an operator is required: --preset NAME or --matrix PATH")

@@ -59,7 +59,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -68,8 +68,8 @@ from .errors import (DimensionMismatch, InternalInconsistency,
                      PreconditionFailed, SingularLeadingCoefficient,
                      StabilityViolation)
 from .qoperator import QOperator, shift_left_scalar
-from .quat import (UNITS, Quaternion, format_quaternion, parse_quaternion,
-                   qnormsq)
+from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
+                   parse_quaternion, qnormsq)
 from .rmodule import Basis, LeftMul, QVector, inner
 from .tolerances import DEFAULT
 
@@ -89,30 +89,6 @@ INCONCLUSIVE = "inconclusive"
 # ---------------------------------------------------------------------------
 # element arithmetic of the recurrence (hot path)
 # ---------------------------------------------------------------------------
-
-# Term m of component k of the Hamilton product a*b, at position 4m + k, is
-# _SIGN * a[_LEFT] * b[_RIGHT]; each component adds its four terms left to
-# right, in the order of the component formulas of ``quat.qmul``.
-_LEFT = np.repeat(np.arange(4), 4)
-_RIGHT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
-_SIGN = np.array([1, 1, 1, 1, -1, 1, -1, 1, -1, 1, 1, -1, -1, -1, 1, 1],
-                 dtype=float)
-
-
-def _signed(a):
-    """Signed left factors of Hamilton products: (..., 4) -> (..., 16)."""
-    return a[..., _LEFT] * _SIGN
-
-
-def _qmul(sa, b):
-    """Products a*b from sa = _signed(a), each component ((t0 +- t1) +- t2) +- t3.
-
-    Only elementwise operations, so every product rounds exactly as the
-    scalar component formulas do.
-    """
-    t = sa * b[..., _RIGHT]
-    return ((t[..., 0:4] + t[..., 4:8]) + t[..., 8:12]) + t[..., 12:16]
-
 
 def _normsq(a):
     """Squares summed left to right along the last axis: ((a0^2 + a1^2) +
@@ -310,17 +286,19 @@ def from_config(obj) -> BandedOperator:
     literals.
     """
     spec = obj["coeff"]
+    if not isinstance(spec, dict):
+        raise ValueError(f"coeff must be an object, got {type(spec).__name__}")
     if spec.get("type", "poly") != "poly":
         raise ValueError(f"unknown coefficient generator type {spec.get('type')!r}")
     offsets = {int(key[len("offset_"):]): [parse_quaternion(c) if isinstance(c, str)
                                            else c for c in val]
                for key, val in spec.items() if key.startswith("offset_")}
-    return BandedOperator(
-        obj["bandwidth"], offsets,
-        symmetric=bool(obj.get("symmetric", True)),
-        real_entries=bool(obj.get("real_entries", True)),
-        description=obj.get("description", "banded operator from config"),
-    )
+    flags = {key: obj.get(key, True) for key in ("symmetric", "real_entries")}
+    for key, value in flags.items():
+        if not isinstance(value, bool):
+            raise ValueError(f"{key} must be true or false, got {value!r}")
+    return BandedOperator(obj["bandwidth"], offsets, **flags, description=obj.get(
+        "description", "banded operator from config"))
 
 
 def number_operator() -> BandedOperator:
@@ -572,9 +550,6 @@ def _formal_batch(op: BandedOperator, shifts, N: int, on_slice=True):
     if N < 10 * w:
         raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
     tab = op.table(N)
-    singular = np.sqrt(_normsq(tab[:N - w + 1, 2 * w])) <= 1e-12
-    if singular.any():
-        raise SingularLeadingCoefficient(int(np.argmax(singular)))
     seeds = np.eye(w)                                  # slot s: c_s = 1
     if on_slice and not tab[..., 1:].any():
         problems = [_slice_of(q) for q in shifts]
@@ -670,50 +645,63 @@ def classify_l2(sol: FormalSolution, window: int = DEFAULT.window,
     return SummabilityVerdict(verdict, ratio, [float(x) for x in log_e])
 
 
-def _safeguard_job(op: BandedOperator, sol: FormalSolution, verdict):
-    """What the safeguards need of one classified solution, copied out of it.
-
-    A square-summable candidate is re-solved backward from its tail (seeds,
-    the tail's log factor and the head rows to compare), or "skipped" when a
-    rescale boundary lies inside the seed window; a divergent bandwidth-1
-    solution gets a minimal-solution probe at its shift; anything else None.
-    Each job keeps the solution's shift and slice axis.
-    """
-    w = op.bandwidth
-    if w == 0:
-        return None
-    if verdict.verdict == SQUARE_SUMMABLE:
-        N = sol.length - 1
-        tail_logs = sol.log_scale[N - 2 * w + 1:]
-        if np.max(tail_logs) - np.min(tail_logs) > 1e-9:
-            return "skipped"
-        upto = max(2 * w, min(N // 4, 200))
-        return ("backward", sol.q, sol.axis, sol.mantissas[N - 2 * w + 1:].copy(),
-                tail_logs[0], sol.mantissas[:upto].copy(),
-                sol.log_scale[:upto].copy())
-    if verdict.verdict == DIVERGENT and w == 1:
-        return ("probe", sol.q, sol.axis)
-    return None
+@dataclass
+class _Entry:
+    """One classified solution on its way through the safeguards; see _screen."""
+    seed_slot: int
+    verdict: SummabilityVerdict
+    backward_check: str
+    q: Quaternion
+    axis: np.ndarray | None
+    seeds: np.ndarray | None = None
+    tail_log: float = 0.0
+    head: FormalSolution | None = None
 
 
 def _screen(op: BandedOperator, sols, window: int, ratio_margin: float):
-    """(seed_slot, backward_check, classify_l2 verdict, safeguard job) per solution."""
-    screened = []
+    """An _Entry per solution: seed slot, classify_l2 verdict, backward_check
+    and its reverse-march job, copied out so the forward batch can be freed.
+
+    A square-summable candidate (bandwidth >= 1) is marched back from
+    ``seeds``, its last 2w rows, to be compared with ``head``, its first rows,
+    or reads "skipped" when a rescale boundary lies inside those 2w rows.  A
+    divergent bandwidth-1 solution gets a minimal-solution probe from seeds
+    c_{N-1} = 1, c_N = 0.  Other entries have no ``seeds``.
+    """
+    w = op.bandwidth
+    entries = []
     for sol in sols:
-        verdict = classify_l2(sol, window, ratio_margin)
-        screened.append((sol.seed_slot, sol.backward_check, verdict,
-                         _safeguard_job(op, sol, verdict)))
-    return screened
+        entry = _Entry(sol.seed_slot, classify_l2(sol, window, ratio_margin),
+                       sol.backward_check, sol.q, sol.axis)
+        N = sol.length - 1
+        if w and entry.verdict.verdict == SQUARE_SUMMABLE:
+            tail_logs = sol.log_scale[N - 2 * w + 1:]
+            # a forward march rescales its whole window at once, so the tail
+            # shares one log factor: this guard, like the one for a singular
+            # reverse lead in _safeguard, serves solutions that a caller of
+            # classify_solution builds
+            if np.max(tail_logs) - np.min(tail_logs) > 1e-9:
+                entry.backward_check = "skipped"
+            else:
+                upto = max(2 * w, min(N // 4, 200))
+                entry.seeds = sol.mantissas[N - 2 * w + 1:].copy()
+                entry.tail_log = tail_logs[0]
+                entry.head = replace(sol, mantissas=sol.mantissas[:upto].copy(),
+                                     log_scale=sol.log_scale[:upto].copy())
+        elif w == 1 and entry.verdict.verdict == DIVERGENT:
+            entry.seeds = np.zeros((2,) + sol.mantissas.shape[1:])
+            entry.seeds.flat[0] = 1.0
+        entries.append(entry)
+    return entries
 
 
-def _backward_status(job, C, logs) -> str:
+def _backward_status(entry: _Entry, C, logs) -> str:
     """Compare the forward head with the backward re-solve from its tail."""
-    _, q, axis, _, tail_log, head, head_logs = job
-    upto = len(head)
+    upto = entry.head.length
     try:
-        fwd = FormalSolution(head, head_logs, q, 0, axis=axis).values()
-        bwd = FormalSolution(C[:upto], logs[:upto] + tail_log, q, 0,
-                             axis=axis).values()
+        fwd = entry.head.values()
+        bwd = replace(entry.head, mantissas=C[:upto],
+                      log_scale=logs[:upto] + entry.tail_log).values()
     except OverflowError:
         return "discrepancy"
     scale = np.max(np.sqrt(qnormsq(fwd)))
@@ -723,7 +711,7 @@ def _backward_status(job, C, logs) -> str:
     return "ok" if disc <= BACKWARD_TOL else "discrepancy"
 
 
-def _probe_result(op: BandedOperator, q: Quaternion, axis, C, logs, window: int,
+def _probe_result(op: BandedOperator, entry: _Entry, C, logs, window: int,
                   ratio_margin: float):
     """Boundary-row relative residual and verdict of a minimal solution.
 
@@ -733,84 +721,73 @@ def _probe_result(op: BandedOperator, q: Quaternion, axis, C, logs, window: int,
     head, in Hamilton arithmetic.
     """
     ref = max(logs[0], logs[1])
-    head = _quaternions(C[:2], axis)
+    head = _quaternions(C[:2], entry.axis)
     c0 = head[0] * math.exp(logs[0] - ref)
     c1 = head[1] * math.exp(logs[1] - ref)
     row = op.table(1)[0]
     t0 = _qmul(_signed(row[1]), c0)
     t1 = _qmul(_signed(row[2]), c1)
-    rq = _qmul(_signed(q.to_array()), c0)
+    rq = _qmul(_signed(entry.q.to_array()), c0)
     resid = math.sqrt(_normsq((t0 + t1) - rq))
     denom = max(*(math.sqrt(_normsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
-    verdict = classify_l2(FormalSolution(C, logs, q, -1, "probe", axis),
+    verdict = classify_l2(FormalSolution(C, logs, entry.q, -1, axis=entry.axis),
                           window, ratio_margin)
     return resid / denom, verdict
 
 
-def _safeguard(op: BandedOperator, screened, N: int, window: int, ratio_margin: float):
-    """Final (verdict, backward_check) for every screened solution.
+def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: float):
+    """Settle the verdict and backward_check of every _Entry in place.
 
-    The backward re-solves and minimal-solution probes of all solutions run
-    as one reverse march in the arithmetic of their forward march (the
-    solutions of one batch share it), each distinct problem once; a
-    discrepancy, or a probe whose decaying solution satisfies the boundary
+    The backward re-solves and minimal-solution probes of all entries with
+    ``seeds`` run as one reverse march in the arithmetic of their forward
+    march (the solutions of one batch share it), each distinct problem once;
+    a discrepancy, or a probe whose decaying solution satisfies the boundary
     row, downgrades the verdict to ``inconclusive``.
     """
-    jobs = [job for shift in screened for _, _, _, job in shift
-            if isinstance(job, tuple)]
-    outcomes = []
-    if jobs:
-        tab = op.table(N)
-        if jobs[0][2] is None:
-            shifts = [job[1].to_array() for job in jobs]
-            probe_seeds = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0]])
+    marched = [entry for entry in entries if entry.seeds is not None]
+    if not marched:
+        return
+    tab = op.table(N)
+    if marched[0].axis is None:
+        shifts = [entry.q.to_array() for entry in marched]
+    else:
+        shifts = [_slice_of(entry.q)[0] for entry in marched]
+        tab = tab[..., 0]
+    try:
+        C, logs, rows = _march_distinct(tab, shifts, [e.seeds for e in marched], N,
+                                        reverse=True)
+    except SingularLeadingCoefficient:
+        # a symmetric band's reverse leads are conjugates of its forward
+        # leads, so only a non-symmetric band given to classify_solution
+        # gets here
+        for entry in marched:
+            if entry.verdict.verdict == SQUARE_SUMMABLE:
+                entry.backward_check = "skipped"
+        return
+    for entry, b in zip(marched, rows):
+        if entry.verdict.verdict == SQUARE_SUMMABLE:
+            entry.backward_check = _backward_status(entry, C[b], logs[b])
+            downgrade = entry.backward_check == "discrepancy"
         else:
-            shifts = [_slice_of(job[1])[0] for job in jobs]
-            probe_seeds = np.array([1.0, 0.0])
-            tab = tab[..., 0]
-        seeds = [job[3] if job[0] == "backward" else probe_seeds for job in jobs]
-        try:
-            C, logs, rows = _march_distinct(tab, shifts, seeds, N, reverse=True)
-        except SingularLeadingCoefficient:
-            outcomes = ["skipped" if job[0] == "backward" else None for job in jobs]
-        else:
-            outcomes = [_backward_status(job, C[b], logs[b]) if job[0] == "backward"
-                        else _probe_result(op, job[1], job[2], C[b], logs[b], window,
-                                           ratio_margin)
-                        for b, job in zip(rows, jobs)]
-            del C, logs
-    outcomes = iter(outcomes)
-    results = []
-    for shift in screened:
-        row = []
-        for _, status, verdict, job in shift:
-            outcome = next(outcomes) if isinstance(job, tuple) else job
-            if verdict.verdict == SQUARE_SUMMABLE and outcome is not None:
-                status = outcome
-                if status == "discrepancy":
-                    verdict = SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
-                                                 verdict.block_log_energies)
-            elif verdict.verdict == DIVERGENT and outcome is not None:
-                boundary_resid, minimal_verdict = outcome
-                if boundary_resid <= BOUNDARY_TOL and \
-                        minimal_verdict.verdict == SQUARE_SUMMABLE:
-                    # the decaying branch satisfies the boundary row: the
-                    # forward march likely drifted off it
-                    verdict = SummabilityVerdict(INCONCLUSIVE, verdict.ratio,
-                                                 verdict.block_log_energies)
-            row.append((verdict, status))
-        results.append(row)
-    return results
+            boundary_resid, minimal = _probe_result(op, entry, C[b], logs[b], window,
+                                                    ratio_margin)
+            # the decaying branch satisfies the boundary row: the forward
+            # march likely drifted off it
+            downgrade = boundary_resid <= BOUNDARY_TOL and \
+                minimal.verdict == SQUARE_SUMMABLE
+        if downgrade:
+            entry.verdict = SummabilityVerdict(INCONCLUSIVE, entry.verdict.ratio,
+                                               entry.verdict.block_log_energies)
 
 
 def classify_solution(op: BandedOperator, sol: FormalSolution,
                       window: int = DEFAULT.window,
                       ratio_margin: float = DEFAULT.ratio) -> SummabilityVerdict:
     """classify_l2 plus the bidirectional safeguards of the module docstring."""
-    [[(verdict, sol.backward_check)]] = _safeguard(
-        op, [_screen(op, [sol], window, ratio_margin)], sol.length - 1, window,
-        ratio_margin)
-    return verdict
+    [entry] = _screen(op, [sol], window, ratio_margin)
+    _safeguard(op, [entry], sol.length - 1, window, ratio_margin)
+    sol.backward_check = entry.backward_check
+    return entry.verdict
 
 
 # ---------------------------------------------------------------------------
@@ -835,18 +812,7 @@ class DeficiencyReport:
         return (self.n_plus, self.n_minus)
 
     def to_dict(self):
-        return {
-            "n_plus": self.n_plus,
-            "n_minus": self.n_minus,
-            "unit": self.unit,
-            "status": self.status,
-            "self_adjoint": self.self_adjoint,
-            "hypotheses_met": self.hypotheses_met,
-            "evidence": self.evidence,
-            "stability": self.stability,
-            "infinity_suspected": self.infinity_suspected,
-            "params": self.params,
-        }
+        return asdict(self)
 
     def to_json(self):
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -878,27 +844,19 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: flo
                         log_scale=sol.log_scale.copy()) for sol in batch[k]]
             for k in keep if 0 <= k < len(batch)}
     del batch
+    _safeguard(op, [entry for entries in screened for entry in entries], N, window,
+               ratio_margin)
     counts = []
-    for k, (q, shift, results) in enumerate(zip(
-            shifts, screened, _safeguard(op, screened, N, window, ratio_margin))):
-        rows = []
-        count = 0
-        inconclusive = False
-        for (slot, _, _, _), (v, status) in zip(shift, results):
-            rows.append({
-                "q": format_quaternion(q),
-                "seed_slot": slot,
-                "verdict": v.verdict,
-                "ratio": None if math.isnan(v.ratio) else v.ratio,
-                "backward_check": status,
-            })
-            if v.verdict == SQUARE_SUMMABLE:
-                count += 1
-            elif v.verdict == INCONCLUSIVE:
-                inconclusive = True
+    for k, (q, entries) in enumerate(zip(shifts, screened)):
+        rows = [{"q": format_quaternion(q), "seed_slot": e.seed_slot,
+                 "verdict": e.verdict.verdict,
+                 "ratio": None if math.isnan(e.verdict.ratio) else e.verdict.ratio,
+                 "backward_check": e.backward_check} for e in entries]
+        verdicts = [row["verdict"] for row in rows]
         l2 = None if k not in kept else [
-            sol for sol, (v, _) in zip(kept[k], results) if v.verdict == SQUARE_SUMMABLE]
-        counts.append((count, rows, inconclusive, l2))
+            sol for sol, v in zip(kept[k], verdicts) if v == SQUARE_SUMMABLE]
+        counts.append((verdicts.count(SQUARE_SUMMABLE), rows,
+                       INCONCLUSIVE in verdicts, l2))
     return counts
 
 

@@ -14,7 +14,7 @@ diag(q), but a rotated basis gives a genuinely different matrix.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -144,6 +144,8 @@ class QOperator:
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
         lits = obj["entries"]
+        if not isinstance(lits, list):
+            raise ValueError(f"entries must be a list, got {type(lits).__name__}")
         if len(lits) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
         arr = np.empty((dim, dim, 4))
@@ -308,17 +310,7 @@ class CriteriaReport:
     general_ranges_full: bool | None = None
 
     def to_dict(self):
-        return {
-            "self_adjoint": self.self_adjoint,
-            "kernels_trivial": self.kernels_trivial,
-            "ranges_full": self.ranges_full,
-            "max_defect": self.max_defect,
-            "agree": self.agree,
-            "hypotheses_met": self.hypotheses_met,
-            "general_q": self.general_q,
-            "general_kernels_trivial": self.general_kernels_trivial,
-            "general_ranges_full": self.general_ranges_full,
-        }
+        return asdict(self)
 
 
 def criteria_report(A: QOperator, L: LeftMul | None = None,

@@ -4,9 +4,10 @@ A quaternion q = q0 + q1*i + q2*j + q3*k is stored as four double-precision
 components.  The imaginary units obey i^2 = j^2 = k^2 = -1 and
 ij = k = -ji, jk = i = -kj, ki = j = -ik.
 
-Multiplication is implemented by the component formulas; the 2x2 complex
-embedding is kept as an independent oracle and is never used as the
-implementation of the product.
+Multiplication is implemented by the component formulas: ``Quaternion``
+writes them out, and the array product ``qmul`` is a signed term table that
+adds the same terms in the same order, bit for bit the scalar product.  The
+2x2 complex embedding is an independent oracle, never the implementation.
 
 The module also provides vectorized helpers (``qmul``, ``qconj``, ...) acting
 on numpy arrays whose trailing axis holds the four components.  Higher-level
@@ -27,18 +28,31 @@ ATOL = 1e-12  # default tolerance for quaternion equality
 # vectorized component-array algebra
 # ---------------------------------------------------------------------------
 
+# Term m of component k of the Hamilton product a*b, at position 4m + k, is
+# _SIGN * a[_LEFT] * b[_RIGHT]; each component adds its four terms left to
+# right, in the order of the component formulas of ``Quaternion.__mul__``.
+_LEFT = np.repeat(np.arange(4), 4)
+_RIGHT = np.array([0, 1, 2, 3, 1, 0, 3, 2, 2, 3, 0, 1, 3, 2, 1, 0])
+_SIGN = np.array([1, 1, 1, 1, -1, 1, -1, 1, -1, 1, 1, -1, -1, -1, 1, 1], dtype=float)
+
+
+def _signed(a):
+    """Signed left factors of Hamilton products: (..., 4) -> (..., 16)."""
+    return a[..., _LEFT] * _SIGN
+
+
+def _qmul(sa, b):
+    """Products a*b from sa = _signed(a), each component ((t0 +- t1) +- t2) +- t3:
+    elementwise operations only, so each rounds as the scalar formulas do."""
+    t = sa * b[..., _RIGHT]
+    return ((t[..., 0:4] + t[..., 4:8]) + t[..., 8:12]) + t[..., 12:16]
+
+
 def qmul(a, b):
-    """Hamilton product of component arrays, broadcasting over leading axes."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    out = np.empty(np.broadcast(a0, b0).shape + (4,), dtype=float)
-    out[..., 0] = a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3
-    out[..., 1] = a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2
-    out[..., 2] = a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1
-    out[..., 3] = a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0
-    return out
+    """Hamilton product of component arrays, broadcasting over leading axes;
+    C-contiguous for any input layout, so that later sums add in one order."""
+    return np.ascontiguousarray(_qmul(_signed(np.asarray(a, dtype=float)),
+                                      np.asarray(b, dtype=float)))
 
 
 def qconj(a):

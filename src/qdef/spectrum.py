@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -147,13 +147,7 @@ class RealityVerdict:
     max_im_mag: float
 
     def to_dict(self):
-        return {
-            "self_adjoint": self.self_adjoint,
-            "all_real": self.all_real,
-            "hypotheses_met": self.hypotheses_met,
-            "equivalent": self.equivalent,
-            "max_im_mag": self.max_im_mag,
-        }
+        return asdict(self)
 
 
 def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,

@@ -371,6 +371,36 @@ def test_dim_zero_matrix_is_config_error(command, tmp_path, capsys):
     assert captured.err == f"config error: {m}: dim must be at least 1, got 0\n"
 
 
+_JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
+
+
+@pytest.mark.parametrize("command,text,message", [
+    # once an AttributeError traceback
+    ("deficiency", '{"bandwidth": 1, "coeff": [1, 2]}', "coeff must be an object, got list"),
+    # once "property failure: OverflowError"
+    ("deficiency", '{"bandwidth": 1e400, %s}' % _JACOBI,
+     "cannot convert float infinity to integer"),
+    ("verify", '{"dim": 1e400, "entries": []}', "cannot convert float infinity to integer"),
+    # once read one character per entry
+    ("verify", '{"dim": 2, "entries": "1234"}', "entries must be a list, got str"),
+    # once read as true
+    ("deficiency", '{"bandwidth": 1, "real_entries": "no", %s}' % _JACOBI,
+     "real_entries must be true or false, got 'no'"),
+    ("deficiency", '{"bandwidth": 1, "symmetric": "false", %s}' % _JACOBI,
+     "symmetric must be true or false, got 'false'"),
+], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
+        "real_entries-string", "symmetric-string"])
+def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
+                                                 capsys):
+    m = tmp_path / "m.json"
+    m.write_text(text)
+    assert main([command, "--matrix", str(m), "--N", "200", "--window", "20",
+                 "--count", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {m}: {message}\n"
+
+
 class TestErrorPrecedence:
     """The stages of a command share marches, but the first stage that fails
     still names the error."""

@@ -189,6 +189,47 @@ class TestClassify:
             classify_l2(synthetic_solution(np.ones(100)), window=100)
 
 
+class TestSafeguardOutcomes:
+    """Each way the safeguards can settle a verdict, reached on purpose."""
+
+    def test_backward_discrepancy_downgrades(self, monkeypatch):
+        monkeypatch.setattr(qdef.deficiency, "BACKWARD_TOL", -1.0)
+        op = jacobi_sq()
+        sol = formal_solutions(op, I, 2000)[0]
+        assert classify_solution(op, sol).verdict == "inconclusive"
+        assert sol.backward_check == "discrepancy"
+        rep = deficiency_indices(op, "i")
+        assert rep.status == "inconclusive" and rep.indices == (0, 0)
+        assert not rep.self_adjoint
+        assert [(row["verdict"], row["backward_check"]) for row in rep.evidence] == \
+            [("inconclusive", "discrepancy")] * 2
+
+    def test_probe_on_the_boundary_downgrades(self, monkeypatch):
+        monkeypatch.setattr(qdef.deficiency, "BOUNDARY_TOL", math.inf)
+        op = free_jacobi()
+        sol = formal_solutions(op, I, 2000)[0]
+        assert classify_solution(op, sol).verdict == "inconclusive"
+        assert sol.backward_check == "not_run"
+
+    def test_singular_reverse_lead_skips_the_backward_check(self):
+        # forward leads (n+1)^2 never vanish, the reverse lead n - 3 does at
+        # row 3; a symmetric band cannot do this
+        op = BandedOperator(1, {-1: [-3.0, 1.0], 0: [0.0], 1: [1.0, 2.0, 1.0]},
+                            symmetric=False)
+        sol = formal_solutions(op, I, 2000)[0]
+        assert classify_solution(op, sol).verdict == "square_summable"
+        assert sol.backward_check == "skipped"
+
+    def test_rescale_inside_the_seed_window_skips_the_backward_check(self):
+        # the same coefficient c_N, written with a log factor one larger
+        op = jacobi_sq()
+        sol = formal_solutions(op, I, 2000)[0]
+        sol.log_scale[-1] += 1.0
+        sol.mantissas[-1] /= math.e
+        assert classify_solution(op, sol).verdict == "square_summable"
+        assert sol.backward_check == "skipped"
+
+
 class TestDeficiencyIndices:
     def test_preset_indices(self):
         assert deficiency_indices(number_operator(), "i").indices == (0, 0)

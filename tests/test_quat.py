@@ -175,3 +175,11 @@ class TestArrayHelpers:
         a = rng.standard_normal((5, 1, 4))
         b = rng.standard_normal((1, 7, 4))
         assert qmul(a, b).shape == (5, 7, 4)
+        # transposed factors still give a C-contiguous product of the same
+        # bits, so sums over it add in the same order
+        c = rng.standard_normal((7, 5, 4))
+        for x, y in ((a, c.transpose(1, 0, 2)), (c.transpose(1, 0, 2), b)):
+            prod = qmul(x, y)
+            assert prod.flags.c_contiguous
+            assert np.array_equal(prod, qmul(x, np.ascontiguousarray(y)))
+            assert np.array_equal(prod, qmul(np.ascontiguousarray(x), y))

@@ -1,0 +1,91 @@
+"""Print one digest of stdout, stderr and exit code per benchmark call.
+
+Runs every call that ``perfbench/workloads.generate`` makes for the banded
+and scan workloads at seeds 1, 7 and 42 and for the dense workload at seed 1,
+in this process, against the qdef sources of this checkout, and prints one
+line per call:
+
+    workload seed label sha256(exit, stdout, stderr)
+
+A CLI call is run through ``qdef.cli.run``; a scan call through
+``index_stability_scan``, with its result as JSON on stdout, exit 0, or the
+exception's last line on stderr and exit null.  Inputs are written under
+``.perfbench_work/digests/`` (git-ignored) and that path reads as
+``<workdir>`` in every digest, so two checkouts compare line for line:
+
+    python tools/output_digests.py > change.txt
+
+No options; the workloads module is only imported, never changed.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import traceback
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKDIR = os.path.join(ROOT, ".perfbench_work", "digests")
+RUNS = [("banded", 1), ("banded", 7), ("banded", 42),
+        ("scan", 1), ("scan", 7), ("scan", 42), ("dense", 1)]
+
+sys.path.insert(0, os.path.join(ROOT, "src"))
+import qdef.cli  # noqa: E402
+import qdef.deficiency  # noqa: E402
+import qdef.quat  # noqa: E402
+
+
+def _workloads():
+    path = os.path.join(ROOT, "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _last_line(exc) -> str:
+    return "".join(traceback.format_exception_only(type(exc), exc))
+
+
+def _cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code, _ = qdef.cli.run(list(argv))
+        except Exception as exc:    # an escaped exception is an output too
+            code = None
+            sys.stderr.write(_last_line(exc))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _scan(spec):
+    try:
+        with open(spec["operator"]) as fh:
+            op = qdef.deficiency.from_config(json.load(fh))
+        result = qdef.deficiency.index_stability_scan(
+            op, qdef.quat.parse_quaternion(spec["center"]), count=spec["count"],
+            N=spec["N"], seed=spec["seed"])
+    except Exception as exc:
+        return None, "", _last_line(exc)
+    return 0, json.dumps(result, sort_keys=True), ""
+
+
+def main():
+    workloads = _workloads()
+    for name, seed in RUNS:
+        workdir = os.path.join(WORKDIR, f"{name}-{seed}")
+        for call in workloads.generate(name, seed, workdir):
+            code, out, err = _scan(call.scan) if call.kind == "scan" else _cli(call.argv)
+            blob = json.dumps([code] + [s.replace(WORKDIR, "<workdir>") for s in (out, err)])
+            digest = hashlib.sha256(blob.encode()).hexdigest()
+            print(name, seed, call.label, digest, flush=True)
+
+
+if __name__ == "__main__":
+    main()
