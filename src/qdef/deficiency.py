@@ -67,7 +67,7 @@ from . import embed
 from .errors import (DimensionMismatch, InternalInconsistency,
                      PreconditionFailed, SingularLeadingCoefficient,
                      StabilityViolation)
-from .qoperator import QOperator, shift_left_scalar
+from .qoperator import QOperator, _integer, shift_left_scalar
 from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
                    parse_quaternion, qnormsq)
 from .rmodule import Basis, LeftMul, QVector, inner
@@ -146,7 +146,7 @@ class BandedOperator:
 
     def __init__(self, bandwidth, polys, symmetric=True, real_entries=True,
                  description=""):
-        self.bandwidth = int(bandwidth)
+        self.bandwidth = _integer("bandwidth", bandwidth)
         self.symmetric = bool(symmetric)
         self.real_entries = bool(real_entries)
         self.description = description

@@ -20,6 +20,8 @@ from .errors import InternalInconsistency, NoConvergence
 from .rmodule import QVector
 from .tolerances import DEFAULT
 
+_PAIRING_TOL = 1e-8   # relative gap allowed between J-paired singular values
+
 
 def _entries(A):
     """Accept a QOperator-like object ((.entries)) or a raw (n, m, 4) array."""
@@ -135,13 +137,28 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
 
 
 def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
-    """Rank over the quaternions: complex rank of the embedding, halved."""
+    """Rank over the quaternions: complex rank of the embedding, halved.
+
+    Only singular values are computed, cut at ``rank_tol`` times the larger
+    of the largest one and ``scale``, as in ``kernel_q``.  They also witness
+    the J-structure that ``kernel_q`` checks by pairing null vectors: chi(A)
+    and chi(A)* = chi(A*) commute with the antiunitary J, so each eigenspace
+    of chi(A)* chi(A) is J-invariant; as J^2 = -1, v and Jv are orthogonal
+    and such a space has even dimension.  Every singular value therefore has
+    even multiplicity.  Sorted singular values that do not pair up to
+    _PAIRING_TOL times the cut's reference raise InternalInconsistency, as
+    does an odd complex rank.
+    """
     M = chi(A)
     if min(M.shape) == 0:
         return 0
     s = np.linalg.svd(M, compute_uv=False)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > rank_tol * max(smax, scale or 0.0)))
+    ref = max(s[0], scale or 0.0)
+    pairing = float(np.max(np.abs(s[0::2] - s[1::2])))
+    if pairing > _PAIRING_TOL * ref:
+        raise InternalInconsistency(
+            f"singular values of the embedding do not pair up (defect {pairing:.3g})")
+    rank = int(np.sum(s > rank_tol * ref))
     if rank % 2 != 0:
         raise InternalInconsistency("complex rank of the embedding is odd")
     return rank // 2

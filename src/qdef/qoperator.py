@@ -14,14 +14,16 @@ diag(q), but a rotated basis gives a genuinely different matrix.
 from __future__ import annotations
 
 import json
+import math
+import re
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
-from .quat import (Quaternion, format_quaternion, parse_quaternion, qconj,
-                   qmatmul, qmul, qnormsq)
+from .quat import (_NUM, Quaternion, format_quaternion, parse_quaternion,
+                   qconj, qmatmul, qmul, qnormsq)
 from .rmodule import LeftMul, QVector
 from .tolerances import DEFAULT
 
@@ -140,7 +142,7 @@ class QOperator:
 
     @classmethod
     def from_dict(cls, obj) -> QOperator:
-        dim = int(obj["dim"])
+        dim = _integer("dim", obj["dim"])
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
         lits = obj["entries"]
@@ -156,8 +158,26 @@ class QOperator:
         return cls.from_entries(arr)
 
 
+# the canonical four-term literal +a-bi+cj-dk, every sign written, no spaces
+_CANONICAL = re.compile("([+-]{0})([+-]{0})i([+-]{0})j([+-]{0})k".format(_NUM))
+
+
+def _integer(key, value) -> int:
+    """An integer field of an operator file.  int() would truncate a fractional
+    number and read a boolean as 0 or 1; both are a ValueError naming ``key``."""
+    if isinstance(value, bool) or (isinstance(value, float) and math.isfinite(value)
+                                   and not value.is_integer()):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _literal_components(lit):
     if isinstance(lit, str):
+        m = _CANONICAL.fullmatch(lit)
+        if m:
+            # parse_quaternion adds each term to a 0.0 slot, so -0.0 reads +0.0
+            a, b, c, d = m.groups()
+            return float(a) + 0.0, float(b) + 0.0, float(c) + 0.0, float(d) + 0.0
         q = parse_quaternion(lit)
         return q.q0, q.q1, q.q2, q.q3
     return float(lit), 0.0, 0.0, 0.0

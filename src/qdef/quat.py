@@ -312,11 +312,8 @@ def from_embed2x2(m) -> Quaternion:
 # textual literals
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(
-    r"\s*([+-]?)\s*"
-    r"((?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)?"
-    r"\s*([ijk])?"
-)
+_NUM = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_TERM = re.compile(r"\s*([+-]?)\s*(" + _NUM + r")?\s*([ijk])?")
 _SLOT = {"i": 1, "j": 2, "k": 3}
 
 

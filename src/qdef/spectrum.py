@@ -10,7 +10,8 @@ parts).
 Spheres are extracted from the eigenvalues of the complex embedding, which
 come in conjugate pairs: each pair (lambda, conj(lambda)) folds onto the
 sphere (Re lambda, |Im lambda|).  The extraction is verified, not assumed:
-every sphere representative is checked to produce a nontrivial R_q kernel.
+every sphere representative is checked to produce a nontrivial R_q kernel
+no larger than the sphere's folded multiplicity.
 """
 
 from __future__ import annotations
@@ -105,33 +106,62 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     """Eigensphere list of ``A`` with kernel verification.
 
     Folds the embedding eigenvalues into spheres and, for each sphere
-    representative q = re + i*im_mag, confirms that R_q(A) has a nontrivial
-    kernel.  In finite dimension the report also states that the residual and
-    continuous parts are empty.  ``lam`` is ``embed.eigenvalues_c(A)``, if the
-    caller already holds it; ``rank_tol`` is the kernels' singular-value cut.
+    representative q = re + i*im_mag of folded multiplicity m, compares the
+    quaternionic dimension qdim of the kernel of R_q(A) with m; in finite
+    dimension the report also states that the residual and continuous parts
+    are empty.  chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for
+    lambda = re + i*im_mag, an eigenvalue of algebraic multiplicity m (2m
+    when im_mag = 0, where the two factors agree).  Its complex nullity is
+    the sum of the geometric multiplicities of lambda and conj(lambda), or
+    the dimension of the kernel of (chi(A) - lambda)^2; either way it lies
+    between 2 and 2m, so 1 <= qdim <= m for every matrix, with qdim = m when
+    chi(A) is diagonalizable (every normal A).  qdim is read from the
+    singular values of chi(R_q(A)) alone (``embed.rank_q``), one
+    decomposition per sphere of a matrix other than the one whose
+    eigenvalues were folded.  Its rank cut is rank_tol * scale, where scale
+    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.  R_q(A) is quadratic in A, so
+    the cut cannot separate the sphere from an eigenvalue mu of another
+    sphere with |mu - lambda| |mu - conj(lambda)| below it (for a normal A
+    these products are the singular values): two real points 1e-5 apart are
+    distinct spheres, but one kernel at this cut.  Such points of other
+    spheres are added to m before the comparison.  A qdim outside the bounds
+    raises InternalInconsistency.  ``lam`` is
+    ``embed.eigenvalues_c(A)``, if the caller already holds it; ``rank_tol``
+    is the rank's singular-value cut.
     """
     if lam is None:
         lam = embed.eigenvalues_c(A)
     points = _fold_conjugate_pairs(lam, real_tol, fold_tol)
-    spheres = []
-    for re, im in points:
+    spheres, starts = [], []       # a sphere's points are points[start:start + m]
+    for at, (re, im) in enumerate(points):
         if spheres and abs(spheres[-1].re - re) <= fold_tol \
                 and abs(spheres[-1].im_mag - im) <= fold_tol:
             spheres[-1].multiplicity += 1
         else:
             spheres.append(EigenSphere(re, im, 1))
+            starts.append(at)
     if verify_kernels:
         # R_q can be near zero while A is O(1); floor the rank threshold by
         # the natural scale of the polynomial's assembly.
         norm_a = embed.operator_norm(A)
         AA = A @ A
-        for s in spheres:
+        mu = np.array([complex(re, im) for re, im in points])
+        for s, at in zip(spheres, starts):
             q = s.representative()
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            kb = embed.kernel_q(resolvent_poly(A, q, AA=AA), rank_tol, scale=scale)
-            if kb.qdim < 1:
+            qdim = A.dim - embed.rank_q(resolvent_poly(A, q, AA=AA), rank_tol, scale=scale)
+            if qdim < 1:
                 raise InternalInconsistency(
-                    f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel")
+                    f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
+                    f"(dimension {qdim}, multiplicity {s.multiplicity})")
+            # points of other spheres where |R_q| falls below the rank cut
+            lam_s = complex(s.re, s.im_mag)
+            unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= rank_tol * scale
+            unresolved[at:at + s.multiplicity] = False
+            if qdim > s.multiplicity + int(np.sum(unresolved)):
+                raise InternalInconsistency(
+                    f"folded sphere ({s.re}, {s.im_mag}) has an R_q kernel of "
+                    f"dimension {qdim}, above its multiplicity {s.multiplicity}")
     all_real = max((s.im_mag for s in spheres), default=0.0) <= REAL_SPECTRUM_TOL
     note = ("finite dimension: point spectrum equals the whole spherical "
             "spectrum; residual and continuous parts are empty")

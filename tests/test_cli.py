@@ -388,8 +388,16 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
      "real_entries must be true or false, got 'no'"),
     ("deficiency", '{"bandwidth": 1, "symmetric": "false", %s}' % _JACOBI,
      "symmetric must be true or false, got 'false'"),
+    ("verify", '{"dim": 2, "entries": ["1", "0", "0", "1"], "hermitian": "no"}',
+     "hermitian must be true or false, got 'no'"),
+    # once truncated to the operator of dim 2, bandwidth 1 and dim 1
+    ("verify", '{"dim": 2.7, "entries": ["1", "0", "0", "1"]}',
+     "dim must be an integer, got 2.7"),
+    ("deficiency", '{"bandwidth": 1.9, %s}' % _JACOBI, "bandwidth must be an integer, got 1.9"),
+    ("verify", '{"dim": true, "entries": ["1"]}', "dim must be an integer, got True"),
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
-        "real_entries-string", "symmetric-string"])
+        "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
+        "bandwidth-fraction", "dim-bool"])
 def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
                                                  capsys):
     m = tmp_path / "m.json"
@@ -399,6 +407,23 @@ def test_malformed_operator_file_is_config_error(command, text, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {m}: {message}\n"
+
+
+@pytest.mark.parametrize("command,key,obj", [
+    ("verify", "dim", {"dim": 2, "entries": ["1", "0", "0", "1"]}),
+    ("deficiency", "bandwidth", {"bandwidth": 1, "coeff": {
+        "offset_-1": [1], "offset_0": [0], "offset_1": [1]}}),
+])
+def test_integral_float_fields_are_integers(command, key, obj, tmp_path, capsys):
+    m = tmp_path / "m.json"
+    outputs = []
+    for value in (obj[key], float(obj[key])):
+        m.write_text(json.dumps({**obj, key: value}))
+        code = main([command, "--matrix", str(m), "--N", "200", "--window", "20",
+                     "--count", "1"])
+        outputs.append((code, capsys.readouterr()))
+    assert outputs[0][0] in (0, 1)
+    assert outputs[0] == outputs[1]
 
 
 class TestErrorPrecedence:

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import qdef.embed
+
 from qdef import (I, J, Quaternion, QOperator, chi, conjugation_defect,
                   eigenvalues_c, embed2x2, inner, kernel_q, left_scalar,
                   qmatmul, random_operator, random_qvector, rank_q,
                   real_symmetric, resolvent_poly, structure_map, unvec, vec)
+from qdef.errors import InternalInconsistency
 
 
 class TestChi:
@@ -151,6 +154,18 @@ class TestRank:
             if seed % 2:
                 A.entries[:, 0] = A.entries[:, 3]
             assert rank_q(A) + kernel_q(A).qdim == 4
+
+    def test_singular_values_pair(self):
+        # chi(B) commutes with the structure map J, J^2 = -1, so its sorted
+        # singular values come in equal pairs
+        for seed in range(5):
+            s = np.linalg.svd(chi(random_operator(4, seed=seed)), compute_uv=False)
+            assert np.max(np.abs(s[0::2] - s[1::2])) <= 1e-12 * s[0]
+
+    def test_unpaired_singular_values_raise(self, monkeypatch):
+        monkeypatch.setattr(qdef.embed, "chi", lambda A: np.diag([1.0, 2.0]).astype(complex))
+        with pytest.raises(InternalInconsistency, match="do not pair up"):
+            rank_q(QOperator.identity(1))
 
 
 class TestEigenvalues:

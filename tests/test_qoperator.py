@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
 
+import qdef.qoperator
+
 from qdef import (I, J, K, LeftMul, Quaternion, QOperator, QVector, adjoint,
                   criteria_report, hermitian_random, inner, kernel_q,
                   left_scalar, norm_identity_check, random_operator,
                   random_qvector, real_symmetric, resolvent_poly, scalar_op,
                   shift_left_scalar, symmetry_predicates)
 from qdef.errors import (DimensionMismatch, PreconditionFailed)
+from qdef.quat import parse_quaternion
 from qdef.rmodule import left_scale, random_basis
 
 
@@ -270,6 +273,57 @@ class TestJsonFormat:
     def test_bad_entry_count(self):
         with pytest.raises(ValueError):
             QOperator.from_dict({"dim": 2, "entries": ["1"]})
+
+    @staticmethod
+    def parsed(lit):
+        """The entry ``lit`` reads as in a 1x1 matrix file, or its error."""
+        try:
+            return QOperator.from_dict({"dim": 1, "entries": [lit]}).entries.tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def general(lit):
+        try:
+            return np.array(parse_quaternion(lit).to_array()).tobytes()
+        except ValueError as exc:
+            return str(exc)
+
+    @staticmethod
+    def reaching_general_parser(monkeypatch):
+        """The literals the matrix loader hands to parse_quaternion, in order."""
+        seen = []
+        monkeypatch.setattr(qdef.qoperator, "parse_quaternion",
+                            lambda lit: seen.append(lit) or parse_quaternion(lit))
+        return seen
+
+    def test_canonical_literals_bit_equal_general_parser(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        values = list(rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200))
+        values += [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e+300, -1e+300]
+        seen = self.reaching_general_parser(monkeypatch)
+        lits = ["".join(("-" if np.signbit(x) else "+") + repr(abs(float(x))) + unit
+                        for x, unit in zip(values[at:at + 4], ("", "i", "j", "k")))
+                for at in range(0, len(values), 4)]
+        lits += ["+1E5+.5i-7.j+0k", "+1-2i+3j-4k", "-0.0-0.0i-0.0j-0.0k"]
+        for lit in lits:
+            assert self.parsed(lit) == self.general(lit), lit
+        assert seen == []
+        # a -0.0 term reads as +0.0: the general parser adds it to a 0.0 slot
+        assert self.parsed("-0.0-0.0i-0.0j-0.0k") == np.zeros(4).tobytes()
+
+    @pytest.mark.parametrize("lit", [
+        "1E5+2i+3j+4k",            # no leading sign
+        "+1.2.3+0i+0j+0k",         # not a number
+        "+1+2j+3i+4k",             # terms out of order
+        "+1+2i3j+4k",              # a missing sign
+        " +1+2i+3j+4k",            # a space
+        "+1-2i",                   # fewer terms
+    ])
+    def test_other_literals_reach_general_parser(self, lit, monkeypatch):
+        seen = self.reaching_general_parser(monkeypatch)
+        assert self.parsed(lit) == self.general(lit)
+        assert seen == [lit]
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dim_below_one_rejected(self, dim):

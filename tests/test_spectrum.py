@@ -233,17 +233,34 @@ class TestVerifyMatrixReuse:
             golden = MATRICES / f"{command}_matrix_{matrix}.json"
             assert parts[command] == json.loads(golden.read_text())
 
+    @pytest.mark.parametrize("matrix,calls", [("real_symmetric", 1), ("general", 2)])
+    def test_kernel_of_a_self_adjoint_matrix_is_shared(self, matrix, calls, monkeypatch):
+        # rank_nullity reads the kernel of A, the range check that of A*; a
+        # matrix equal to its adjoint decomposes once for both
+        A = QOperator.from_json((MATRICES / f"matrix_{matrix}.json").read_text())
+        real_kernel_q = qdef.embed.kernel_q
+        seen = []
+
+        def kernel_q(B, *args, **kwargs):
+            seen.append(B.entries)
+            return real_kernel_q(B, *args, **kwargs)
+
+        monkeypatch.setattr(qdef.embed, "kernel_q", kernel_q)
+        verify_matrix(A, 0, DEFAULT)
+        assert sum(np.array_equal(e, A.entries) or np.array_equal(e, A.adjoint().entries)
+                   for e in seen) == calls
+
     def test_report_sphere_failure_is_one_line(self, monkeypatch, capsys):
         # the sspectrum part recomputes an unverified sphere list and fails
         # as the sspectrum command does: one line, no report
-        real_kernel_q = qdef.embed.kernel_q
+        real_rank_q = qdef.embed.rank_q
 
-        def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
-                return qdef.embed.KernelBasis([], 0)
-            return real_kernel_q(A, rank_tol)
+                return A.dim
+            return real_rank_q(A, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "kernel_q", kernel_q)
+        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
         assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
                      "--dim", "4", "--trials", "2"]) == 1
         out = capsys.readouterr()
@@ -253,14 +270,14 @@ class TestVerifyMatrixReuse:
 
     @pytest.mark.parametrize("matrix", ["real_symmetric", "general"])
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
-        real_kernel_q = qdef.embed.kernel_q
+        real_rank_q = qdef.embed.rank_q
 
-        def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
-                return qdef.embed.KernelBasis([], 0)
-            return real_kernel_q(A, rank_tol)
+                return A.dim
+            return real_rank_q(A, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "kernel_q", kernel_q)
+        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
         assert main(["verify", "--matrix", str(MATRICES / f"matrix_{matrix}.json")]) == 1
         out = capsys.readouterr()
         assert out.err == ""
@@ -269,6 +286,79 @@ class TestVerifyMatrixReuse:
         assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
         assert "trivial R_q kernel" in failed[0]["detail"]
         assert report["summary"]["spheres"]
+
+
+def _block_diag(*ops):
+    n = sum(op.dim for op in ops)
+    arr = np.zeros((n, n, 4))
+    at = 0
+    for op in ops:
+        arr[at:at + op.dim, at:at + op.dim] = op.entries
+        at += op.dim
+    return QOperator.from_entries(arr)
+
+
+class TestSphereMultiplicity:
+    """The R_q kernel of each folded sphere is compared with the sphere's
+    multiplicity m: 1 <= qdim <= m for every matrix, qdim = m for normal ones."""
+
+    @staticmethod
+    def sphere_qdims(monkeypatch, fake_rank=None):
+        """The kernel dimensions the sphere verification reads, in sphere
+        order (its rank_q calls are the ones with a scale); ``fake_rank``
+        replaces their rank."""
+        real_rank_q = qdef.embed.rank_q
+        qdims = []
+
+        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+            if scale is None:
+                return real_rank_q(A, rank_tol)
+            rank = real_rank_q(A, rank_tol, scale) if fake_rank is None else fake_rank(A)
+            qdims.append(A.dim - rank)
+            return rank
+        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
+        return qdims
+
+    @pytest.mark.parametrize("A", [
+        _block_diag(hermitian_random(3, seed=30), hermitian_random(3, seed=30)),
+        _block_diag(real_symmetric(2, seed=31), real_symmetric(2, seed=31),
+                    real_symmetric(2, seed=31)),
+        QOperator.identity(3) * 2.0,
+        left_scalar(I, 3),
+    ], ids=["hermitian-twice", "real-symmetric-thrice", "scalar", "left-unit"])
+    def test_normal_kernel_equals_multiplicity(self, A, monkeypatch):
+        qdims = self.sphere_qdims(monkeypatch)
+        rep = point_sspectrum(A)
+        assert max(s.multiplicity for s in rep.spheres) >= 2
+        assert qdims == [s.multiplicity for s in rep.spheres]
+
+    @pytest.mark.parametrize("gap,qdims", [(1e-3, [1, 1, 1]), (1e-5, [2, 2, 1]),
+                                           (1e-7, [2, 2, 1])])
+    def test_spheres_the_rank_cut_cannot_separate(self, gap, qdims, monkeypatch):
+        # 1 and 1 + gap are two spheres (fold_tol is 1e-8), but |R_q| at the
+        # other one is gap^2, for gap 1e-5 below the cut 1e-10 (||A|| + |q|)^2
+        seen = self.sphere_qdims(monkeypatch)
+        rep = point_sspectrum(QOperator.from_real(np.diag([1.0, 1.0 + gap, 3.0])))
+        assert [s.multiplicity for s in rep.spheres] == [1, 1, 1]
+        assert seen == qdims
+
+    def test_kernel_above_multiplicity_fails(self, monkeypatch, capsys):
+        # every sphere of this matrix is simple; a kernel of dimension 2 is a
+        # wrong multiplicity, not a confirmation
+        qdims = self.sphere_qdims(monkeypatch, lambda R: R.dim - 2)
+        path = str(MATRICES / "matrix_real_symmetric.json")
+        assert main(["sspectrum", "--matrix", path]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("property failure: folded sphere")
+        assert out.err.endswith("has an R_q kernel of dimension 2, above its "
+                                "multiplicity 1\n")
+        assert qdims == [2]
+        assert main(["verify", "--matrix", path]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
+        assert "above its multiplicity 1" in failed[0]["detail"]
 
 
 def _scaled(result):
