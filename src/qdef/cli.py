@@ -79,13 +79,11 @@ def _load_operator(args):
             if "bandwidth" in obj:
                 return "banded", from_config(obj), {}
             op = QOperator.from_dict(obj)
-            declared = {k: obj[k] for k in ("hermitian",) if k in obj}
-            for key, value in declared.items():
-                if not isinstance(value, bool):
-                    raise ValueError(f"{key} must be true or false, got {value!r}")
+            if not isinstance(obj.get("hermitian", False), bool):
+                raise ValueError(f"hermitian must be true or false, got {obj['hermitian']!r}")
         except (KeyError, ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{args.matrix}: {exc}")
-        return "matrix", op, declared
+        return "matrix", op, {k: obj[k] for k in ("hermitian",) if k in obj}
     raise ConfigError("an operator is required: --preset NAME or --matrix PATH")
 
 

@@ -67,11 +67,11 @@ from . import embed
 from .errors import (DimensionMismatch, InternalInconsistency,
                      PreconditionFailed, SingularLeadingCoefficient,
                      StabilityViolation)
-from .qoperator import QOperator, _integer, shift_left_scalar
+from .qoperator import QOperator, shift_left_scalar
 from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
                    parse_quaternion, qnormsq)
 from .rmodule import Basis, LeftMul, QVector, inner
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _number
 
 RESCALE_HI = 1e120
 RESCALE_LO = 1e-120
@@ -146,7 +146,7 @@ class BandedOperator:
 
     def __init__(self, bandwidth, polys, symmetric=True, real_entries=True,
                  description=""):
-        self.bandwidth = _integer("bandwidth", bandwidth)
+        self.bandwidth = int(bandwidth)
         self.symmetric = bool(symmetric)
         self.real_entries = bool(real_entries)
         self.description = description
@@ -297,7 +297,8 @@ def from_config(obj) -> BandedOperator:
     for key, value in flags.items():
         if not isinstance(value, bool):
             raise ValueError(f"{key} must be true or false, got {value!r}")
-    return BandedOperator(obj["bandwidth"], offsets, **flags, description=obj.get(
+    bandwidth = _number("bandwidth", obj["bandwidth"], True, ValueError)
+    return BandedOperator(bandwidth, offsets, **flags, description=obj.get(
         "description", "banded operator from config"))
 
 

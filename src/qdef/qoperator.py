@@ -14,7 +14,6 @@ diag(q), but a rotated basis gives a genuinely different matrix.
 from __future__ import annotations
 
 import json
-import math
 import re
 from dataclasses import asdict, dataclass, field
 
@@ -25,7 +24,7 @@ from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .quat import (_NUM, Quaternion, format_quaternion, parse_quaternion,
                    qconj, qmatmul, qmul, qnormsq)
 from .rmodule import LeftMul, QVector
-from .tolerances import DEFAULT
+from .tolerances import DEFAULT, _number
 
 SYM_ATOL = 1e-10  # entrywise tolerance for symmetry predicates
 
@@ -142,7 +141,7 @@ class QOperator:
 
     @classmethod
     def from_dict(cls, obj) -> QOperator:
-        dim = _integer("dim", obj["dim"])
+        dim = _number("dim", obj["dim"], True, ValueError)
         if dim < 1:
             raise ValueError(f"dim must be at least 1, got {dim}")
         lits = obj["entries"]
@@ -160,15 +159,6 @@ class QOperator:
 
 # the canonical four-term literal +a-bi+cj-dk, every sign written, no spaces
 _CANONICAL = re.compile("([+-]{0})([+-]{0})i([+-]{0})j([+-]{0})k".format(_NUM))
-
-
-def _integer(key, value) -> int:
-    """An integer field of an operator file.  int() would truncate a fractional
-    number and read a boolean as 0 or 1; both are a ValueError naming ``key``."""
-    if isinstance(value, bool) or (isinstance(value, float) and math.isfinite(value)
-                                   and not value.is_integer()):
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _literal_components(lit):

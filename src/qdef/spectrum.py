@@ -10,8 +10,9 @@ parts).
 Spheres are extracted from the eigenvalues of the complex embedding, which
 come in conjugate pairs: each pair (lambda, conj(lambda)) folds onto the
 sphere (Re lambda, |Im lambda|).  The extraction is verified, not assumed:
-every sphere representative is checked to produce a nontrivial R_q kernel
-no larger than the sphere's folded multiplicity.
+every sphere representative is checked to produce a nontrivial R_q kernel,
+for a matrix equal to plus or minus its adjoint one no larger than the
+sphere's folded multiplicity.
 """
 
 from __future__ import annotations
@@ -33,6 +34,9 @@ from .tolerances import DEFAULT
 REAL_TOL = 1e-9    # |Im lambda| below this is treated as a real point
 FOLD_TOL = 1e-8    # conjugate pairing / sphere clustering tolerance
 REAL_SPECTRUM_TOL = 1e-8   # "all spheres real" verdict tolerance
+# per dimension, relative to scale: the rounding of a normal matrix's
+# eigenvalue products and of R_q's singular values (a few dim * eps each)
+_ROUNDING = 64 * np.finfo(float).eps
 
 
 @dataclass
@@ -114,20 +118,25 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     when im_mag = 0, where the two factors agree).  Its complex nullity is
     the sum of the geometric multiplicities of lambda and conj(lambda), or
     the dimension of the kernel of (chi(A) - lambda)^2; either way it lies
-    between 2 and 2m, so 1 <= qdim <= m for every matrix, with qdim = m when
-    chi(A) is diagonalizable (every normal A).  qdim is read from the
-    singular values of chi(R_q(A)) alone (``embed.rank_q``), one
+    between 2 and 2m, so 1 <= qdim <= m in exact arithmetic.  qdim is read
+    from the singular values of chi(R_q(A)) alone (``embed.rank_q``), one
     decomposition per sphere of a matrix other than the one whose
     eigenvalues were folded.  Its rank cut is rank_tol * scale, where scale
-    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.  R_q(A) is quadratic in A, so
-    the cut cannot separate the sphere from an eigenvalue mu of another
-    sphere with |mu - lambda| |mu - conj(lambda)| below it (for a normal A
-    these products are the singular values): two real points 1e-5 apart are
-    distinct spheres, but one kernel at this cut.  Such points of other
-    spheres are added to m before the comparison.  A qdim outside the bounds
-    raises InternalInconsistency.  ``lam`` is
-    ``embed.eigenvalues_c(A)``, if the caller already holds it; ``rank_tol``
-    is the rank's singular-value cut.
+    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.
+
+    qdim >= 1 is required of every matrix.  The cut can also count singular
+    values that belong to eigenvalues mu of other spheres, and how far they
+    fall below the products |mu - lambda| |mu - conj(lambda)| depends on
+    how far A is from normal: for blockdiag([[0, 1], [0.01, 0]], [[0, 1],
+    [0.010003, 0]]) at q = 0.1 the product is 2.25e-10 and the singular
+    value 4.5e-11, and a real 3x3 matrix whose A A* - A* A has entries of
+    6.4e-11 still gives a simple sphere qdim 2.  So qdim <= m is required
+    only where A equals A* or -A* as numbers: then R_q(A) is normal, its
+    singular values are the products up to rounding, and the points of
+    other spheres whose product lies within twice the cut (plus rounding)
+    are added to m before the comparison.  A qdim outside the bounds raises
+    InternalInconsistency.  ``lam`` is ``embed.eigenvalues_c(A)``, if the
+    caller already holds it; ``rank_tol`` is the rank's singular-value cut.
     """
     if lam is None:
         lam = embed.eigenvalues_c(A)
@@ -146,6 +155,8 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
         norm_a = embed.operator_norm(A)
         AA = A @ A
         mu = np.array([complex(re, im) for re, im in points])
+        adj = A.adjoint().entries
+        normal = np.array_equal(adj, A.entries) or np.array_equal(adj, -A.entries)
         for s, at in zip(spheres, starts):
             q = s.representative()
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
@@ -154,9 +165,12 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
                     f"(dimension {qdim}, multiplicity {s.multiplicity})")
-            # points of other spheres where |R_q| falls below the rank cut
+            if not normal:
+                continue
+            # points of other spheres where |R_q| may fall below the rank cut
             lam_s = complex(s.re, s.im_mag)
-            unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= rank_tol * scale
+            reach = (2.0 * rank_tol + _ROUNDING * A.dim) * scale
+            unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= reach
             unresolved[at:at + s.multiplicity] = False
             if qdim > s.multiplicity + int(np.sum(unresolved)):
                 raise InternalInconsistency(

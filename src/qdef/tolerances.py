@@ -46,7 +46,8 @@ class Tolerances:
             for key, val in overrides.items():
                 if key not in values:
                     raise ConfigError(f"unknown tolerance override {key!r}")
-                values[key] = _number(key, val, isinstance(values[key], int))
+                values[key] = _number(f"tolerance override {key!r}", val,
+                                      isinstance(values[key], int))
         for key, flag in (("N", N), ("window", window)):
             if flag is not None:
                 values[key] = flag
@@ -63,20 +64,21 @@ class Tolerances:
         return cls(**values)
 
 
-def _number(key, val, integral):
-    """One override value as a finite float, or as an int when ``integral``."""
+def _number(name, val, integral, error=ConfigError):
+    """A value read from outside input as a finite float, or as an int when
+    ``integral`` (a boolean is neither); otherwise ``error`` naming ``name``."""
     try:
         num = float(val)
     except (TypeError, ValueError, OverflowError):
         num = None
     if num is None or isinstance(val, bool):
-        raise ConfigError(f"tolerance override {key!r} is not a number: {val!r}")
+        raise error(f"{name} is not a number: {val!r}")
     if not math.isfinite(num):
-        raise ConfigError(f"tolerance override {key!r} is not finite: {val!r}")
+        raise error(f"{name} is not finite: {val!r}")
     if not integral:
         return num
     if not num.is_integer():
-        raise ConfigError(f"tolerance override {key!r} is not an integer: {val!r}")
+        raise error(f"{name} is not an integer: {val!r}")
     return int(val) if isinstance(val, int) else int(num)
 
 

@@ -17,7 +17,7 @@ from qdef import (I, J, Quaternion, QOperator, gram_schmidt,
                   real_symmetric, resolvent_bound_check,
                   resolvent_inverse_norm, resolvent_poly, selfadjoint_iff_real)
 from qdef.cli import main
-from qdef.errors import PreconditionFailed
+from qdef.errors import InternalInconsistency, PreconditionFailed
 from qdef.tolerances import DEFAULT
 from qdef.verify import verify_matrix
 
@@ -287,6 +287,26 @@ class TestVerifyMatrixReuse:
         assert "trivial R_q kernel" in failed[0]["detail"]
         assert report["summary"]["spheres"]
 
+    def test_rank_failure_keeps_report(self, monkeypatch, capsys):
+        # singular values that do not pair fail the rank_nullity row; the
+        # other rows are still written
+        real_rank_q = qdef.embed.rank_q
+
+        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+            if scale is None:            # the rank_nullity row passes none
+                raise InternalInconsistency("singular values do not pair up")
+            return real_rank_q(A, rank_tol, scale)
+
+        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
+        assert main(["verify", "--matrix", str(MATRICES / "matrix_general.json")]) == 1
+        out = capsys.readouterr()
+        assert out.err == ""
+        report = json.loads(out.out)
+        failed = [c for c in report["checks"] if not c["passed"]]
+        assert [c["name"] for c in failed] == ["rank_nullity"]
+        assert failed[0]["detail"] == "singular values do not pair up"
+        assert "range_perp_equals_adjoint_kernel" in [c["name"] for c in report["checks"]]
+
 
 def _block_diag(*ops):
     n = sum(op.dim for op in ops)
@@ -359,6 +379,36 @@ class TestSphereMultiplicity:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
         assert "above its multiplicity 1" in failed[0]["detail"]
+
+    @pytest.mark.parametrize("M", [
+        # at q = 0.1 the point 0.100015 has product 2.25e-10 and singular
+        # value 4.5e-11, below the cut 1.21e-10
+        [[0, 1, 0, 0], [0.01, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0.010003, 0]],
+        # A A* - A* A has entries of at most 6.4e-11
+        [[0.1, 0, 0], [0, 0.1 + 1.05e-5, 0.8e-5], [0, 0, 0.1 + 1.2e-5]],
+    ], ids=["non-normal", "nearly-normal"])
+    def test_rank_cut_below_products_is_no_failure(self, M, monkeypatch, tmp_path, capsys):
+        # every sphere is simple, but the cut counts a second singular value
+        # at one of them: qdim 2 is compared with the multiplicity only where
+        # A = +-A*, and otherwise only qdim >= 1 is required
+        qdims = self.sphere_qdims(monkeypatch)
+        A = QOperator.from_real(np.array(M, dtype=float))
+        rep = point_sspectrum(A)
+        assert [s.multiplicity for s in rep.spheres] == [1] * A.dim
+        assert max(qdims) == 2 and min(qdims) >= 1
+        path = tmp_path / "m.json"
+        path.write_text(A.to_json())
+        assert main(["sspectrum", "--matrix", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--matrix", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert all(c["passed"] for c in report["checks"])
+
+    def test_skew_adjoint_kernel_above_multiplicity_fails(self, monkeypatch):
+        # A = -A* is normal: its spheres get the upper bound too
+        self.sphere_qdims(monkeypatch, lambda R: R.dim - 2)
+        with pytest.raises(InternalInconsistency, match="above its multiplicity 1"):
+            point_sspectrum(left_scalar(I, 2) @ QOperator.from_real(np.diag([1.0, 2.0])))
 
 
 def _scaled(result):
