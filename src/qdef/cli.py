@@ -350,8 +350,12 @@ def run(argv=None):
         sys.stderr.write(f"property failure: {type(exc).__name__}: {exc}\n")
         return 1, None
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            sys.stderr.write(f"config error: cannot write {args.out}: {exc}\n")
+            return 2, None
     else:
         sys.stdout.write(text)
     return code, report

@@ -47,7 +47,15 @@ march in Hamilton arithmetic, and so does the verify suite's unit check at
 
 Growth handling: the march rescales each solution's active window whenever
 its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
-per index, so exponentially growing or decaying solutions never overflow.  For square-
+per index, so exponentially growing or decaying solutions never overflow.
+The largest |c| of a window is the norm of its components, or where their
+squares overflow or underflow, the norm of the components divided by their
+largest magnitude.  Rows are marched in blocks and judged after the block:
+a quick test on the block's new entries, then on each failing row's window,
+sends only doubtful rows to the exact test, in row order.  A row's window
+holds what it and the rows before it wrote, so every test reads what a
+row-by-row march reads; the rows after the first that rescales are marched
+again from the rescaled window, and no bit changes.  For square-
 summable candidates a backward re-solve from the computed tail cross-checks
 the forward pass, and for bandwidth-1 operators a minimal-solution probe
 (backward march from a zero tail seed) guards against the forward recurrence
@@ -75,6 +83,7 @@ from .tolerances import DEFAULT, _number
 
 RESCALE_HI = 1e120
 RESCALE_LO = 1e-120
+_BLOCK_LONG = 64             # rows of a march block at most (_march)
 DIAG_MATCH_TOL = 1e-12       # exact-hit tolerance for diagonal operators
 RESIDUAL_TOL = 1e-10         # relative recurrence residual bound
 BACKWARD_TOL = 1e-6          # forward/backward discrepancy for downgrades
@@ -98,6 +107,19 @@ def _normsq(a):
     out = s[..., 0]
     for k in range(1, s.shape[-1]):
         out = out + s[..., k]
+    return out
+
+
+def _norms(a):
+    """|a| along the last axis.  Where its squares overflow to inf, or
+    underflow to 0 with a component nonzero, it is taken from ``a`` divided
+    by its largest component magnitude."""
+    out = np.sqrt(_normsq(a))
+    odd = (out == 0.0) | np.isinf(out)
+    if odd.any():
+        big = np.abs(a).max(axis=-1)
+        odd &= (0.0 < big) & (big < np.inf)
+        out[odd] = big[odd] * np.sqrt(_normsq(a[odd] / big[odd, None]))
     return out
 
 
@@ -391,9 +413,19 @@ def _march(table, shifts, N, seeds, reverse=False):
     c_0..c_{w-1} and rows 0..N-w produce c_w..c_N.  Reverse: ``seeds``
     (B, 2w) fills c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  Each
     solution rescales its active window on its own whenever its magnitudes
-    leave [RESCALE_LO, RESCALE_HI].  Returns mantissas (B, N+1, 4), or
-    (B, N+1) complex, and log scales (B, N+1); every solution is bit for
-    bit what it would be if marched alone.
+    leave [RESCALE_LO, RESCALE_HI] (``_settle``).  Returns mantissas
+    (B, N+1, 4), or (B, N+1) complex, and log scales (B, N+1); every
+    solution is bit for bit what it would be if marched alone.
+
+    Rows are marched in blocks with no rescale test, and each block is then
+    judged by ``_settle``; the rows after the first that rescales are
+    marched again from the rescaled window.  A block ends at the row where
+    the first solution is due to rescale again, by the gap between its last
+    two rescales; once past it, blocks double from one row.  No block is
+    longer than _BLOCK_LONG rows.  So an operator that rescales every few
+    rows marches few rows twice, and one that seldom does marches long
+    blocks.  The mantissas are held entry-major, so that a row reads its
+    entries as whole rows of the array.
     """
     w = (table.shape[1] - 1) // 2
     tab = table[:N + 1]
@@ -402,16 +434,16 @@ def _march(table, shifts, N, seeds, reverse=False):
     else:
         prep, mul, shifts = np.asarray, np.multiply, np.asarray(shifts, dtype=complex)
     B = len(shifts)
-    C = np.zeros((B, N + 1) + tab.shape[2:], dtype=shifts.dtype)
-    comps = C.view(float).reshape(B, N + 1, -1)     # float view: (re, im) or 4
+    C = np.zeros((N + 1,) + shifts.shape, dtype=shifts.dtype)
+    comps = C.view(float).reshape(N + 1, B, -1)     # float view: (re, im) or 4
     logs = np.zeros((B, N + 1))
     scale = np.zeros(B)
     if reverse:
         rows, off = range(N - w, w - 1, -1), -w
-        C[:, N - 2 * w + 1:] = seeds
+        C[N - 2 * w + 1:] = np.swapaxes(seeds, 0, 1)
     else:
         rows, off = range(N - w + 1), w
-        C[:, :w] = seeds
+        C[:w] = np.swapaxes(seeds, 0, 1)
     lead = tab[:, off + w].reshape(N + 1, -1)
     singular = np.sqrt(_normsq(lead[np.array(rows)])) <= 1e-12
     if singular.any():
@@ -425,50 +457,123 @@ def _march(table, shifts, N, seeds, reverse=False):
                   tab[:, d + w].reshape(N + 1, -1).any(axis=1).tolist())
                  for d in range(-w, w + 1) if d != off and tab[:, d + w].any()]
         sq = prep(shifts)
-        for n in rows:
-            acc = mul(sq, C[:, n])
-            for d, coef, nonzero in terms:
-                m = n + d
-                if 0 <= m <= N and nonzero[n]:
-                    acc -= mul(coef[n], C[:, m])
-            out = n + off
-            C[:, out] = mul(inv[n], acc)
-            logs[:, out] = scale
-            if reverse:
-                lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
-            else:
-                lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
-            # A window needs no rescale when its largest |c| lies in
-            # [RESCALE_LO, RESCALE_HI] in every solution.  After the first row
-            # every entry but the new one had |c| <= RESCALE_HI when the
-            # previous row was judged, so a new entry inside that range
-            # clears the window; else the whole window is read.  NaN fails
-            # both quick tests and is judged by the exact test below
-            if (n != rows[0] and _in_range(C[:, out:out + 1])) or _in_range(C[:, lo:hi]):
-                continue
-            mags = np.sqrt(_normsq(comps[:, lo:hi]))
-            top = mags[:, 0]
-            for k in range(1, hi - lo):   # first maximum, as Python's max
-                top = np.where(mags[:, k] > top, mags[:, k], top)
-            hit = (top > RESCALE_HI) | ((0.0 < top) & (top < RESCALE_LO))
-            for b in np.flatnonzero(hit):
-                K = math.log(top[b])
-                comps[b, lo:hi] *= math.exp(-K)
-                logs[b, lo:hi] += K
-                scale[b] += K
-    return C, logs
+        # where each solution last rescaled, the gap before that, and the
+        # row where the first of them is due again
+        start, last, gap, due = 0, [0] * B, [math.inf] * B, math.inf
+        while start < len(rows):
+            size = min(_BLOCK_LONG, due - start if due > start else start - due + 1)
+            block = rows[start:start + size]
+            for n in block:
+                acc = mul(sq, C[n])
+                for d, coef, nonzero in terms:
+                    m = n + d
+                    if 0 <= m <= N and nonzero[n]:
+                        acc -= mul(coef[n], C[m])
+                C[n + off] = mul(inv[n], acc)
+            lo, hi = sorted((block[0] + off, block[-1] + off))
+            logs[:, lo:hi + 1] = scale[:, None]
+            kept, hit = _settle(C, comps, logs, scale, block, w, start == 0)
+            start += kept
+            if hit is not None:
+                for b, rescaled in enumerate(hit):
+                    if rescaled:
+                        gap[b], last[b] = start - last[b], start
+                due = min(l + g for l, g in zip(last, gap))
+    return np.swapaxes(C, 0, 1), logs
 
 
-def _in_range(c) -> bool:
-    """Quick test that the largest magnitude in ``c`` (B, ...) of every
-    solution lies in [RESCALE_LO, RESCALE_HI]: complex |c| (to one rounding),
-    or the largest component magnitude m, with |c| in [m, 2m], is compared
-    with [2 RESCALE_LO, RESCALE_HI / 4]."""
-    mags = np.abs(c).reshape(len(c), -1)
-    if mags.shape[1] > 1:
-        mags = np.maximum.reduce(mags, axis=1)
-    top = mags.ravel().tolist()
+def _settle(C, comps, logs, scale, block, w, first):
+    """Judge the rows of ``block``, marched with no rescale test, as a
+    row-by-row march judges each.  Returns how many of them stand (all, or
+    those up to the first that rescales) and which solutions that row
+    rescaled (None if no row did).
+
+    Row n's window holds the 2w entries the next row reads: c_{n+1-w}..c_{n+w}
+    forward, clipped at c_0, and c_{n-w}..c_{n+w-1} reverse.  A window needs
+    no rescale when its largest |c| lies in [RESCALE_LO, RESCALE_HI] in every
+    solution.  After the first row every entry but the new one had
+    |c| <= RESCALE_HI when the previous row was judged, so a new entry
+    inside that range clears the window; else the whole window is read.
+    The first row of a march is judged by its window alone.  A row that
+    passes neither quick test (``_in_range``) takes the exact test of
+    ``_rescale``.
+
+    The block is judged at once where it can be: a block whose new entries
+    all lie inside the range, none NaN, passes.  Otherwise each row takes
+    the quick tests in row order, on the largest magnitudes of its new
+    entry and, as a sliding maximum over the block, of its window.  A row's
+    window holds what it and the rows before it wrote, and no row after the
+    first that rescales is kept, so every test reads what the row-by-row
+    march reads, and no bit changes.
+    """
+    L = len(block)
+    reverse = block.step < 0
+    # largest magnitudes of the entries of every window, in index order: the
+    # window of the row with the k-th new entry is entries k..k+2w-1
+    first_entry = min(block[0], block[-1]) + (-w if reverse else 1 - w)
+    tops = np.abs(C[max(0, first_entry):first_entry + L + 2 * w - 1])
+    if tops.ndim == 3:
+        tops = tops.max(axis=2)                   # largest component magnitude
+    if first_entry < 0:                           # clipped at c_0: repeat it
+        tops = np.concatenate([tops[:1]] * -first_entry + [tops])
+    new = tops[:L] if reverse else tops[2 * w - 1:]
+    # NaN propagates through both reductions and fails both comparisons
+    if (not first and np.minimum.reduce(new, None) >= 2.0 * RESCALE_LO
+            and np.maximum.reduce(new, None) <= 0.25 * RESCALE_HI):
+        return L, None
+    win = tops[:L]
+    for k in range(1, 2 * w):
+        win = np.maximum(win, tops[k:k + L])
+    news, wins = new.tolist(), win.tolist()
+    for row in range(L):
+        k = L - 1 - row if reverse else row
+        if (row or not first) and _in_range(news[k]) or _in_range(wins[k]):
+            continue
+        hit = _rescale(comps, logs, scale, max(0, first_entry + k), first_entry + k + 2 * w)
+        if hit is not None:
+            return row + 1, hit
+    return L, None
+
+
+def _in_range(top) -> bool:
+    """Quick test that the largest magnitudes ``top`` of every solution, a
+    list, lie in [RESCALE_LO, RESCALE_HI]: complex |c| (to one rounding), or
+    the largest component magnitude m, with |c| in [m, 2m], is compared with
+    [2 RESCALE_LO, RESCALE_HI / 4].  Python's min and max pass over a NaN
+    after the first solution's, and a NaN there fails."""
     return min(top) >= 2.0 * RESCALE_LO and max(top) <= 0.25 * RESCALE_HI
+
+
+def _rescale(comps, logs, scale, lo, hi):
+    """The exact test of entries lo..hi-1: each solution whose largest |c|
+    there (the first maximum, as Python's max) lies outside [RESCALE_LO,
+    RESCALE_HI] is divided by it, and its log factor grows by its log.
+    Returns which solutions were rescaled, a list of bools, or None if none
+    was."""
+    top = _first_max(np.sqrt(_normsq(comps[lo:hi]))).tolist()
+    if not any(t > RESCALE_HI or t < RESCALE_LO for t in top):
+        return None
+    if any(t == 0.0 or t == math.inf for t in top):
+        # a norm whose squares overflow reads inf, one whose squares
+        # underflow reads 0: only a top of inf or 0 can be wrong
+        top = _first_max(_norms(comps[lo:hi])).tolist()
+    # the others get K = 0 and the factor exp(-0) = 1, which change no bit
+    K = [math.log(t) if t > RESCALE_HI or 0.0 < t < RESCALE_LO else 0.0 for t in top]
+    if not any(K):
+        return None
+    comps[lo:hi] *= np.array([math.exp(-k) for k in K])[:, None]
+    logs[:, lo:hi] += np.array(K)[:, None]
+    scale += K
+    return [k != 0.0 for k in K]
+
+
+def _first_max(mags):
+    """Per solution (column of ``mags``), its first largest entry, as
+    Python's max finds it: a NaN is passed over after the first entry."""
+    top = mags[0]
+    for m in mags[1:]:
+        top = np.where(m > top, m, top)
+    return top
 
 
 def _march_distinct(table, shifts, seeds, N, reverse=False):

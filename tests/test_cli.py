@@ -53,6 +53,16 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["sspectrum", "--matrix", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
+    def test_unwritable_out(self, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["deficiency", "--preset", "free_jacobi", "--N", "200",
+                     "--window", "20", "--count", "0", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: cannot write {out}: ")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestDeterminism:
     def test_verify_byte_identical(self, tmp_path):
@@ -98,6 +108,19 @@ class TestCommands:
         assert out["deficiency"]["n_plus"] == 1
         assert out["deficiency"]["n_minus"] == 1
         assert out["deficiency"]["stability"]["constant_dim"] == 1
+
+    def test_huge_diagonal_self_adjoint(self, tmp_path, capsys):
+        # diag 1e40 with unit off-diagonals is bounded and self-adjoint: a
+        # solution passes |c| = 1e154, where the squares of its norm overflow
+        p = tmp_path / "band.json"
+        p.write_text(json.dumps({"bandwidth": 1, "coeff": {
+            "type": "poly", "offset_-1": [1.0], "offset_0": [1e40], "offset_1": [1.0]}}))
+        code = main(["deficiency", "--matrix", str(p), "--N", "400", "--window", "40",
+                     "--count", "2", "--q=0.1+0.5i"])
+        out = json.loads(capsys.readouterr().out)["deficiency"]
+        assert code == 0
+        assert (out["n_plus"], out["n_minus"], out["status"]) == (0, 0, "ok")
+        assert out["self_adjoint"] and out["stability"]["constant_dim"] == 0
 
     def test_deficiency_on_matrix_rejected(self, tmp_path):
         m = write_matrix(tmp_path / "h.json")

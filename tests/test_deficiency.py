@@ -14,9 +14,11 @@ from qdef import (Basis, I, J, Quaternion, QOperator, BandedOperator,
                   real_symmetric, recurrence_residual, truncated_kernel,
                   von_neumann_evidence)
 from qdef.cli import main
-from qdef.deficiency import FormalSolution, _formal_batch, _march, _normsq
+from qdef.deficiency import (RESCALE_HI, RESCALE_LO, FormalSolution, _formal_batch,
+                             _inv, _march, _normsq)
 from qdef.embed import vec
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
+from qdef.quat import _qmul, _signed
 
 DATA = Path(__file__).parent / "data"
 
@@ -394,6 +396,17 @@ def _habs(a):
     return math.sqrt(a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3])
 
 
+def _habs_scaled(a):
+    """|a|, from a divided by its largest component magnitude where the
+    plain squares overflow to inf or underflow to 0 with a component nonzero."""
+    with np.errstate(over="ignore", under="ignore"):     # numpy scalars
+        r = _habs(a)
+    big = max(abs(x) for x in a)
+    if (r == math.inf or r == 0.0) and 0.0 < big < math.inf:
+        r = big * _habs([x / big for x in a])
+    return r
+
+
 def _hinv(a):
     n2 = a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
     return (a[0] / n2, -a[1] / n2, -a[2] / n2, -a[3] / n2)
@@ -437,7 +450,7 @@ def scalar_march(op, q, N, seeds, reverse=False):
             active = range(max(0, n + 1 - w), min(N, n + w) + 1)
         else:
             active = range(max(0, n - w), min(N, n - 1 + w) + 1)
-        m_abs = max(_habs(C[idx]) for idx in active)
+        m_abs = max(_habs_scaled(C[idx]) for idx in active)
         if m_abs > 1e120 or (0.0 < m_abs < 1e-120):
             K_ = math.log(m_abs)
             f = math.exp(-K_)
@@ -577,6 +590,24 @@ class TestEngine:
                 levels = max(levels, len(np.unique(logs_ref)))
         if p == 0:
             assert levels > 1       # rescale events were compared too
+
+    @pytest.mark.parametrize("op", [
+        BandedOperator(1, {-1: [1.0], 0: [1e40], 1: [1.0]}),
+        BandedOperator(1, {-1: [1.0], 0: [0.0], 1: [1e60]}, symmetric=False),
+    ], ids=["grows-1e40", "decays-1e-60"])
+    def test_norm_squares_out_of_range(self, op):
+        # |c| passes 1e154, or falls below 1e-162, a row after a quick test
+        # passed it, so the squares of its norm overflow or underflow: the
+        # exact test takes the norm of the scaled components, as the scalar
+        # march does
+        N = 200
+        seeds = np.zeros((1, 1, 4))
+        seeds[0, 0, 0] = 1.0
+        for q in (Quaternion(0.1, 0.5, 0.0, 0.0), Quaternion(-1.0, 0.0, 0.3, 0.2)):
+            C, logs = _march(op.table(N), q.to_array()[None], N, seeds)
+            C_ref, logs_ref = scalar_march(op, q, N, seeds[0])
+            assert same_bits(C[0], C_ref) and same_bits(logs[0], logs_ref)
+            assert np.isfinite(logs_ref).all() and np.all(np.abs(C_ref).max(axis=1) > 0)
 
     def test_batch_company_does_not_change_bits(self):
         op = jacobi_sq()
@@ -744,6 +775,255 @@ class TestEngine:
         assert asked == list(range(42, 101))      # shorter tables are slices
         op.table(200)                             # rows 101..200 added
         assert asked == list(range(42, 201))
+
+
+# ---------------------------------------------------------------------------
+# the block march against the row-by-row loop
+# ---------------------------------------------------------------------------
+
+def _quick_rowwise(c):
+    """The row-by-row loop's quick test of a slice of the mantissas."""
+    mags = np.abs(c).reshape(len(c), -1)
+    if mags.shape[1] > 1:
+        mags = np.maximum.reduce(mags, axis=1)
+    top = mags.ravel().tolist()
+    return min(top) >= 2.0 * RESCALE_LO and max(top) <= 0.25 * RESCALE_HI
+
+
+def rowwise_march(table, shifts, N, seeds, reverse=False):
+    """The recurrence marched and judged row by row, the reference for
+    _march's blocks: after each row the new entry, or else the row's window,
+    takes the quick test, and only a row that fails both takes the exact
+    test (with the scaled norm where the plain squares overflow or
+    underflow)."""
+    w = (table.shape[1] - 1) // 2
+    tab = table[:N + 1]
+    if tab.ndim == 3:
+        prep, mul, shifts = _signed, _qmul, np.asarray(shifts, dtype=float)
+    else:
+        prep, mul, shifts = np.asarray, np.multiply, np.asarray(shifts, dtype=complex)
+    B = len(shifts)
+    C = np.zeros((B, N + 1) + tab.shape[2:], dtype=shifts.dtype)
+    comps = C.view(float).reshape(B, N + 1, -1)
+    logs = np.zeros((B, N + 1))
+    scale = np.zeros(B)
+    if reverse:
+        rows, off = range(N - w, w - 1, -1), -w
+        C[:, N - 2 * w + 1:] = seeds
+    else:
+        rows, off = range(N - w + 1), w
+        C[:, :w] = seeds
+    lead = tab[:, off + w].reshape(N + 1, -1)
+    with np.errstate(all="ignore"):
+        inv = prep(_inv(lead).reshape(tab[:, off + w].shape))
+        terms = [(d, prep(tab[:, d + w]),
+                  tab[:, d + w].reshape(N + 1, -1).any(axis=1).tolist())
+                 for d in range(-w, w + 1) if d != off and tab[:, d + w].any()]
+        sq = prep(shifts)
+        for n in rows:
+            acc = mul(sq, C[:, n])
+            for d, coef, nonzero in terms:
+                m = n + d
+                if 0 <= m <= N and nonzero[n]:
+                    acc -= mul(coef[n], C[:, m])
+            out = n + off
+            C[:, out] = mul(inv[n], acc)
+            logs[:, out] = scale
+            if reverse:
+                lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
+            else:
+                lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
+            if ((n != rows[0] and _quick_rowwise(C[:, out:out + 1]))
+                    or _quick_rowwise(C[:, lo:hi])):
+                continue
+            window = comps[:, lo:hi]
+            mags = np.sqrt(_normsq(window))
+            big = np.abs(window).max(axis=-1)
+            odd = ((mags == 0.0) | np.isinf(mags)) & (0.0 < big) & (big < np.inf)
+            mags[odd] = big[odd] * np.sqrt(_normsq(window[odd] / big[odd, None]))
+            top = mags[:, 0]
+            for k in range(1, hi - lo):
+                top = np.where(mags[:, k] > top, mags[:, k], top)
+            hit = (top > RESCALE_HI) | ((0.0 < top) & (top < RESCALE_LO))
+            for b in np.flatnonzero(hit):
+                K = math.log(top[b])
+                comps[b, lo:hi] *= math.exp(-K)
+                logs[b, lo:hi] += K
+                scale[b] += K
+    return C, logs
+
+
+def march_cases(table, N, rng, B=5):
+    """(shifts, seeds, reverse) in the table's arithmetic: unit seeds
+    forward, random tails and probe seeds reverse."""
+    w = (table.shape[1] - 1) // 2
+    if table.ndim == 3:
+        qs = rng.standard_normal((B, 4))
+        qs[0] = [0.0, 3.0, 0.0, 0.0]
+        tails = rng.standard_normal((B, 2 * w, 4))
+        unit = np.zeros((B, w, 4))
+        probe = np.zeros((B, 2 * w, 4))
+        unit[:, 0, 0] = probe[:, 0, 0] = 1.0
+    else:
+        qs = rng.standard_normal(B) + 1j * np.abs(rng.standard_normal(B))
+        tails = rng.standard_normal((B, 2 * w)) + 1j * rng.standard_normal((B, 2 * w))
+        unit = np.zeros((B, w), complex)
+        probe = np.zeros((B, 2 * w), complex)
+        unit[:, 0] = probe[:, 0] = 1.0
+    return [(qs, unit, False), (qs, tails, True), (qs, probe, True)]
+
+
+def assert_same_march(table, shifts, N, seeds, reverse):
+    C, logs = _march(table, shifts, N, seeds, reverse)
+    C_ref, logs_ref = rowwise_march(table, shifts, N, seeds, reverse)
+    assert C.shape == C_ref.shape and C.tobytes() == C_ref.tobytes()
+    assert logs.shape == logs_ref.shape and logs.tobytes() == logs_ref.tobytes()
+    return logs_ref
+
+
+def diagonal_band(w, diag, lead=1.0):
+    """Unit band at +-w (the forward lead ``lead``) and a constant diagonal."""
+    return BandedOperator(w, {-w: [1.0], 0: [diag], w: [lead]}, symmetric=lead == 1.0)
+
+
+class TestBlockMarch:
+    """_march judges rows in blocks: every bit must be what the row-by-row
+    loop writes."""
+
+    @pytest.mark.parametrize("w,p,diag", [(1, 0, 0.0), (1, 1, 0.5), (1, 2, 0.0),
+                                          (2, 0, 0.0), (2, 1, 0.5), (2, 2, 0.0)])
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_jacobi(self, w, p, diag, hamilton):
+        op = jacobi(w, p, diag=diag)
+        rng = np.random.default_rng(10 * w + p)
+        for N in (10 * w, 10 * w + 1, 700):
+            table = op.table(N) if hamilton else op.table(N)[..., 0]
+            for case in march_cases(table, N, rng):
+                assert_same_march(table, case[0], N, case[1], case[2])
+
+    @pytest.mark.parametrize("op", [
+        diagonal_band(1, 1e30),                 # grows 1e30 a row: a rescale every ~4
+        diagonal_band(2, 1e30),
+        diagonal_band(1, 1e40),                 # |c| beyond 1e154: squares overflow
+        diagonal_band(1, 0.0, lead=1e30),       # decays through RESCALE_LO
+        diagonal_band(1, 0.0, lead=1e60),       # |c| below 1e-162: squares underflow
+    ], ids=["diag1e30", "w2-diag1e30", "diag1e40", "decay1e-30", "decay1e-60"])
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_frequent_rescales(self, op, hamilton):
+        N = 400
+        table = op.table(N) if hamilton else op.table(N)[..., 0]
+        for case in march_cases(table, N, np.random.default_rng(3)):
+            logs = assert_same_march(table, case[0], N, case[1], case[2])
+            assert np.isfinite(logs).all()
+            if not case[2]:
+                assert len(np.unique(logs[0])) >= 40      # rescaled every few rows
+
+    def test_rescale_on_each_row_of_a_block(self, monkeypatch):
+        # over lengths 40..103 the rescales of a 1e30 diagonal fall on the
+        # first, last and inner rows of multi-row blocks; seeds 1e30 apart
+        # put one solution's rescale a row after the other's
+        settle = qdef.deficiency._settle
+        where = set()
+
+        def recording(C, comps, logs, scale, block, w, first):
+            kept, hit = settle(C, comps, logs, scale, block, w, first)
+            if hit is not None and len(block) > 1:
+                where.add("first" if kept == 1 else "last" if kept == len(block)
+                          else "inner")
+            return kept, hit
+
+        monkeypatch.setattr(qdef.deficiency, "_settle", recording)
+        table = diagonal_band(1, 1e30).table(103)[..., 0]
+        for N in range(40, 104):
+            for shifts, seeds in (([0.3 + 1j, -0.2 + 0.5j], [[1.0], [1.0]]),
+                                  ([0.3 + 1j, 0.3 + 1j], [[1.0], [1e30]])):
+                assert_same_march(table, shifts, N, np.array(seeds, complex), False)
+            assert_same_march(table, shifts, N, np.ones((2, 2), complex), True)
+        assert where == {"first", "last", "inner"}
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_nan(self, reverse, hamilton):
+        # the quick tests pass over a NaN after the first solution's, as
+        # Python's min and max do, and fail on a NaN first solution
+        op = jacobi(1, 0)
+        N = 300
+        table = op.table(N) if hamilton else op.table(N)[..., 0]
+        for qs, seeds, rev in march_cases(table, N, np.random.default_rng(4)):
+            if rev != reverse:
+                continue
+            for b in (0, 2):
+                bad = seeds.copy()
+                bad[b] = np.nan
+                assert_same_march(table, qs, N, bad, reverse)
+            nan_table = table.copy()
+            nan_table[N // 2, 0] = np.nan
+            assert_same_march(nan_table, qs, N, seeds, reverse)
+
+    @pytest.mark.parametrize("b", [0, 2])
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_nan_beside_a_tiny_entry(self, b, hamilton):
+        # a NaN shift makes solution b NaN from c_2 on, beside its tiny seed
+        # c_1: the exact test would rescale it, so only the quick tests'
+        # NaN rule decides whether it does
+        op = jacobi(2, 0)
+        N = 100
+        table = op.table(N) if hamilton else op.table(N)[..., 0]
+        qs, seeds, _ = march_cases(table, N, np.random.default_rng(6))[0]
+        qs[b] = np.nan
+        seeds[b, 1] = 1e-130
+        # solution 1 rescales at row 0, which ends the first block there
+        seeds[1, 0] = 1e130
+        logs = assert_same_march(table, qs, N, seeds, False)
+        assert (logs[b, 1] != 0.0) == (b == 0)    # b >= 1 is passed over
+
+    def test_block_length_follows_rescale_rate(self, monkeypatch):
+        settle = qdef.deficiency._settle
+        blocks = []
+
+        def recording(C, comps, logs, scale, block, w, first):
+            blocks.append(len(block))
+            return settle(C, comps, logs, scale, block, w, first)
+
+        monkeypatch.setattr(qdef.deficiency, "_settle", recording)
+        N = 4000
+        shifts = np.linspace(0.1, 2.0, 8) + 1j
+        seeds = np.ones((8, 1), complex)
+        # every solution rescales every 4 or 5 rows: few rows are marched twice
+        _march(diagonal_band(1, 1e30).table(N)[..., 0], shifts, N, seeds)
+        assert N <= sum(blocks) <= 1.1 * N
+        blocks.clear()
+        # each at its own rate, one every ~25 rows in all
+        _march(free_jacobi().table(N)[..., 0], 3 * shifts, N, seeds)
+        assert sum(blocks) <= 1.2 * N
+        blocks.clear()
+        # a rescale every ~250 rows: blocks of _BLOCK_LONG rows
+        _march(free_jacobi().table(N)[..., 0], [3j], N, seeds[:1])
+        assert sum(blocks) <= 1.1 * N
+        assert len(blocks) <= 1.5 * N / qdef.deficiency._BLOCK_LONG
+
+
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_first_row_judged_by_its_window(self, hamilton):
+        # w = 2 chains: row 0's new entry c_2 = q c_0 / a lies in range while
+        # the seed c_1 beside it does not, so only the window sees it
+        op = jacobi(2, 0)
+        N = 100
+        table = op.table(N) if hamilton else op.table(N)[..., 0]
+        qs, seeds, _ = march_cases(table, N, np.random.default_rng(5))[0]
+        seeds[:, 1] = 1e130
+        logs = assert_same_march(table, qs, N, seeds, False)
+        assert logs[0, 0] > 0.0             # rescaled at row 0
+
+    def test_growth_and_decay_in_one_batch(self):
+        # one solution grows past RESCALE_HI while a zero seed slot keeps its
+        # chain at 0: its new entries fail the quick test every other row
+        op = jacobi(2, 0)
+        N = 2000
+        table = op.table(N)[..., 0]
+        seeds = np.array([[1.0, 0.0], [0.0, 1.0], [1e-119, 0.0]], complex)
+        logs = assert_same_march(table, np.array([3j, 3j, 0.1j]), N, seeds, False)
+        assert len(np.unique(logs[0])) > 1
 
 
 class TestReportBytes:
