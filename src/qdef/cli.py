@@ -18,6 +18,7 @@ QDEF_TOL_OVERRIDES may hold a JSON object overriding tolerance entries
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import os
@@ -319,10 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """This process's parser: parsing leaves an ArgumentParser unchanged."""
+    return build_parser()
+
+
 def run(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit:
         return 2, None
     try:

@@ -956,7 +956,7 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: flo
     for k, (q, entries) in enumerate(zip(shifts, screened)):
         rows = [{"q": format_quaternion(q), "seed_slot": e.seed_slot,
                  "verdict": e.verdict.verdict,
-                 "ratio": None if math.isnan(e.verdict.ratio) else e.verdict.ratio,
+                 "ratio": e.verdict.ratio if math.isfinite(e.verdict.ratio) else None,
                  "backward_check": e.backward_check} for e in entries]
         verdicts = [row["verdict"] for row in rows]
         l2 = None if k not in kept else [

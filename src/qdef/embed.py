@@ -139,20 +139,35 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
 def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     """Rank over the quaternions: complex rank of the embedding, halved.
 
-    Only singular values are computed, cut at ``rank_tol`` times the larger
-    of the largest one and ``scale``, as in ``kernel_q``.  They also witness
-    the J-structure that ``kernel_q`` checks by pairing null vectors: chi(A)
-    and chi(A)* = chi(A*) commute with the antiunitary J, so each eigenspace
-    of chi(A)* chi(A) is J-invariant; as J^2 = -1, v and Jv are orthogonal
-    and such a space has even dimension.  Every singular value therefore has
-    even multiplicity.  Sorted singular values that do not pair up to
+    ``chi_rank`` of chi(A): only singular values are computed, cut at
+    ``rank_tol`` times the larger of the largest one and ``scale``, as in
+    ``kernel_q``, in real arithmetic when A has real entries.
+    """
+    return chi_rank(chi(A), rank_tol, scale)
+
+
+def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False) -> int:
+    """Quaternionic rank of an embedding M = chi(A), from its singular values.
+
+    The singular values are cut at ``rank_tol`` times the larger of the
+    largest one and ``scale``.  They also witness the J-structure that
+    ``kernel_q`` checks by pairing null vectors: chi(A) and chi(A)* =
+    chi(A*) commute with the antiunitary J, so each eigenspace of chi(A)*
+    chi(A) is J-invariant; as J^2 = -1, v and Jv are orthogonal and such a
+    space has even dimension.  Every singular value therefore has even
+    multiplicity.  Sorted singular values that do not pair up to
     _PAIRING_TOL times the cut's reference raise InternalInconsistency, as
     does an odd complex rank.
+
+    The values come from the cheapest decomposition that yields them (see
+    ``_singular_values``): M with no imaginary part is decomposed in real
+    arithmetic, and with ``hermitian`` (the caller knows M = M* up to
+    rounding) its singular values are read as the magnitudes of its
+    eigenvalues.
     """
-    M = chi(A)
     if min(M.shape) == 0:
         return 0
-    s = np.linalg.svd(M, compute_uv=False)
+    s = _singular_values(M, hermitian)
     ref = max(s[0], scale or 0.0)
     pairing = float(np.max(np.abs(s[0::2] - s[1::2])))
     if pairing > _PAIRING_TOL * ref:
@@ -162,6 +177,22 @@ def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     if rank % 2 != 0:
         raise InternalInconsistency("complex rank of the embedding is odd")
     return rank // 2
+
+
+def _singular_values(M, hermitian=False) -> np.ndarray:
+    """Singular values of M, largest first.
+
+    An M whose imaginary part is zero is decomposed as the real matrix it
+    is.  A Hermitian M = U diag(lambda) U* has M* M = U diag(lambda^2) U*,
+    so its singular values are the |lambda|, and ``hermitian`` reads them
+    from ``eigvalsh``, which uses the lower triangle only: the caller
+    vouches that it differs from the upper one by rounding alone.
+    """
+    if np.iscomplexobj(M) and not M.imag.any():
+        M = M.real
+    if hermitian:
+        return np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1]
+    return np.linalg.svd(M, compute_uv=False)
 
 
 def eigenvalues_c(A) -> np.ndarray:
@@ -197,7 +228,7 @@ def conjugation_defect(lam) -> float:
 
 def operator_norm(A) -> float:
     """Largest singular value of the complex embedding (= quaternionic norm)."""
-    s = np.linalg.svd(chi(A), compute_uv=False)
+    s = _singular_values(chi(A))
     return float(s[0]) if s.size else 0.0
 
 

@@ -255,16 +255,13 @@ def symmetry_predicates(A: QOperator, L: LeftMul | None = None,
     return report
 
 
-def resolvent_poly(A: QOperator, q: Quaternion, *, AA: QOperator | None = None) -> QOperator:
+def resolvent_poly(A: QOperator, q: Quaternion) -> QOperator:
     """A^2 - 2 Re(q) A + |q|^2 I; the coefficients are real, so no basis enters.
 
     For symmetric A whose unit-scaled versions are anti-symmetric this equals
-    (A - q)(A - conj(q)) in either factor order.  ``AA`` is A @ A, if the
-    caller already holds it (many shifts of one operator).
+    (A - q)(A - conj(q)) in either factor order.
     """
-    if AA is None:
-        AA = A @ A
-    return AA - (2.0 * q.real) * A + q.norm_sq() * QOperator.identity(A.dim)
+    return A @ A - (2.0 * q.real) * A + q.norm_sq() * QOperator.identity(A.dim)
 
 
 # ---------------------------------------------------------------------------

@@ -119,10 +119,19 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     the sum of the geometric multiplicities of lambda and conj(lambda), or
     the dimension of the kernel of (chi(A) - lambda)^2; either way it lies
     between 2 and 2m, so 1 <= qdim <= m in exact arithmetic.  qdim is read
-    from the singular values of chi(R_q(A)) alone (``embed.rank_q``), one
+    from the singular values of chi(R_q(A)) alone (``embed.chi_rank``), one
     decomposition per sphere of a matrix other than the one whose
-    eigenvalues were folded.  Its rank cut is rank_tol * scale, where scale
-    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.
+    eigenvalues were folded; chi(R_q(A)) is chi(A^2) - 2 Re(q) chi(A) +
+    |q|^2 I, from two embeddings formed once.  Where A equals A* as
+    numbers, chi(A) is Hermitian (chi sends the adjoint to the conjugate
+    transpose) and so is chi(R_q(A)), a polynomial in it with real
+    coefficients: its singular values are the magnitudes of its
+    eigenvalues, read by ``eigvalsh`` from its lower triangle, which differs
+    from the conjugate of the upper one only by the rounding of A^2, far
+    below the cut.  Other matrices take an SVD.  A real A, whose embeddings
+    have no imaginary part, is decomposed in real arithmetic either way.
+    The rank cut is rank_tol * scale, where scale = max(1, (||A|| +
+    |q|)^2) >= ||R_q(A)||.
 
     qdim >= 1 is required of every matrix.  The cut can also count singular
     values that belong to eigenvalues mu of other spheres, and how far they
@@ -153,14 +162,19 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
         # R_q can be near zero while A is O(1); floor the rank threshold by
         # the natural scale of the polynomial's assembly.
         norm_a = embed.operator_norm(A)
-        AA = A @ A
         mu = np.array([complex(re, im) for re, im in points])
         adj = A.adjoint().entries
-        normal = np.array_equal(adj, A.entries) or np.array_equal(adj, -A.entries)
+        hermitian = np.array_equal(adj, A.entries)
+        normal = hermitian or np.array_equal(adj, -A.entries)
+        # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
+        chi_a, chi_aa = embed.chi(A), embed.chi(A @ A)
+        diag = np.arange(2 * A.dim)
         for s, at in zip(spheres, starts):
             q = s.representative()
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            qdim = A.dim - embed.rank_q(resolvent_poly(A, q, AA=AA), rank_tol, scale=scale)
+            R = chi_aa - (2.0 * q.real) * chi_a
+            R[diag, diag] += q.norm_sq()
+            qdim = A.dim - embed.chi_rank(R, rank_tol, scale, hermitian)
             if qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "

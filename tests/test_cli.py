@@ -122,6 +122,22 @@ class TestCommands:
         assert (out["n_plus"], out["n_minus"], out["status"]) == (0, 0, "ok")
         assert out["self_adjoint"] and out["stability"]["constant_dim"] == 0
 
+    def test_overflowed_ratio_is_null(self, tmp_path, capsys):
+        # the block ratio of a solution growing like 1e40 per row overflows;
+        # the report holds null there, not the non-JSON token Infinity
+        p = tmp_path / "band.json"
+        p.write_text(json.dumps({"bandwidth": 1, "coeff": {
+            "type": "poly", "offset_-1": [1.0], "offset_0": [1e40], "offset_1": [1.0]}}))
+        code = main(["deficiency", "--matrix", str(p), "--N", "400", "--window", "40",
+                     "--count", "2", "--q=0.1+0.5i"])
+
+        def reject(token):
+            raise ValueError(f"not JSON: {token}")
+
+        out = json.loads(capsys.readouterr().out, parse_constant=reject)["deficiency"]
+        assert code == 0
+        assert [row["ratio"] for row in out["evidence"]] == [None, None]
+
     def test_deficiency_on_matrix_rejected(self, tmp_path):
         m = write_matrix(tmp_path / "h.json")
         assert main(["deficiency", "--matrix", str(m)]) == 2

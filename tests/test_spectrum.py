@@ -253,14 +253,14 @@ class TestVerifyMatrixReuse:
     def test_report_sphere_failure_is_one_line(self, monkeypatch, capsys):
         # the sspectrum part recomputes an unverified sphere list and fails
         # as the sspectrum command does: one line, no report
-        real_rank_q = qdef.embed.rank_q
+        real_chi_rank = qdef.embed.chi_rank
 
-        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
             if scale is not None:        # only the sphere verification passes a scale
-                return A.dim
-            return real_rank_q(A, rank_tol)
+                return M.shape[1] // 2
+            return real_chi_rank(M, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
+        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
         assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
                      "--dim", "4", "--trials", "2"]) == 1
         out = capsys.readouterr()
@@ -270,14 +270,14 @@ class TestVerifyMatrixReuse:
 
     @pytest.mark.parametrize("matrix", ["real_symmetric", "general"])
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
-        real_rank_q = qdef.embed.rank_q
+        real_chi_rank = qdef.embed.chi_rank
 
-        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
             if scale is not None:        # only the sphere verification passes a scale
-                return A.dim
-            return real_rank_q(A, rank_tol)
+                return M.shape[1] // 2
+            return real_chi_rank(M, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
+        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
         assert main(["verify", "--matrix", str(MATRICES / f"matrix_{matrix}.json")]) == 1
         out = capsys.readouterr()
         assert out.err == ""
@@ -318,6 +318,18 @@ def _block_diag(*ops):
     return QOperator.from_entries(arr)
 
 
+# every sphere simple, but the rank cut counts a second singular value at one
+BELOW_PRODUCTS = [
+    # at q = 0.1 the point 0.100015 has product 2.25e-10 and singular
+    # value 4.5e-11, below the cut 1.21e-10
+    pytest.param([[0, 1, 0, 0], [0.01, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0.010003, 0]],
+                 id="non-normal"),
+    # A A* - A* A has entries of at most 6.4e-11
+    pytest.param([[0.1, 0, 0], [0, 0.1 + 1.05e-5, 0.8e-5], [0, 0, 0.1 + 1.2e-5]],
+                 id="nearly-normal"),
+]
+
+
 class TestSphereMultiplicity:
     """The R_q kernel of each folded sphere is compared with the sphere's
     multiplicity m: 1 <= qdim <= m for every matrix, qdim = m for normal ones."""
@@ -325,18 +337,20 @@ class TestSphereMultiplicity:
     @staticmethod
     def sphere_qdims(monkeypatch, fake_rank=None):
         """The kernel dimensions the sphere verification reads, in sphere
-        order (its rank_q calls are the ones with a scale); ``fake_rank``
-        replaces their rank."""
-        real_rank_q = qdef.embed.rank_q
+        order (its chi_rank calls are the ones with a scale); ``fake_rank``
+        replaces their rank, given the quaternionic dimension."""
+        real_chi_rank = qdef.embed.chi_rank
         qdims = []
 
-        def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None):
+        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
             if scale is None:
-                return real_rank_q(A, rank_tol)
-            rank = real_rank_q(A, rank_tol, scale) if fake_rank is None else fake_rank(A)
-            qdims.append(A.dim - rank)
+                return real_chi_rank(M, rank_tol)
+            dim = M.shape[1] // 2
+            rank = (real_chi_rank(M, rank_tol, scale, hermitian) if fake_rank is None
+                    else fake_rank(dim))
+            qdims.append(dim - rank)
             return rank
-        monkeypatch.setattr(qdef.embed, "rank_q", rank_q)
+        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
         return qdims
 
     @pytest.mark.parametrize("A", [
@@ -365,7 +379,7 @@ class TestSphereMultiplicity:
     def test_kernel_above_multiplicity_fails(self, monkeypatch, capsys):
         # every sphere of this matrix is simple; a kernel of dimension 2 is a
         # wrong multiplicity, not a confirmation
-        qdims = self.sphere_qdims(monkeypatch, lambda R: R.dim - 2)
+        qdims = self.sphere_qdims(monkeypatch, lambda dim: dim - 2)
         path = str(MATRICES / "matrix_real_symmetric.json")
         assert main(["sspectrum", "--matrix", path]) == 1
         out = capsys.readouterr()
@@ -380,13 +394,7 @@ class TestSphereMultiplicity:
         assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
         assert "above its multiplicity 1" in failed[0]["detail"]
 
-    @pytest.mark.parametrize("M", [
-        # at q = 0.1 the point 0.100015 has product 2.25e-10 and singular
-        # value 4.5e-11, below the cut 1.21e-10
-        [[0, 1, 0, 0], [0.01, 0, 0, 0], [0, 0, 0, 1], [0, 0, 0.010003, 0]],
-        # A A* - A* A has entries of at most 6.4e-11
-        [[0.1, 0, 0], [0, 0.1 + 1.05e-5, 0.8e-5], [0, 0, 0.1 + 1.2e-5]],
-    ], ids=["non-normal", "nearly-normal"])
+    @pytest.mark.parametrize("M", BELOW_PRODUCTS)
     def test_rank_cut_below_products_is_no_failure(self, M, monkeypatch, tmp_path, capsys):
         # every sphere is simple, but the cut counts a second singular value
         # at one of them: qdim 2 is compared with the multiplicity only where
@@ -406,9 +414,88 @@ class TestSphereMultiplicity:
 
     def test_skew_adjoint_kernel_above_multiplicity_fails(self, monkeypatch):
         # A = -A* is normal: its spheres get the upper bound too
-        self.sphere_qdims(monkeypatch, lambda R: R.dim - 2)
+        self.sphere_qdims(monkeypatch, lambda dim: dim - 2)
         with pytest.raises(InternalInconsistency, match="above its multiplicity 1"):
             point_sspectrum(left_scalar(I, 2) @ QOperator.from_real(np.diag([1.0, 2.0])))
+
+
+def _skew_adjoint(dim, seed):
+    B = random_operator(dim, seed=seed)
+    return B - B.adjoint()
+
+
+class TestSphereRankPaths:
+    """Each sphere's rank, read in real arithmetic where chi(R_q(A)) is real
+    and from eigenvalue magnitudes where A = A*, equals the rank of the
+    complex SVD of chi(resolvent_poly(A, q)) under the same cut."""
+
+    KINDS = {"real-symmetric": (real_symmetric, True),
+             "hermitian": (hermitian_random, True),
+             "skew-adjoint": (_skew_adjoint, False),
+             "general": (random_operator, False)}
+
+    @staticmethod
+    def sphere_ranks(monkeypatch, A):
+        """(q, rank, the oracle's rank, hermitian flag) per verified sphere."""
+        real_chi_rank = qdef.embed.chi_rank
+        calls = []
+
+        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
+            rank = real_chi_rank(M, rank_tol, scale, hermitian)
+            if scale is not None:
+                calls.append((rank, scale, hermitian))
+            return rank
+        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
+        rep = point_sspectrum(A)
+        assert len(calls) == len(rep.spheres)
+        out = []
+        for s, (rank, scale, hermitian) in zip(rep.spheres, calls):
+            q = s.representative()
+            sv = np.linalg.svd(qdef.embed.chi(resolvent_poly(A, q)), compute_uv=False)
+            oracle = int(np.sum(sv > DEFAULT.rank_tol * max(sv[0], scale))) // 2
+            out.append((q, rank, oracle, hermitian))
+        return out
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_ranks_equal_complex_svd(self, kind, dim, scale, monkeypatch):
+        make, hermitian = self.KINDS[kind]
+        A = make(dim, seed=100 + dim) * scale
+        seen = self.sphere_ranks(monkeypatch, A)
+        assert seen
+        for q, rank, oracle, flag in seen:
+            assert flag is hermitian
+            assert rank == oracle, q
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
+    def test_close_real_points(self, gap, monkeypatch):
+        A = QOperator.from_real(np.diag([1.0, 1.0 + gap, 3.0]))
+        for q, rank, oracle, flag in self.sphere_ranks(monkeypatch, A):
+            assert flag and rank == oracle, q
+
+    @pytest.mark.parametrize("M", BELOW_PRODUCTS)
+    def test_cut_below_products(self, M, monkeypatch):
+        A = QOperator.from_real(np.array(M, dtype=float))
+        seen = self.sphere_ranks(monkeypatch, A)
+        assert max(A.dim - rank for _, rank, _, _ in seen) == 2
+        for q, rank, oracle, flag in seen:
+            assert not flag and rank == oracle, q
+
+    def test_indefinite_hermitian_counts_magnitudes(self):
+        # eigenvalues 2, 2, -3, -3, 0, 0: rank 4, from |lambda|
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
+        M = Q @ np.diag([2.0, 2.0, -3.0, -3.0, 0.0, 0.0]) @ Q.T
+        assert qdef.embed.chi_rank(M, hermitian=True) == 2
+        assert qdef.embed.chi_rank(M.astype(complex), hermitian=True) == 2
+
+    @pytest.mark.parametrize("M", [
+        np.diag([3.0, 1.0, 1.0, 1.0]),
+        np.array([[1.0, 1j], [-1j, 3.0]]),
+    ], ids=["real", "complex"])
+    def test_unpaired_eigenvalues_raise(self, M):
+        with pytest.raises(InternalInconsistency, match="do not pair up"):
+            qdef.embed.chi_rank(M, hermitian=True)
 
 
 def _scaled(result):

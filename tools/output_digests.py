@@ -1,9 +1,8 @@
 """Print one digest of stdout, stderr and exit code per benchmark call.
 
-Runs every call that ``perfbench/workloads.generate`` makes for the banded
-and scan workloads at seeds 1, 7 and 42 and for the dense workload at seed 1,
-in this process, against the qdef sources of this checkout, and prints one
-line per call:
+Runs every call that ``perfbench/workloads.generate`` makes for the banded,
+scan and dense workloads at seeds 1, 7 and 42, in this process, against the
+qdef sources of this checkout, and prints one line per call:
 
     workload seed label sha256(exit, stdout, stderr)
 
@@ -32,7 +31,8 @@ import traceback
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKDIR = os.path.join(ROOT, ".perfbench_work", "digests")
 RUNS = [("banded", 1), ("banded", 7), ("banded", 42),
-        ("scan", 1), ("scan", 7), ("scan", 42), ("dense", 1)]
+        ("scan", 1), ("scan", 7), ("scan", 42),
+        ("dense", 1), ("dense", 7), ("dense", 42)]
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
 import qdef.cli  # noqa: E402
