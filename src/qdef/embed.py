@@ -146,28 +146,38 @@ def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     return chi_rank(chi(A), rank_tol, scale)
 
 
-def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False) -> int:
+def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     """Quaternionic rank of an embedding M = chi(A), from its singular values.
 
-    The singular values are cut at ``rank_tol`` times the larger of the
-    largest one and ``scale``.  They also witness the J-structure that
-    ``kernel_q`` checks by pairing null vectors: chi(A) and chi(A)* =
-    chi(A*) commute with the antiunitary J, so each eigenspace of chi(A)*
-    chi(A) is J-invariant; as J^2 = -1, v and Jv are orthogonal and such a
-    space has even dimension.  Every singular value therefore has even
-    multiplicity.  Sorted singular values that do not pair up to
-    _PAIRING_TOL times the cut's reference raise InternalInconsistency, as
-    does an odd complex rank.
-
-    The values come from the cheapest decomposition that yields them (see
-    ``_singular_values``): M with no imaginary part is decomposed in real
-    arithmetic, and with ``hermitian`` (the caller knows M = M* up to
-    rounding) its singular values are read as the magnitudes of its
-    eigenvalues.
+    The singular values come from an SVD, in real arithmetic when M has no
+    imaginary part, and ``rank_from_values`` cuts and checks them.  Where
+    the embedding is normal they need no SVD: for A equal to A* or -A*,
+    ``spectrum.point_sspectrum`` reads those of chi(R_q(A)) = (chi(A) -
+    lambda)(chi(A) - conj(lambda)) as the products |mu - lambda| |mu -
+    conj(lambda)| over the eigenvalues mu of chi(A), whose eigenvectors
+    diagonalise every such polynomial (the spectral theorem), and passes
+    them to ``rank_from_values`` directly.  Those mu come from one
+    ``normal_eigenvalues``, a decomposition of its own: the
+    ``eigenvalues_c`` that the sphere checks are compared with never feeds
+    it, nor it them.
     """
     if min(M.shape) == 0:
         return 0
-    s = _singular_values(M, hermitian)
+    return rank_from_values(_singular_values(M), rank_tol, scale)
+
+
+def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
+    """Quaternionic rank from the singular values ``s`` of an embedding, largest first.
+
+    The values are cut at ``rank_tol`` times the larger of the largest one
+    and ``scale``.  They also witness the J-structure that ``kernel_q``
+    checks by pairing null vectors: chi(A) and chi(A)* = chi(A*) commute
+    with the antiunitary J, so each eigenspace of chi(A)* chi(A) is
+    J-invariant; as J^2 = -1, v and Jv are orthogonal and such a space has
+    even dimension.  Every singular value therefore has even multiplicity.
+    Sorted values that do not pair up to _PAIRING_TOL times the cut's
+    reference raise InternalInconsistency, as does an odd complex rank.
+    """
     ref = max(s[0], scale or 0.0)
     pairing = float(np.max(np.abs(s[0::2] - s[1::2])))
     if pairing > _PAIRING_TOL * ref:
@@ -179,20 +189,30 @@ def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False) -> int:
     return rank // 2
 
 
-def _singular_values(M, hermitian=False) -> np.ndarray:
-    """Singular values of M, largest first.
-
-    An M whose imaginary part is zero is decomposed as the real matrix it
-    is.  A Hermitian M = U diag(lambda) U* has M* M = U diag(lambda^2) U*,
-    so its singular values are the |lambda|, and ``hermitian`` reads them
-    from ``eigvalsh``, which uses the lower triangle only: the caller
-    vouches that it differs from the upper one by rounding alone.
-    """
+def _real_if_exact(M):
+    """M as a real array when its imaginary part is zero, else M itself."""
     if np.iscomplexobj(M) and not M.imag.any():
-        M = M.real
-    if hermitian:
-        return np.sort(np.abs(np.linalg.eigvalsh(M)))[::-1]
-    return np.linalg.svd(M, compute_uv=False)
+        return M.real
+    return M
+
+
+def _singular_values(M) -> np.ndarray:
+    """Singular values of M, largest first, in real arithmetic for a real M."""
+    return np.linalg.svd(_real_if_exact(M), compute_uv=False)
+
+
+def normal_eigenvalues(M, skew=False) -> np.ndarray:
+    """All eigenvalues of an embedding M that equals M* (or -M* with ``skew``).
+
+    One ``eigvalsh``: of M itself, in real arithmetic when M has no
+    imaginary part, or of the Hermitian -i M for a skew M, whose
+    eigenvalues nu give M's as i nu.  ``eigvalsh`` reads the lower triangle
+    only, so the caller vouches that M is (skew-)Hermitian as numbers, as
+    chi(A) is for A equal to plus or minus A* entry for entry.
+    """
+    if skew:
+        return 1j * np.linalg.eigvalsh(-1j * M)
+    return np.linalg.eigvalsh(_real_if_exact(M))
 
 
 def eigenvalues_c(A) -> np.ndarray:

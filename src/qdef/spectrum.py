@@ -31,6 +31,7 @@ from .quat import Quaternion, qnormsq
 from .rmodule import LeftMul
 from .tolerances import DEFAULT
 
+# times max(1, max |lambda|) in point_sspectrum:
 REAL_TOL = 1e-9    # |Im lambda| below this is treated as a real point
 FOLD_TOL = 1e-8    # conjugate pairing / sphere clustering tolerance
 REAL_SPECTRUM_TOL = 1e-8   # "all spheres real" verdict tolerance
@@ -113,23 +114,27 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     representative q = re + i*im_mag of folded multiplicity m, compares the
     quaternionic dimension qdim of the kernel of R_q(A) with m; in finite
     dimension the report also states that the residual and continuous parts
-    are empty.  chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for
-    lambda = re + i*im_mag, an eigenvalue of algebraic multiplicity m (2m
-    when im_mag = 0, where the two factors agree).  Its complex nullity is
-    the sum of the geometric multiplicities of lambda and conj(lambda), or
-    the dimension of the kernel of (chi(A) - lambda)^2; either way it lies
-    between 2 and 2m, so 1 <= qdim <= m in exact arithmetic.  qdim is read
-    from the singular values of chi(R_q(A)) alone (``embed.chi_rank``), one
-    decomposition per sphere of a matrix other than the one whose
-    eigenvalues were folded; chi(R_q(A)) is chi(A^2) - 2 Re(q) chi(A) +
-    |q|^2 I, from two embeddings formed once.  Where A equals A* as
-    numbers, chi(A) is Hermitian (chi sends the adjoint to the conjugate
-    transpose) and so is chi(R_q(A)), a polynomial in it with real
-    coefficients: its singular values are the magnitudes of its
-    eigenvalues, read by ``eigvalsh`` from its lower triangle, which differs
-    from the conjugate of the upper one only by the rounding of A^2, far
-    below the cut.  Other matrices take an SVD.  A real A, whose embeddings
-    have no imaginary part, is decomposed in real arithmetic either way.
+    are empty.  ``real_tol`` and ``fold_tol`` are relative to max(1,
+    max |lambda|): eigenvalues of size s carry rounding of about eps * s.
+    chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for lambda = re
+    + i*im_mag, an eigenvalue of algebraic multiplicity m (2m when im_mag =
+    0, where the two factors agree).  Its complex nullity is the sum of the
+    geometric multiplicities of lambda and conj(lambda), or the dimension of
+    the kernel of (chi(A) - lambda)^2; either way it lies between 2 and 2m,
+    so 1 <= qdim <= m in exact arithmetic.
+
+    qdim is read from the singular values of chi(R_q(A)) alone
+    (``embed.rank_from_values``), from a decomposition other than the one
+    whose eigenvalues were folded; the two never feed each other.  Where A
+    equals A* or -A* as numbers, chi(A) is Hermitian or skew-Hermitian (chi
+    sends the adjoint to the conjugate transpose), hence normal, and by the
+    spectral theorem its eigenvectors diagonalise every chi(R_q(A)) =
+    (chi(A) - lambda)(chi(A) - conj(lambda)).  So one ``eigvalsh`` per
+    matrix (``embed.normal_eigenvalues``) gives the eigenvalues mu of
+    chi(A), and the singular values of chi(R_q(A)) at every sphere are the
+    products |mu - lambda| |mu - conj(lambda)|; ||A|| is max |mu|.  Other
+    matrices take one SVD per sphere of chi(A^2) - 2 Re(q) chi(A) + |q|^2
+    I, from two embeddings formed once, in real arithmetic for a real A.
     The rank cut is rank_tol * scale, where scale = max(1, (||A|| +
     |q|)^2) >= ||R_q(A)||.
 
@@ -149,6 +154,8 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     """
     if lam is None:
         lam = embed.eigenvalues_c(A)
+    size = float(np.max(np.abs(lam), initial=1.0))
+    real_tol, fold_tol = real_tol * size, fold_tol * size
     points = _fold_conjugate_pairs(lam, real_tol, fold_tol)
     spheres, starts = [], []       # a sphere's points are points[start:start + m]
     for at, (re, im) in enumerate(points):
@@ -159,22 +166,34 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
             spheres.append(EigenSphere(re, im, 1))
             starts.append(at)
     if verify_kernels:
-        # R_q can be near zero while A is O(1); floor the rank threshold by
-        # the natural scale of the polynomial's assembly.
-        norm_a = embed.operator_norm(A)
         mu = np.array([complex(re, im) for re, im in points])
         adj = A.adjoint().entries
         hermitian = np.array_equal(adj, A.entries)
         normal = hermitian or np.array_equal(adj, -A.entries)
-        # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
-        chi_a, chi_aa = embed.chi(A), embed.chi(A @ A)
-        diag = np.arange(2 * A.dim)
+        chi_a = embed.chi(A)
+        if normal:
+            # eigenvalues of chi(A), apart from the folded ones in lam
+            eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
+            norm_a = float(np.max(np.abs(eig_a), initial=0.0))
+        else:
+            norm_a = embed.operator_norm(A)
+            # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
+            chi_aa = embed.chi(A @ A)
+            diag = np.arange(2 * A.dim)
         for s, at in zip(spheres, starts):
             q = s.representative()
+            lam_s = complex(s.re, s.im_mag)
+            # R_q can be near zero while A is O(1); floor the rank threshold
+            # by the natural scale of the polynomial's assembly.
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            R = chi_aa - (2.0 * q.real) * chi_a
-            R[diag, diag] += q.norm_sq()
-            qdim = A.dim - embed.chi_rank(R, rank_tol, scale, hermitian)
+            if normal:
+                sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
+                rank = embed.rank_from_values(np.sort(sv)[::-1], rank_tol, scale)
+            else:
+                R = chi_aa - (2.0 * q.real) * chi_a
+                R[diag, diag] += q.norm_sq()
+                rank = embed.chi_rank(R, rank_tol, scale)
+            qdim = A.dim - rank
             if qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
@@ -182,7 +201,6 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
             if not normal:
                 continue
             # points of other spheres where |R_q| may fall below the rank cut
-            lam_s = complex(s.re, s.im_mag)
             reach = (2.0 * rank_tol + _ROUNDING * A.dim) * scale
             unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= reach
             unresolved[at:at + s.multiplicity] = False

@@ -44,6 +44,10 @@ class TestPointSpectrum:
         assert spheres_of(rep) == [(-1.0, 0.0, 1), (1.0, 0.0, 1)]
         assert rep.all_real
 
+    def test_empty_matrix_has_no_spheres(self):
+        rep = point_sspectrum(QOperator.from_entries(np.zeros((0, 0, 4))))
+        assert rep.spheres == [] and rep.all_real
+
     def test_multiplicity_conservation(self):
         for seed in range(10):
             n = 2 + seed % 4
@@ -210,6 +214,15 @@ class TestVerifyMatrixReuse:
         assert counts["verifying point_sspectrum"] == 1
         assert counts["eigenvalues_c"] == 1
         assert counts["symmetry_predicates"] <= 2
+        # A = A*: the sphere ranks come from the eigenvalues of chi(A)
+        assert counts["A @ A"] == 0
+
+    def test_general_matrix_squares_once(self, monkeypatch, capsys):
+        counts = self.instrument(monkeypatch)
+        assert main(["verify", "--matrix", str(MATRICES / "matrix_general.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["summary"]["spheres"]) >= 2
+        assert counts["verifying point_sspectrum"] == 1
         assert counts["A @ A"] == 1
 
     def test_report_computes_spectrum_once(self, monkeypatch, capsys):
@@ -220,7 +233,7 @@ class TestVerifyMatrixReuse:
         assert len(parts["sspectrum"]["spheres"]) == 4
         assert counts["verifying point_sspectrum"] == 1
         assert counts["eigenvalues_c"] == 1
-        assert counts["A @ A"] == 1
+        assert counts["A @ A"] == 0
 
     @pytest.mark.parametrize("matrix", ["real_symmetric", "hermitian", "general",
                                         "real_symmetric_large"])
@@ -253,14 +266,14 @@ class TestVerifyMatrixReuse:
     def test_report_sphere_failure_is_one_line(self, monkeypatch, capsys):
         # the sspectrum part recomputes an unverified sphere list and fails
         # as the sspectrum command does: one line, no report
-        real_chi_rank = qdef.embed.chi_rank
+        real_rank = qdef.embed.rank_from_values
 
-        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
+        def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
-                return M.shape[1] // 2
-            return real_chi_rank(M, rank_tol)
+                return len(s) // 2
+            return real_rank(s, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
+        monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
         assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
                      "--dim", "4", "--trials", "2"]) == 1
         out = capsys.readouterr()
@@ -270,14 +283,14 @@ class TestVerifyMatrixReuse:
 
     @pytest.mark.parametrize("matrix", ["real_symmetric", "general"])
     def test_sphere_failure_keeps_report(self, matrix, monkeypatch, capsys):
-        real_chi_rank = qdef.embed.chi_rank
+        real_rank = qdef.embed.rank_from_values
 
-        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
+        def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is not None:        # only the sphere verification passes a scale
-                return M.shape[1] // 2
-            return real_chi_rank(M, rank_tol)
+                return len(s) // 2
+            return real_rank(s, rank_tol)
 
-        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
+        monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
         assert main(["verify", "--matrix", str(MATRICES / f"matrix_{matrix}.json")]) == 1
         out = capsys.readouterr()
         assert out.err == ""
@@ -337,20 +350,20 @@ class TestSphereMultiplicity:
     @staticmethod
     def sphere_qdims(monkeypatch, fake_rank=None):
         """The kernel dimensions the sphere verification reads, in sphere
-        order (its chi_rank calls are the ones with a scale); ``fake_rank``
-        replaces their rank, given the quaternionic dimension."""
-        real_chi_rank = qdef.embed.chi_rank
+        order (its rank_from_values calls are the ones with a scale);
+        ``fake_rank`` replaces their rank, given the quaternionic dimension."""
+        real_rank = qdef.embed.rank_from_values
         qdims = []
 
-        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
+        def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None):
             if scale is None:
-                return real_chi_rank(M, rank_tol)
-            dim = M.shape[1] // 2
-            rank = (real_chi_rank(M, rank_tol, scale, hermitian) if fake_rank is None
+                return real_rank(s, rank_tol)
+            dim = len(s) // 2
+            rank = (real_rank(s, rank_tol, scale) if fake_rank is None
                     else fake_rank(dim))
             qdims.append(dim - rank)
             return rank
-        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
+        monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
         return qdims
 
     @pytest.mark.parametrize("A", [
@@ -424,78 +437,185 @@ def _skew_adjoint(dim, seed):
     return B - B.adjoint()
 
 
+def _count_decompositions(monkeypatch):
+    """Counter of np.linalg.eigvalsh and np.linalg.svd calls, with the
+    arithmetic each eigvalsh ran in ("eigvalsh real" or "eigvalsh complex")."""
+    counts = collections.Counter()
+    real_eigvalsh, real_svd = np.linalg.eigvalsh, np.linalg.svd
+
+    def eigvalsh(a, *args, **kwargs):
+        counts["eigvalsh"] += 1
+        counts["eigvalsh complex" if np.iscomplexobj(a) else "eigvalsh real"] += 1
+        return real_eigvalsh(a, *args, **kwargs)
+
+    def svd(a, *args, **kwargs):
+        counts["svd"] += 1
+        return real_svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    return counts
+
+
 class TestSphereRankPaths:
-    """Each sphere's rank, read in real arithmetic where chi(R_q(A)) is real
-    and from eigenvalue magnitudes where A = A*, equals the rank of the
+    """Each sphere's rank, read from one eigvalsh of chi(A) where A = A* or
+    A = -A* and from one SVD per sphere otherwise, equals the rank of the
     complex SVD of chi(resolvent_poly(A, q)) under the same cut."""
 
-    KINDS = {"real-symmetric": (real_symmetric, True),
-             "hermitian": (hermitian_random, True),
-             "skew-adjoint": (_skew_adjoint, False),
-             "general": (random_operator, False)}
+    KINDS = {"real-symmetric": (real_symmetric, "eigvalsh real"),
+             "hermitian": (hermitian_random, "eigvalsh complex"),
+             "skew-adjoint": (_skew_adjoint, "eigvalsh complex"),
+             "general": (random_operator, "svd")}
 
     @staticmethod
     def sphere_ranks(monkeypatch, A):
-        """(q, rank, the oracle's rank, hermitian flag) per verified sphere."""
-        real_chi_rank = qdef.embed.chi_rank
+        """(q, rank, the oracle's rank) per verified sphere, and the route:
+        "eigvalsh real" or "eigvalsh complex" for one eigvalsh and no SVD,
+        "svd" for no eigvalsh and one SVD per sphere plus one for ||A||."""
+        real_rank = qdef.embed.rank_from_values
         calls = []
 
-        def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None, hermitian=False):
-            rank = real_chi_rank(M, rank_tol, scale, hermitian)
+        def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None):
+            rank = real_rank(s, rank_tol, scale)
             if scale is not None:
-                calls.append((rank, scale, hermitian))
+                calls.append((rank, scale))
             return rank
-        monkeypatch.setattr(qdef.embed, "chi_rank", chi_rank)
+        monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
+        counts = _count_decompositions(monkeypatch)
         rep = point_sspectrum(A)
         assert len(calls) == len(rep.spheres)
+        if counts["eigvalsh"]:
+            assert counts["eigvalsh"] == 1 and counts["svd"] == 0
+            route = "eigvalsh real" if counts["eigvalsh real"] else "eigvalsh complex"
+        else:
+            assert counts["svd"] == len(rep.spheres) + 1
+            route = "svd"
+        norm = np.linalg.svd(qdef.embed.chi(A), compute_uv=False)[0]
         out = []
-        for s, (rank, scale, hermitian) in zip(rep.spheres, calls):
+        for s, (rank, scale) in zip(rep.spheres, calls):
             q = s.representative()
+            # the cut's scale is (||A|| + |q|)^2, floored at 1, on either route
+            assert scale == pytest.approx(max((norm + q.norm()) ** 2, 1.0), rel=1e-9)
             sv = np.linalg.svd(qdef.embed.chi(resolvent_poly(A, q)), compute_uv=False)
             oracle = int(np.sum(sv > DEFAULT.rank_tol * max(sv[0], scale))) // 2
-            out.append((q, rank, oracle, hermitian))
-        return out
+            out.append((q, rank, oracle))
+        return out, route
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
-    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16])
+    @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 24, 48])
     @pytest.mark.parametrize("kind", sorted(KINDS))
     def test_ranks_equal_complex_svd(self, kind, dim, scale, monkeypatch):
-        make, hermitian = self.KINDS[kind]
+        make, route = self.KINDS[kind]
         A = make(dim, seed=100 + dim) * scale
-        seen = self.sphere_ranks(monkeypatch, A)
+        seen, taken = self.sphere_ranks(monkeypatch, A)
         assert seen
-        for q, rank, oracle, flag in seen:
-            assert flag is hermitian
+        assert taken == route
+        for q, rank, oracle in seen:
             assert rank == oracle, q
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     def test_close_real_points(self, gap, monkeypatch):
         A = QOperator.from_real(np.diag([1.0, 1.0 + gap, 3.0]))
-        for q, rank, oracle, flag in self.sphere_ranks(monkeypatch, A):
-            assert flag and rank == oracle, q
+        seen, route = self.sphere_ranks(monkeypatch, A)
+        assert route == "eigvalsh real"
+        for q, rank, oracle in seen:
+            assert rank == oracle, q
 
     @pytest.mark.parametrize("M", BELOW_PRODUCTS)
     def test_cut_below_products(self, M, monkeypatch):
         A = QOperator.from_real(np.array(M, dtype=float))
-        seen = self.sphere_ranks(monkeypatch, A)
-        assert max(A.dim - rank for _, rank, _, _ in seen) == 2
-        for q, rank, oracle, flag in seen:
-            assert not flag and rank == oracle, q
+        seen, route = self.sphere_ranks(monkeypatch, A)
+        assert route == "svd"
+        assert max(A.dim - rank for _, rank, _ in seen) == 2
+        for q, rank, oracle in seen:
+            assert rank == oracle, q
 
-    def test_indefinite_hermitian_counts_magnitudes(self):
-        # eigenvalues 2, 2, -3, -3, 0, 0: rank 4, from |lambda|
-        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))[0]
-        M = Q @ np.diag([2.0, 2.0, -3.0, -3.0, 0.0, 0.0]) @ Q.T
-        assert qdef.embed.chi_rank(M, hermitian=True) == 2
-        assert qdef.embed.chi_rank(M.astype(complex), hermitian=True) == 2
+    def test_indefinite_hermitian_counts_magnitudes(self, monkeypatch):
+        # chi(A) has eigenvalues 2, 2, -3, -3, 0, 0; at the sphere 0 the
+        # singular values of chi(A^2) are their squared magnitudes
+        Q = np.linalg.qr(np.random.default_rng(5).standard_normal((3, 3)))[0]
+        A = QOperator.from_real(Q @ np.diag([2.0, -3.0, 0.0]) @ Q.T)
+        real_rank = qdef.embed.rank_from_values
+        values = []
 
-    @pytest.mark.parametrize("M", [
-        np.diag([3.0, 1.0, 1.0, 1.0]),
-        np.array([[1.0, 1j], [-1j, 3.0]]),
-    ], ids=["real", "complex"])
-    def test_unpaired_eigenvalues_raise(self, M):
+        def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None):
+            values.append(s)
+            return real_rank(s, rank_tol, scale)
+        monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
+        rep = point_sspectrum(A)
+        assert spheres_of(rep) == [(-3.0, 0.0, 1), (0.0, 0.0, 1), (2.0, 0.0, 1)]
+        assert len(values) == 3
+        assert np.allclose(values[1], [9.0, 9.0, 4.0, 4.0, 0.0, 0.0], atol=1e-12)
+
+    @pytest.mark.parametrize("kind,arithmetic", [("real-symmetric", "real"),
+                                                 ("hermitian", "complex"),
+                                                 ("skew-adjoint", "complex")],
+                             ids=["real", "complex", "skew-complex"])
+    def test_unpaired_eigenvalues_raise(self, kind, arithmetic, monkeypatch):
+        # eigenvalues of chi(A) that do not pair up, as J demands, fail the
+        # sphere check on the eigvalsh route
+        real_eigvalsh = np.linalg.eigvalsh
+        seen = []
+
+        def eigvalsh(a):
+            seen.append(np.iscomplexobj(a))
+            nu = real_eigvalsh(a)
+            nu[0] -= 1.0
+            return nu
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
         with pytest.raises(InternalInconsistency, match="do not pair up"):
-            qdef.embed.chi_rank(M, hermitian=True)
+            point_sspectrum(self.KINDS[kind][0](3, seed=9))
+        assert seen == [arithmetic == "complex"]
+
+
+class TestSphereDecompositionCounts:
+    """The work of the sphere checks, counted rather than timed: one eigvalsh
+    per matrix equal to plus or minus its adjoint, one SVD per sphere (plus
+    one for ||A||) for any other matrix."""
+
+    @pytest.mark.parametrize("make", [hermitian_random, _skew_adjoint],
+                             ids=["hermitian", "skew-adjoint"])
+    def test_normal_matrix_one_eigvalsh(self, make, monkeypatch):
+        A = make(48, seed=4)
+        counts = _count_decompositions(monkeypatch)
+        rep = point_sspectrum(A)
+        assert len(rep.spheres) >= 40
+        assert counts["eigvalsh"] == 1
+        assert counts["svd"] == 0
+
+    def test_general_matrix_one_svd_per_sphere(self, monkeypatch):
+        A = random_operator(48, seed=4)
+        counts = _count_decompositions(monkeypatch)
+        rep = point_sspectrum(A)
+        assert len(rep.spheres) >= 40
+        assert counts["eigvalsh"] == 0
+        assert counts["svd"] == len(rep.spheres) + 1
+
+
+class TestRelativeFolding:
+    """Eigenvalues of size s carry rounding of about eps * s: folding and
+    clustering tolerances grow with max(1, max |lambda|)."""
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9, 1e12])
+    @pytest.mark.parametrize("make", [real_symmetric, hermitian_random],
+                             ids=["real-symmetric", "hermitian"])
+    def test_large_self_adjoint_matrix_folds(self, make, scale, tmp_path, capsys):
+        A = make(8, seed=3)
+        rep = point_sspectrum(A * scale)
+        assert rep.all_real
+        assert [s.multiplicity for s in rep.spheres] == [1] * 8
+        unit = point_sspectrum(A)
+        assert np.allclose([s.re for s in rep.spheres],
+                           [s.re * scale for s in unit.spheres], rtol=1e-9)
+        path = tmp_path / "m.json"
+        path.write_text((A * scale).to_json())
+        assert main(["sspectrum", "--matrix", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["all_real"] is True
+
+    def test_small_matrix_keeps_absolute_tolerances(self):
+        # below size 1 the tolerances stay absolute: points 1e-9 apart are one sphere
+        A = QOperator.from_real(np.diag([1e-3, 1e-3 + 1e-9]))
+        assert [s.multiplicity for s in point_sspectrum(A).spheres] == [2]
 
 
 def _scaled(result):
