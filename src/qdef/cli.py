@@ -41,18 +41,13 @@ from .verify import verify_banded, verify_matrix
 COMMANDS = ("verify", "sspectrum", "deficiency", "invariance", "report")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+def _json_scalar(obj):
+    """``json.dumps`` hook: a numpy scalar as the Python value it holds
+    (np.float64 is a float already and never gets here)."""
+    for kind, cast in ((np.bool_, bool), (np.integer, int), (np.floating, float)):
+        if isinstance(obj, kind):
+            return cast(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _load_operator(args):
@@ -242,7 +237,7 @@ _DISPATCH = {
 
 def _render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(_jsonable(report), sort_keys=True, indent=2) + "\n"
+        return json.dumps(report, sort_keys=True, indent=2, default=_json_scalar) + "\n"
     if fmt == "csv":
         return _render_csv(report)
     if fmt == "text":

@@ -6,8 +6,10 @@ ij = k = -ji, jk = i = -kj, ki = j = -ik.
 
 Multiplication is implemented by the component formulas: ``Quaternion``
 writes them out, and the array product ``qmul`` is a signed term table that
-adds the same terms in the same order, bit for bit the scalar product.  The
-2x2 complex embedding is an independent oracle, never the implementation.
+adds the same terms in the same order, bit for bit the scalar product; the
+matrix products ``qmatmul`` and ``qmatmul_stack`` add the products of
+component matrices in that table's order.  The 2x2 complex embedding is an
+independent oracle, never the implementation.
 
 The module also provides vectorized helpers (``qmul``, ``qconj``, ...) acting
 on numpy arrays whose trailing axis holds the four components.  Higher-level
@@ -83,26 +85,74 @@ def qinv(a):
     return qconj(a) / n2[..., None]
 
 
+# Component k of a matrix product adds the products a_m @ b_r of component
+# matrices in the order of the term table: (m, r, ufunc) for m = 0..3, where
+# the ufunc adds the term with its sign (the first term is always +)
+_MATMUL_TERMS = tuple(
+    tuple((m, int(_RIGHT[4 * m + k]), np.add if _SIGN[4 * m + k] > 0 else np.subtract)
+          for m in range(4))
+    for k in range(4))
+
+
+def _combine(p):
+    """Quaternionic products from the component products p[m, r] = a_m @ b_r:
+    component k adds its four terms left to right, as the four-term
+    expressions of separate products do, into a C-contiguous (..., 4) array.
+    No add is in place: on a single element numpy's in-place add can return
+    the other of two NaNs."""
+    shape = p.shape[2:]
+    out = np.empty((4,) + shape)
+    tmp = np.empty(shape)
+    for c, ((m0, r0, _), (m1, r1, op1), (m2, r2, op2), (m3, r3, op3)) in zip(
+            out, _MATMUL_TERMS):
+        op1(p[m0, r0], p[m1, r1], out=c)
+        op2(c, p[m2, r2], out=tmp)
+        op3(tmp, p[m3, r3], out=c)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
+
 def qmatmul(a, b):
     """Quaternionic matrix product of component arrays.
 
     ``a`` has shape (n, k, 4); ``b`` has shape (k, m, 4) or (k, 4) for a
-    single vector.  Entries multiply coefficients from the left, matching
-    the action of a right-linear operator on coordinates.
+    single vector, and the result (n, m, 4) or (n, 4) is C-contiguous.
+    Entries multiply coefficients from the left, matching the action of a
+    right-linear operator on coordinates.
+
+    All sixteen products of component matrices a_i @ b_j come from one
+    ``np.matmul`` over the component-first views ``a.transpose(2, 0, 1)`` and
+    ``b.transpose(2, 0, 1)`` (``b.T[:, :, None]``, a stack of (k, 1) columns,
+    for a vector).  Each pair has the strides a separate ``a_i @ b_j`` call
+    would see, so numpy runs the same inner loop on it (a strided loop for a
+    vector, BLAS for matrices), and component k adds its products in the
+    order ((t0 +- t1) +- t2) +- t3 of the component formulas.  The result is
+    bit for bit that of sixteen separate ``@`` calls, for any input layout,
+    down to the sign of a NaN.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    vector = b.ndim == 2
-    if vector:
-        b = b[:, None, :]
-    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    c0 = a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3
-    c1 = a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2
-    c2 = a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1
-    c3 = a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0
-    out = np.stack([c0, c1, c2, c3], axis=-1)
-    return out[:, 0, :] if vector else out
+    left = a.transpose(2, 0, 1)[:, None]
+    if b.ndim == 2:
+        return _combine(np.matmul(left, b.T[:, :, None])[..., 0])
+    return _combine(np.matmul(left, b.transpose(2, 0, 1)))
+
+
+def qmatmul_stack(a, vs):
+    """``qmatmul(a, v)`` for each vector v of a stack ``vs`` of shape (s, k, 4),
+    as one C-contiguous (s, n, 4) array.
+
+    The s vectors go to one ``np.matmul`` as (k, 1) columns, each on the inner
+    loop of a separate product (a (k, s) block would go to BLAS as one matrix
+    and round otherwise), and the adds run over all s vectors at once.  Every
+    entry is bit for bit that of the s separate products, except that a NaN
+    may carry the other sign: numpy's add keeps the first of two NaNs in its
+    SIMD lanes and the second in the scalar tail, and the tail of a stack is
+    not the tail of each vector.
+    """
+    a = np.asarray(a, dtype=float)
+    vs = np.asarray(vs, dtype=float)
+    return _combine(np.matmul(a.transpose(2, 0, 1)[:, None, None],
+                              vs.transpose(2, 0, 1)[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 
 from qdef import (I, J, K, ONE, ComplexPair, Quaternion, conj_norm_inv,
                   embed2x2, format_quaternion, from_embed2x2, im_norm,
-                  parse_quaternion, qmul)
+                  parse_quaternion, qmatmul, qmul)
+from qdef.quat import qmatmul_stack
 
 
 def rand_q(rng, scale=2.0):
@@ -183,3 +184,77 @@ class TestArrayHelpers:
             assert prod.flags.c_contiguous
             assert np.array_equal(prod, qmul(x, np.ascontiguousarray(y)))
             assert np.array_equal(prod, qmul(np.ascontiguousarray(x), y))
+
+
+def sixteen_call_qmatmul(a, b):
+    """The oracle: one ``@`` per pair of component matrices, four-term sums."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == 2
+    if vector:
+        b = b[:, None, :]
+    a0, a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b0, b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    c0 = a0 @ b0 - a1 @ b1 - a2 @ b2 - a3 @ b3
+    c1 = a0 @ b1 + a1 @ b0 + a2 @ b3 - a3 @ b2
+    c2 = a0 @ b2 - a1 @ b3 + a2 @ b0 + a3 @ b1
+    c3 = a0 @ b3 + a1 @ b2 - a2 @ b1 + a3 @ b0
+    out = np.stack([c0, c1, c2, c3], axis=-1)
+    return out[:, 0, :] if vector else out
+
+
+def _poison(rng, *arrays):
+    """Write -0.0, +0.0, inf, -inf and NaN into random entries of each array."""
+    for arr in arrays:
+        flat = arr.reshape(-1)
+        for value in (-0.0, 0.0, np.inf, -np.inf, np.nan):
+            flat[rng.integers(flat.size)] = value
+
+
+class TestQmatmulBits:
+    """One matmul per qmatmul gives the bytes of sixteen separate calls."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    @pytest.mark.parametrize("k", range(1, 49))
+    def test_bit_for_bit(self, k, scale):
+        rng = np.random.default_rng(1000 * k + int(scale))
+        n, m = 49 - k, 1 + k % 7
+        for special in (False, True):
+            a = scale * rng.standard_normal((n, k, 4))
+            sq = scale * rng.standard_normal((k, k, 4))
+            b = scale * rng.standard_normal((k, m, 4))
+            v = scale * rng.standard_normal((k, 4))
+            stack = scale * rng.standard_normal((5, 2, k, 4))
+            if special:
+                _poison(rng, a, sq, b, v, stack)
+            pairs = [
+                (a, v), (a, v[:, None, :]), (a, b),
+                # transposed and strided views, as gram_schmidt passes
+                (sq.transpose(1, 0, 2), v), (sq.transpose(1, 0, 2), sq),
+                (b.transpose(1, 0, 2), a.transpose(1, 0, 2)),
+                (a[:, ::-1], v[::-1]), (a, b[:, ::-1]), (sq, stack[0, 1]),
+            ]
+            with np.errstate(all="ignore"):
+                for x, y in pairs:
+                    got = qmatmul(x, y)
+                    assert got.flags.c_contiguous
+                    assert got.tobytes() == sixteen_call_qmatmul(x, y).tobytes()
+                for x, vs in ((a, stack[:, 0]), (sq.transpose(1, 0, 2), stack[:, 1]),
+                              (sq, stack.reshape(10, k, 4))):
+                    got = qmatmul_stack(x, vs)
+                    want = np.array([sixteen_call_qmatmul(x, u) for u in vs])
+                    assert got.flags.c_contiguous and got.shape == want.shape
+                    # the same bits, but a NaN may carry the other sign
+                    nan = np.isnan(want)
+                    assert np.array_equal(np.isnan(got), nan)
+                    assert got[~nan].tobytes() == want[~nan].tobytes()
+                    if not special:
+                        assert got.tobytes() == want.tobytes()
+
+    def test_shapes(self):
+        rng = np.random.default_rng(15)
+        a = rng.standard_normal((3, 5, 4))
+        assert qmatmul(a, rng.standard_normal((5, 4))).shape == (3, 4)
+        assert qmatmul(a, rng.standard_normal((5, 2, 4))).shape == (3, 2, 4)
+        assert qmatmul_stack(a, rng.standard_normal((6, 5, 4))).shape == (6, 3, 4)
+        assert qmatmul_stack(a, np.empty((0, 5, 4))).shape == (0, 3, 4)
