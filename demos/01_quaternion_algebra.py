@@ -6,8 +6,8 @@ complex embedding acting as an independent referee for the product formulas.
 
 import numpy as np
 
-from qdef import (I, J, K, Quaternion, conj_norm_inv, embed2x2,
-                  format_quaternion, from_embed2x2, parse_quaternion)
+from qdef import (I, J, K, Quaternion, embed2x2, format_quaternion,
+                  from_embed2x2, parse_quaternion)
 
 print("== the unit table ==")
 for name, u, v in (("i*j", I, J), ("j*k", J, K), ("k*i", K, I)):
@@ -16,11 +16,11 @@ for name, u, v in (("i*j", I, J), ("j*k", J, K), ("k*i", K, I)):
 q = parse_quaternion("1-2i+0.5k")
 print(f"\n== literals round-trip ==\n  parsed {q!r} -> printed {format_quaternion(q)}")
 
-conj, norm, inv = conj_norm_inv(Quaternion(1, 2, 3, 4))
+p = Quaternion(1, 2, 3, 4)
 print(f"\n== conjugate / norm / inverse of 1+2i+3j+4k ==")
-print(f"  conjugate = {conj}")
-print(f"  |q|^2     = {norm ** 2:.1f}   (sum of squared components)")
-print(f"  q * q^-1  = {Quaternion(1, 2, 3, 4) * inv}")
+print(f"  conjugate = {p.conjugate()}")
+print(f"  |q|^2     = {p.norm() ** 2:.1f}   (sum of squared components)")
+print(f"  q * q^-1  = {p * p.inverse()}")
 
 print("\n== the 2x2 complex embedding is a homomorphism ==")
 a, b = Quaternion(0.3, -1, 2, 0.7), Quaternion(2, 0.1, 0, -1)

@@ -6,12 +6,16 @@ defining polynomial R_q(A) only sees (Re q, |Im q|).  Hermitian matrices have
 purely real spheres, and their resolvent norm obeys an explicit bound.
 """
 
+import os
+import tempfile
+
 import numpy as np
 
 from qdef import (I, Quaternion, QOperator, hermitian_random, kernel_q,
                   left_scalar, point_sspectrum, random_unit_imaginary,
                   resolvent_bound_check, resolvent_inverse_norm,
                   resolvent_poly, selfadjoint_iff_real)
+from qdef.cli import main
 
 print("== a real diagonal matrix: two real points, doubled in the embedding ==")
 A = QOperator([[1, 0], [0, 2]])
@@ -43,5 +47,9 @@ for q in (I, I * 2.0, Quaternion(1, 1, 1, 0)):
     print(f"  q={str(q):>8}: computed {inv_norm:.4f} <= bound {bound:.4f} "
           f"(signed excess {viol:.1e}, <= 0 when the bound holds)")
 
-print("\n== CSV export for plotting ==")
-print(point_sspectrum(H).to_csv())
+print("\n== CSV export for plotting: qdef sspectrum --format csv ==")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "H.json")
+    with open(path, "w") as fh:
+        fh.write(H.to_json())
+    raise SystemExit(main(["sspectrum", "--matrix", path, "--format", "csv"]))

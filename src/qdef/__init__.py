@@ -8,22 +8,20 @@ brute-force oracle.
 """
 
 from . import errors
-from .quat import (ATOL, I, J, K, ONE, ComplexPair, Quaternion, conj_norm_inv,
-                   embed2x2, format_quaternion, from_embed2x2, im_norm,
-                   parse_quaternion, qabs, qconj, qinv, qmatmul, qmul, qnormsq,
-                   random_quaternion, random_unit_imaginary)
+from .quat import (ATOL, I, J, K, ONE, Quaternion, embed2x2, format_quaternion,
+                   from_embed2x2, parse_quaternion, qconj, qmatmul, qmul,
+                   qnormsq, random_quaternion, random_unit_imaginary)
 from .rmodule import (Basis, LeftMul, QVector, delta_map, expand, gram_schmidt,
                       inner, left_scale, random_basis, random_qvector,
-                      random_real_rotation_basis, reconstruct, right_scale,
+                      random_real_rotation_basis, reconstruct,
                       basis_from_literals, vector_from_literals)
-from .qoperator import (CriteriaReport, QOperator, SymmetryReport, adjoint,
+from .qoperator import (CriteriaReport, QOperator, SymmetryReport,
                         criteria_report, hermitian_random, left_scalar,
                         norm_identity_check, random_operator, real_symmetric,
                         resolvent_poly, scalar_op, shift_left_scalar,
                         symmetry_predicates)
 from .embed import (KernelBasis, chi, conjugation_defect, eigenvalues_c,
-                    kernel_q, min_singular_value, operator_norm, rank_q,
-                    structure_map, unvec, vec)
+                    kernel_q, operator_norm, rank_q, structure_map, unvec, vec)
 from .spectrum import (EigenSphere, RealityVerdict, SpectrumReport,
                        point_sspectrum, resolvent_bound_check,
                        resolvent_inverse_norm, selfadjoint_iff_real)

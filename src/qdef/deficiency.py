@@ -65,7 +65,6 @@ drifting off a decaying solution; discrepancies downgrade verdicts to
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 
@@ -241,9 +240,6 @@ class BandedOperator:
         _, defect, inside = self._symmetry_pairs(rows)
         return float(np.max(defect, initial=0.0, where=inside))
 
-    def coeff(self, n, d) -> Quaternion:
-        return Quaternion(*self.coeff_tuple(n, d))
-
     def coeff_tuple(self, n, d):
         """Components of A[n, n+d]: read from the table when it holds row n,
         evaluated alone otherwise, so a loop over rows stays linear."""
@@ -312,9 +308,17 @@ def from_config(obj) -> BandedOperator:
         raise ValueError(f"coeff must be an object, got {type(spec).__name__}")
     if spec.get("type", "poly") != "poly":
         raise ValueError(f"unknown coefficient generator type {spec.get('type')!r}")
-    offsets = {int(key[len("offset_"):]): [parse_quaternion(c) if isinstance(c, str)
-                                           else c for c in val]
-               for key, val in spec.items() if key.startswith("offset_")}
+    offsets = {}
+    for key, val in spec.items():
+        if not key.startswith("offset_"):
+            continue
+        d = int(key[len("offset_"):])
+        if not isinstance(val, list):
+            raise ValueError(f"{key} must be a list, got {type(val).__name__}")
+        for c in val:
+            if isinstance(c, bool):
+                raise ValueError(f"{key} is not a number: {c!r}")
+        offsets[d] = [parse_quaternion(c) if isinstance(c, str) else c for c in val]
     flags = {key: obj.get(key, True) for key in ("symmetric", "real_entries")}
     for key, value in flags.items():
         if not isinstance(value, bool):
@@ -702,11 +706,6 @@ class SummabilityVerdict:
     ratio: float
     block_log_energies: list = field(default_factory=list)
 
-    def __eq__(self, other):
-        if isinstance(other, str):
-            return self.verdict == other
-        return NotImplemented
-
 
 def classify_l2(sol: FormalSolution, window: int = DEFAULT.window,
                 ratio_margin: float = DEFAULT.ratio) -> SummabilityVerdict:
@@ -919,9 +918,6 @@ class DeficiencyReport:
 
     def to_dict(self):
         return asdict(self)
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 # Largest batch of one march: its mantissas and log scales take 40 bytes a
@@ -1179,12 +1175,15 @@ def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60,
     The leading M x M corner of (A - q) keeps only its first M - w rows (the
     rows that do not reference truncated coefficients), and the quaternionic
     nullity of the rectangle counts the formal solutions -- the dense
-    embedding oracle for the recurrence solver.
+    embedding oracle for the recurrence solver.  Raises PreconditionFailed
+    for M <= w, which leaves no row.
     """
     w = op.bandwidth
+    if M <= w:
+        raise PreconditionFailed(f"truncation M = {M} keeps no row at bandwidth {w}")
     arr = op.truncate(M)
     arr[np.arange(M), np.arange(M)] -= q.to_array()
-    return embed.kernel_q(arr[:M - w if w else M], rank_tol)
+    return embed.kernel_q(arr[:M - w], rank_tol)
 
 
 def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,

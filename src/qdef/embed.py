@@ -100,7 +100,9 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
     M = chi(A)
     rows, cols = M.shape
     if min(rows, cols) == 0:
-        return KernelBasis([], cols // 2)
+        # no equation constrains a vector: the kernel is all of H^(cols/2)
+        qdim = cols // 2
+        return KernelBasis([QVector.basis_vector(qdim, k) for k in range(qdim)], qdim)
     U, s, Vh = np.linalg.svd(M)
     smax = s[0] if s.size else 0.0
     thresh = rank_tol * max(smax, scale or 0.0)
@@ -250,8 +252,3 @@ def operator_norm(A) -> float:
     """Largest singular value of the complex embedding (= quaternionic norm)."""
     s = _singular_values(chi(A))
     return float(s[0]) if s.size else 0.0
-
-
-def min_singular_value(A) -> float:
-    s = np.linalg.svd(chi(A), compute_uv=False)
-    return float(s[-1]) if s.size else 0.0

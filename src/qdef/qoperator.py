@@ -3,7 +3,7 @@
 The matrix entry A[n, m] multiplies the m-th coordinate from the left, so
 application commutes with right scalars: A(phi * q) = (A phi) * q.  The
 adjoint is the conjugate transpose of the entries and satisfies
-<psi | A phi> = <adjoint(A) psi | phi>.
+<psi | A phi> = <A.adjoint() psi | phi>.
 
 Subtracting a non-real scalar from an operator is basis-dependent: (A - q)phi
 here always means apply(A, phi) - left_scale(L, q, phi) for an explicit left
@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,7 @@ from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .quat import (_NUM, Quaternion, format_quaternion, parse_quaternion,
                    qconj, qmatmul, qmul, qnormsq)
-from .rmodule import LeftMul, QVector
+from .rmodule import LeftMul, QVector, _as_components
 from .tolerances import DEFAULT, _number
 
 SYM_ATOL = 1e-10  # entrywise tolerance for symmetry predicates
@@ -80,10 +80,6 @@ class QOperator:
         return QVector.from_components(qmatmul(self.entries, phi.components))
 
     __call__ = apply
-
-    def apply_block(self, block):
-        """Apply to a block of vectors stored as an (n, s, 4) array."""
-        return qmatmul(self.entries, block)
 
     def adjoint(self) -> QOperator:
         return QOperator.from_entries(qconj(self.entries.transpose(1, 0, 2)))
@@ -170,19 +166,9 @@ def _literal_components(lit):
             return float(a) + 0.0, float(b) + 0.0, float(c) + 0.0, float(d) + 0.0
         q = parse_quaternion(lit)
         return q.q0, q.q1, q.q2, q.q3
+    if isinstance(lit, bool):
+        raise ValueError(f"entries is not a number: {lit!r}")
     return float(lit), 0.0, 0.0, 0.0
-
-
-def _as_components(x):
-    if isinstance(x, Quaternion):
-        return x.to_array()
-    if isinstance(x, (int, float)):
-        return np.array([float(x), 0.0, 0.0, 0.0])
-    return np.asarray(x, dtype=float)
-
-
-def adjoint(A: QOperator) -> QOperator:
-    return A.adjoint()
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +281,8 @@ def norm_identity_check(A: QOperator, L: LeftMul | None, q: Quaternion,
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((A.dim, samples, 4))
     block /= np.sqrt(qnormsq(block).sum(axis=0))[None, :, None]
-    lhs = qnormsq(M.apply_block(block)).sum(axis=0)
-    rhs = qnormsq(M0.apply_block(block)).sum(axis=0) + im2 * qnormsq(block).sum(axis=0)
+    lhs = qnormsq(qmatmul(M.entries, block)).sum(axis=0)
+    rhs = qnormsq(qmatmul(M0.entries, block)).sum(axis=0) + im2 * qnormsq(block).sum(axis=0)
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -315,9 +301,6 @@ class CriteriaReport:
     general_q: str = ""
     general_kernels_trivial: bool | None = None
     general_ranges_full: bool | None = None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def criteria_report(A: QOperator, L: LeftMul | None = None,

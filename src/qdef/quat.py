@@ -71,20 +71,6 @@ def qnormsq(a):
     return np.einsum("...i,...i->...", a, a)
 
 
-def qabs(a):
-    """Norms |q| along the last axis."""
-    return np.sqrt(qnormsq(a))
-
-
-def qinv(a):
-    """Componentwise inverses; raises ZeroDivisionError on a zero entry."""
-    a = np.asarray(a, dtype=float)
-    n2 = qnormsq(a)
-    if np.any(n2 == 0.0):
-        raise ZeroDivisionError("quaternion inverse of zero")
-    return qconj(a) / n2[..., None]
-
-
 # Component k of a matrix product adds the products a_m @ b_r of component
 # matrices in the order of the term table: (m, r, ufunc) for m = 0..3, where
 # the ufunc adds the term with its sign (the first term is always +)
@@ -303,59 +289,27 @@ K = Quaternion(0.0, 0.0, 0.0, 1.0)
 UNITS = {"i": I, "j": J, "k": K}
 
 
-def conj_norm_inv(q: Quaternion):
-    """Return the triple (conjugate, norm, inverse) of ``q``.
-
-    The inverse is conj(q) / |q|^2; inverting zero raises ZeroDivisionError.
-    """
-    return q.conjugate(), q.norm(), q.inverse()
-
-
-def im_norm(q: Quaternion) -> float:
-    return q.im_norm()
-
-
 # ---------------------------------------------------------------------------
 # the 2x2 complex representation (oracle)
 # ---------------------------------------------------------------------------
 
-class ComplexPair:
-    """The pair z1 = q0 + i*q3, z2 = q2 + i*q1 attached to a quaternion.
-
-    The round trip Quaternion -> ComplexPair -> Quaternion is exact.
-    """
-
-    __slots__ = ("z1", "z2")
-
-    def __init__(self, z1, z2):
-        self.z1 = complex(z1)
-        self.z2 = complex(z2)
-
-    @classmethod
-    def from_quaternion(cls, q: Quaternion):
-        return cls(complex(q.q0, q.q3), complex(q.q2, q.q1))
-
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion(self.z1.real, self.z2.imag, self.z2.real, self.z1.imag)
-
-    def __repr__(self):
-        return f"ComplexPair({self.z1!r}, {self.z2!r})"
-
-
 def embed2x2(q: Quaternion) -> np.ndarray:
-    """2x2 complex matrix [[z1, -conj(z2)], [z2, conj(z1)]] representing ``q``.
+    """2x2 complex matrix [[z1, -conj(z2)], [z2, conj(z1)]] representing ``q``,
+    with z1 = q0 + i*q3 and z2 = q2 + i*q1.
 
     Multiplicative: embed2x2(a*b) = embed2x2(a) @ embed2x2(b), and the
     conjugate maps to the conjugate transpose.  det equals |q|^2.
     """
-    p = ComplexPair.from_quaternion(q)
-    return np.array([[p.z1, -np.conj(p.z2)], [p.z2, np.conj(p.z1)]], dtype=complex)
+    z1, z2 = complex(q.q0, q.q3), complex(q.q2, q.q1)
+    return np.array([[z1, -np.conj(z2)], [z2, np.conj(z1)]], dtype=complex)
 
 
 def from_embed2x2(m) -> Quaternion:
-    """Inverse of ``embed2x2`` on its range (reads the first column)."""
+    """Inverse of ``embed2x2`` on its range (reads the first column z1, z2);
+    the round trip from a quaternion is exact."""
     m = np.asarray(m, dtype=complex)
-    return ComplexPair(m[0, 0], m[1, 0]).to_quaternion()
+    z1, z2 = m[0, 0], m[1, 0]
+    return Quaternion(z1.real, z2.imag, z2.real, z1.imag)
 
 
 # ---------------------------------------------------------------------------

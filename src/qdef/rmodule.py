@@ -28,6 +28,15 @@ from .quat import Quaternion, qconj, qmatmul, qmul, qnormsq
 ORTHO_ATOL = 1e-10  # orthonormality validation tolerance
 
 
+def _as_components(c):
+    """One quaternion entry (a Quaternion, a real or four components) as an array."""
+    if isinstance(c, Quaternion):
+        return c.to_array()
+    if isinstance(c, (int, float)):
+        return np.array([float(c), 0.0, 0.0, 0.0])
+    return np.asarray(c, dtype=float)
+
+
 def _coerce_components(coords):
     """Accept (n, 4) arrays, lists of Quaternion, or lists of reals."""
     if isinstance(coords, np.ndarray):
@@ -35,15 +44,7 @@ def _coerce_components(coords):
         if arr.ndim != 2 or arr.shape[1] != 4:
             raise ValueError("component array must have shape (n, 4)")
         return arr.copy()
-    rows = []
-    for c in coords:
-        if isinstance(c, Quaternion):
-            rows.append(c.to_array())
-        elif isinstance(c, (int, float)):
-            rows.append(np.array([float(c), 0.0, 0.0, 0.0]))
-        else:
-            rows.append(np.asarray(c, dtype=float))
-    arr = np.array(rows, dtype=float)
+    arr = np.array([_as_components(c) for c in coords], dtype=float)
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ValueError("coordinates must be quaternions")
     return arr
@@ -62,10 +63,6 @@ class QVector:
         v = cls.__new__(cls)
         v.components = np.asarray(arr, dtype=float)
         return v
-
-    @classmethod
-    def zero(cls, dim):
-        return cls.from_components(np.zeros((dim, 4)))
 
     @classmethod
     def basis_vector(cls, dim, k):
@@ -128,10 +125,6 @@ def inner(phi: QVector, psi: QVector) -> Quaternion:
     phi._check(psi)
     acc = qmul(qconj(phi.components), psi.components).sum(axis=0)
     return Quaternion.from_array(acc)
-
-
-def right_scale(phi: QVector, q: Quaternion) -> QVector:
-    return phi * q
 
 
 class Basis:

@@ -17,9 +17,7 @@ sphere's folded multiplicity.
 
 from __future__ import annotations
 
-import io
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +25,7 @@ from . import embed
 from .errors import InternalInconsistency, PreconditionFailed, SingularSystem
 from .qoperator import (QOperator, SymmetryReport, resolvent_poly,
                         symmetry_predicates)
-from .quat import Quaternion, qnormsq
+from .quat import Quaternion, qmatmul, qnormsq
 from .rmodule import LeftMul
 from .tolerances import DEFAULT
 
@@ -69,16 +67,6 @@ class SpectrumReport:
             "all_real": self.all_real,
             "note": self.note,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("re,im_mag,multiplicity\n")
-        for s in self.spheres:
-            buf.write(f"{s.re!r},{s.im_mag!r},{s.multiplicity}\n")
-        return buf.getvalue()
 
 
 def _fold_conjugate_pairs(lam, real_tol, fold_tol):
@@ -222,9 +210,6 @@ class RealityVerdict:
     equivalent: bool
     max_im_mag: float
 
-    def to_dict(self):
-        return asdict(self)
-
 
 def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,
                          strict: bool = False, *,
@@ -265,8 +250,8 @@ def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,
 
 def resolvent_inverse_norm(A: QOperator, q: Quaternion) -> float:
     """Operator norm of R_q(A)^{-1} (reciprocal smallest singular value)."""
-    R = resolvent_poly(A, q)
-    smin = embed.min_singular_value(R)
+    s = np.linalg.svd(embed.chi(resolvent_poly(A, q)), compute_uv=False)
+    smin = float(s[-1]) if s.size else 0.0
     if smin <= 0.0:
         raise SingularSystem("R_q(A) is singular; q lies in the spectrum")
     return 1.0 / smin
@@ -300,6 +285,6 @@ def resolvent_bound_check(A: QOperator, q: Quaternion, samples: int = 50,
     b = embed.chi(block)[:, 0::2]           # column k is vec(psi_k)
     x = np.linalg.solve(M, b)
     upper = np.linalg.norm(x, axis=0) * im2 / np.linalg.norm(b, axis=0)
-    applied = R.apply_block(block)
+    applied = qmatmul(R.entries, block)
     lower = np.sqrt(qnormsq(applied).sum(axis=0)) / im2   # ||R phi|| / (im2 * ||phi||)
     return max(float(np.max(upper - 1.0)), float(np.max(1.0 - lower)))

@@ -433,9 +433,16 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
      "dim is not an integer: 2.7"),
     ("deficiency", '{"bandwidth": 1.9, %s}' % _JACOBI, "bandwidth is not an integer: 1.9"),
     ("verify", '{"dim": true, "entries": ["1"]}', "dim is not a number: True"),
+    # once read one character per coefficient, as the coefficients 1 and 2
+    ("deficiency", '{"bandwidth": 0, "coeff": {"offset_0": "12"}}',
+     "offset_0 must be a list, got str"),
+    # once read as 1.0
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_-1": [1], "offset_0": [0], '
+                   '"offset_1": [true]}}', "offset_1 is not a number: True"),
+    ("verify", '{"dim": 1, "entries": [true]}', "entries is not a number: True"),
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
         "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
-        "bandwidth-fraction", "dim-bool"])
+        "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool"])
 def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
                                                  capsys):
     m = tmp_path / "m.json"

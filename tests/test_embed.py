@@ -83,6 +83,14 @@ class TestKernel:
         kb = kernel_q(QOperator.zero(3))
         assert kb.qdim == 3 and len(kb.vectors) == 3
 
+    @pytest.mark.parametrize("cols", [0, 1, 3])
+    def test_no_rows(self, cols):
+        # no equation: the kernel is all of H^cols, with its canonical basis
+        kb = kernel_q(np.zeros((0, cols, 4)))
+        assert kb.qdim == cols and len(kb.vectors) == cols
+        got = np.array([v.components for v in kb.vectors]).reshape(cols, cols, 4)
+        np.testing.assert_array_equal(got, np.eye(cols)[..., None] * [1, 0, 0, 0])
+
     def test_invertible_real_symmetric(self):
         A = real_symmetric(4, seed=11)
         A = A + 10.0 * QOperator.identity(4)  # push eigenvalues away from 0

@@ -3,7 +3,7 @@ import pytest
 
 import qdef.qoperator
 
-from qdef import (I, J, K, LeftMul, Quaternion, QOperator, QVector, adjoint,
+from qdef import (I, J, K, LeftMul, Quaternion, QOperator, QVector,
                   criteria_report, hermitian_random, inner, kernel_q,
                   left_scalar, norm_identity_check, random_operator,
                   random_qvector, real_symmetric, resolvent_poly, scalar_op,
@@ -61,7 +61,7 @@ class TestAdjoint:
         for _ in range(40):
             n = int(rng.integers(2, 6))
             A = random_operator(n, seed=int(rng.integers(1 << 31)))
-            adj = adjoint(A)
+            adj = A.adjoint()
             phi = random_qvector(rng, n)
             psi = random_qvector(rng, n)
             lhs = inner(psi, A(phi))

@@ -3,8 +3,7 @@ import pytest
 
 from qdef import (Basis, I, J, K, LeftMul, Quaternion, QVector, delta_map,
                   expand, gram_schmidt, inner, left_scale, random_basis,
-                  random_qvector, random_real_rotation_basis, reconstruct,
-                  right_scale)
+                  random_qvector, random_real_rotation_basis, reconstruct)
 from qdef.errors import (BasisError, DimensionMismatch, RankDeficient,
                          ZeroScalar)
 from qdef.quat import qconj, qmatmul
@@ -58,16 +57,16 @@ class TestRightScale:
     def test_identity(self):
         rng = np.random.default_rng(1)
         phi = random_qvector(rng, 4)
-        assert right_scale(phi, Quaternion(1)).isclose(phi, atol=0)
+        assert (phi * Quaternion(1)).isclose(phi, atol=0)
 
     def test_basis_action(self):
-        v = right_scale(e(3, 1), J)
+        v = e(3, 1) * J
         assert v[1].isclose(J, atol=0) and v[0].isclose(Quaternion(0), atol=0)
 
     def test_norm_multiplicative(self):
         phi = QVector([Quaternion(1), I])
         q = Quaternion(1, 0, 0, 1)
-        assert right_scale(phi, q).norm() == pytest.approx(2.0, abs=1e-14)
+        assert (phi * q).norm() == pytest.approx(2.0, abs=1e-14)
 
 
 class TestLeftScale:

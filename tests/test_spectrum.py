@@ -91,10 +91,10 @@ class TestPointSpectrum:
 
     def test_report_serialization(self):
         rep = point_sspectrum(QOperator([[1, 0], [0, 2]]))
-        obj = json.loads(rep.to_json())
+        obj = json.loads(qdef.cli._render(rep.to_dict(), "json"))
         assert obj["all_real"] is True
         assert obj["spheres"][0] == {"re": 1.0, "im_mag": 0.0, "mult": 1}
-        csv = rep.to_csv()
+        csv = qdef.cli._render(rep.to_dict(), "csv")
         assert csv.splitlines()[0] == "re,im_mag,multiplicity"
         assert len(csv.splitlines()) == 3
 
