@@ -77,7 +77,9 @@ def _load_operator(args):
             op = QOperator.from_dict(obj)
             if not isinstance(obj.get("hermitian", False), bool):
                 raise ValueError(f"hermitian must be true or false, got {obj['hermitian']!r}")
-        except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        except KeyError as exc:
+            raise ConfigError(f"{args.matrix}: {exc.args[0]} is missing")
+        except (ValueError, TypeError, OverflowError) as exc:
             raise ConfigError(f"{args.matrix}: {exc}")
         return "matrix", op, {k: obj[k] for k in ("hermitian",) if k in obj}
     raise ConfigError("an operator is required: --preset NAME or --matrix PATH")
@@ -262,6 +264,14 @@ def _render_csv(report: dict) -> str:
         if k in ("tolerances", "parts", "deficiency"):
             continue
         buf.write(f"{k},{report[k]}\n")
+    if "deficiency" in report:
+        d = report["deficiency"]
+        for k in ("n_plus", "n_minus", "status", "self_adjoint"):
+            buf.write(f"{k},{d[k]}\n")
+        for k in ("status", "constant_dim"):
+            buf.write(f"scan_{k},{d['stability'].get(k)}\n")
+    for name, part in report.get("parts", {}).items():
+        buf.write(f"\npart,{name}\n{_render_csv(part)}")
     return buf.getvalue()
 
 
@@ -280,8 +290,13 @@ def _render_text(report: dict) -> str:
         d = report["deficiency"]
         lines.append(f"  indices: ({d['n_plus']}, {d['n_minus']})  "
                      f"status={d['status']}  self_adjoint={d['self_adjoint']}")
+        lines.append(f"  scan: status={d['stability']['status']}  "
+                     f"constant_dim={d['stability'].get('constant_dim')}")
     if "max_discrepancy" in report:
         lines.append(f"  max discrepancy: {report['max_discrepancy']}")
+    for name, part in report.get("parts", {}).items():
+        lines.append(f"{name}:")
+        lines += ["  " + line for line in _render_text(part).splitlines()]
     return "\n".join(lines) + "\n"
 
 

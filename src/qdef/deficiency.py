@@ -50,12 +50,12 @@ its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
 per index, so exponentially growing or decaying solutions never overflow.
 The largest |c| of a window is the norm of its components, or where their
 squares overflow or underflow, the norm of the components divided by their
-largest magnitude.  Rows are marched in blocks and judged after the block:
-a quick test on the block's new entries, then on each failing row's window,
-sends only doubtful rows to the exact test, in row order.  A row's window
-holds what it and the rows before it wrote, so every test reads what a
-row-by-row march reads; the rows after the first that rescales are marched
-again from the rescaled window, and no bit changes.  For square-
+largest magnitude.  One test judges every row: its window's largest |c|
+against that range.  Rows are marched in blocks, and each block's windows
+are judged after it, in row order.  A row's window holds what it and the
+rows before it wrote, so every test reads what a row-by-row march reads;
+the rows after the first that rescales are marched again from the rescaled
+window, and no bit changes.  For square-
 summable candidates a backward re-solve from the computed tail cross-checks
 the forward pass, and for bandwidth-1 operators a minimal-solution probe
 (backward march from a zero tail seed) guards against the forward recurrence
@@ -312,11 +312,14 @@ def from_config(obj) -> BandedOperator:
     for key, val in spec.items():
         if not key.startswith("offset_"):
             continue
-        d = int(key[len("offset_"):])
+        try:
+            d = int(key[len("offset_"):])
+        except ValueError:
+            raise ValueError(f"{key} does not name an integer offset") from None
         if not isinstance(val, list):
             raise ValueError(f"{key} must be a list, got {type(val).__name__}")
         for c in val:
-            if isinstance(c, bool):
+            if isinstance(c, bool) or not isinstance(c, (int, float, str)):
                 raise ValueError(f"{key} is not a number: {c!r}")
         offsets[d] = [parse_quaternion(c) if isinstance(c, str) else c for c in val]
     flags = {key: obj.get(key, True) for key in ("symmetric", "real_entries")}
@@ -415,9 +418,10 @@ def _march(table, shifts, N, seeds, reverse=False):
     march complex products of (B,) complex shifts and seeds, the slice
     arithmetic of the module docstring.  Forward: ``seeds`` (B, w) fills
     c_0..c_{w-1} and rows 0..N-w produce c_w..c_N.  Reverse: ``seeds``
-    (B, 2w) fills c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  Each
-    solution rescales its active window on its own whenever its magnitudes
-    leave [RESCALE_LO, RESCALE_HI] (``_settle``).  Returns mantissas
+    (B, 2w) fills c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  After
+    every row, the first included, each solution rescales its active window
+    on its own when the window's largest |c| leaves [RESCALE_LO, RESCALE_HI]
+    (``_settle``); that is the one rescale rule.  Returns mantissas
     (B, N+1, 4), or (B, N+1) complex, and log scales (B, N+1); every
     solution is bit for bit what it would be if marched alone.
 
@@ -476,7 +480,7 @@ def _march(table, shifts, N, seeds, reverse=False):
                 C[n + off] = mul(inv[n], acc)
             lo, hi = sorted((block[0] + off, block[-1] + off))
             logs[:, lo:hi + 1] = scale[:, None]
-            kept, hit = _settle(C, comps, logs, scale, block, w, start == 0)
+            kept, hit = _settle(C, comps, logs, scale, block, w)
             start += kept
             if hit is not None:
                 for b, rescaled in enumerate(hit):
@@ -486,93 +490,50 @@ def _march(table, shifts, N, seeds, reverse=False):
     return np.swapaxes(C, 0, 1), logs
 
 
-def _settle(C, comps, logs, scale, block, w, first):
+def _settle(C, comps, logs, scale, block, w):
     """Judge the rows of ``block``, marched with no rescale test, as a
     row-by-row march judges each.  Returns how many of them stand (all, or
     those up to the first that rescales) and which solutions that row
     rescaled (None if no row did).
 
     Row n's window holds the 2w entries the next row reads: c_{n+1-w}..c_{n+w}
-    forward, clipped at c_0, and c_{n-w}..c_{n+w-1} reverse.  A window needs
-    no rescale when its largest |c| lies in [RESCALE_LO, RESCALE_HI] in every
-    solution.  After the first row every entry but the new one had
-    |c| <= RESCALE_HI when the previous row was judged, so a new entry
-    inside that range clears the window; else the whole window is read.
-    The first row of a march is judged by its window alone.  A row that
-    passes neither quick test (``_in_range``) takes the exact test of
-    ``_rescale``.
-
-    The block is judged at once where it can be: a block whose new entries
-    all lie inside the range, none NaN, passes.  Otherwise each row takes
-    the quick tests in row order, on the largest magnitudes of its new
-    entry and, as a sliding maximum over the block, of its window.  A row's
+    forward, clipped at c_0, and c_{n-w}..c_{n+w-1} reverse.  Each solution
+    whose largest |c| there (the first maximum, as Python's max) lies
+    outside [RESCALE_LO, RESCALE_HI], which a NaN never does, is divided by
+    it, and its log factor grows by its log.  One array pass finds the tops
+    of all the windows, and the rows flagged rescale in row order.  A row's
     window holds what it and the rows before it wrote, and no row after the
-    first that rescales is kept, so every test reads what the row-by-row
-    march reads, and no bit changes.
+    first that rescales is kept, so no bit changes.
     """
     L = len(block)
     reverse = block.step < 0
-    # largest magnitudes of the entries of every window, in index order: the
-    # window of the row with the k-th new entry is entries k..k+2w-1
-    first_entry = min(block[0], block[-1]) + (-w if reverse else 1 - w)
-    tops = np.abs(C[max(0, first_entry):first_entry + L + 2 * w - 1])
-    if tops.ndim == 3:
-        tops = tops.max(axis=2)                   # largest component magnitude
-    if first_entry < 0:                           # clipped at c_0: repeat it
-        tops = np.concatenate([tops[:1]] * -first_entry + [tops])
-    new = tops[:L] if reverse else tops[2 * w - 1:]
-    # NaN propagates through both reductions and fails both comparisons
-    if (not first and np.minimum.reduce(new, None) >= 2.0 * RESCALE_LO
-            and np.maximum.reduce(new, None) <= 0.25 * RESCALE_HI):
-        return L, None
-    win = tops[:L]
-    for k in range(1, 2 * w):
-        win = np.maximum(win, tops[k:k + L])
-    news, wins = new.tolist(), win.tolist()
-    for row in range(L):
-        k = L - 1 - row if reverse else row
-        if (row or not first) and _in_range(news[k]) or _in_range(wins[k]):
-            continue
-        hit = _rescale(comps, logs, scale, max(0, first_entry + k), first_entry + k + 2 * w)
-        if hit is not None:
-            return row + 1, hit
+    # |c| of the entries of every window, in index order: the window of the
+    # row with the k-th new entry is entries k..k+2w-1
+    first = min(block[0], block[-1]) + (-w if reverse else 1 - w)
+    mags = np.sqrt(_normsq(comps[max(0, first):first + L + 2 * w - 1]))
+    if first < 0:                                 # clipped at c_0: repeat it
+        mags = np.concatenate([mags[:1]] * -first + [mags])
+    tops = _first_max([mags[k:k + L] for k in range(2 * w)])
+    flagged = np.flatnonzero(((tops > RESCALE_HI) | (tops < RESCALE_LO)).any(axis=1))
+    for k in (flagged[::-1] if reverse else flagged).tolist():
+        lo, hi = max(0, first + k), first + k + 2 * w
+        top = tops[k].tolist()
+        if any(t == 0.0 or t == math.inf for t in top):
+            # a norm whose squares overflow reads inf, one whose squares
+            # underflow reads 0: only a top of inf or 0 can be wrong
+            top = _first_max(_norms(comps[lo:hi])).tolist()
+        # the others get K = 0 and the factor exp(-0) = 1, which change no bit
+        K = [math.log(t) if t > RESCALE_HI or 0.0 < t < RESCALE_LO else 0.0 for t in top]
+        if any(K):
+            comps[lo:hi] *= np.array([math.exp(-x) for x in K])[:, None]
+            logs[:, lo:hi] += np.array(K)[:, None]
+            scale += K
+            return (L - k if reverse else k + 1), [x != 0.0 for x in K]
     return L, None
 
 
-def _in_range(top) -> bool:
-    """Quick test that the largest magnitudes ``top`` of every solution, a
-    list, lie in [RESCALE_LO, RESCALE_HI]: complex |c| (to one rounding), or
-    the largest component magnitude m, with |c| in [m, 2m], is compared with
-    [2 RESCALE_LO, RESCALE_HI / 4].  Python's min and max pass over a NaN
-    after the first solution's, and a NaN there fails."""
-    return min(top) >= 2.0 * RESCALE_LO and max(top) <= 0.25 * RESCALE_HI
-
-
-def _rescale(comps, logs, scale, lo, hi):
-    """The exact test of entries lo..hi-1: each solution whose largest |c|
-    there (the first maximum, as Python's max) lies outside [RESCALE_LO,
-    RESCALE_HI] is divided by it, and its log factor grows by its log.
-    Returns which solutions were rescaled, a list of bools, or None if none
-    was."""
-    top = _first_max(np.sqrt(_normsq(comps[lo:hi]))).tolist()
-    if not any(t > RESCALE_HI or t < RESCALE_LO for t in top):
-        return None
-    if any(t == 0.0 or t == math.inf for t in top):
-        # a norm whose squares overflow reads inf, one whose squares
-        # underflow reads 0: only a top of inf or 0 can be wrong
-        top = _first_max(_norms(comps[lo:hi])).tolist()
-    # the others get K = 0 and the factor exp(-0) = 1, which change no bit
-    K = [math.log(t) if t > RESCALE_HI or 0.0 < t < RESCALE_LO else 0.0 for t in top]
-    if not any(K):
-        return None
-    comps[lo:hi] *= np.array([math.exp(-k) for k in K])[:, None]
-    logs[:, lo:hi] += np.array(K)[:, None]
-    scale += K
-    return [k != 0.0 for k in K]
-
-
 def _first_max(mags):
-    """Per solution (column of ``mags``), its first largest entry, as
+    """Per solution (last axis), the first largest of the ``mags``, as
     Python's max finds it: a NaN is passed over after the first entry."""
     top = mags[0]
     for m in mags[1:]:

@@ -166,7 +166,7 @@ def _literal_components(lit):
             return float(a) + 0.0, float(b) + 0.0, float(c) + 0.0, float(d) + 0.0
         q = parse_quaternion(lit)
         return q.q0, q.q1, q.q2, q.q3
-    if isinstance(lit, bool):
+    if isinstance(lit, bool) or not isinstance(lit, (int, float)):
         raise ValueError(f"entries is not a number: {lit!r}")
     return float(lit), 0.0, 0.0, 0.0
 

@@ -19,6 +19,7 @@ route all algebra through these helpers.
 
 from __future__ import annotations
 
+import math
 import re
 
 import numpy as np
@@ -238,12 +239,18 @@ class Quaternion:
         return self.q0 ** 2 + self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2
 
     def norm(self):
-        return np.sqrt(self.norm_sq())
+        return _norm(self.q0, self.q1, self.q2, self.q3)
 
     def inverse(self):
-        n2 = self.norm_sq()
-        if n2 == 0.0:
+        big = max(abs(self.q0), abs(self.q1), abs(self.q2), abs(self.q3))
+        if big == 0.0:
             raise ZeroDivisionError("quaternion inverse of zero")
+        try:
+            n2 = self.norm_sq()
+        except OverflowError:
+            n2 = math.inf
+        if (n2 == 0.0 or n2 == math.inf) and big < math.inf:
+            return (self / big).inverse() / big
         c = self.conjugate()
         return Quaternion(c.q0 / n2, c.q1 / n2, c.q2 / n2, c.q3 / n2)
 
@@ -253,7 +260,7 @@ class Quaternion:
 
     def im_norm(self):
         """sqrt(q1^2 + q2^2 + q3^2); zero exactly when the quaternion is real."""
-        return np.sqrt(self.q1 ** 2 + self.q2 ** 2 + self.q3 ** 2)
+        return _norm(self.q1, self.q2, self.q3)
 
     def is_real(self, atol=ATOL):
         return self.im_norm() <= atol
@@ -279,6 +286,22 @@ class Quaternion:
 
     def __str__(self):
         return format_quaternion(self)
+
+
+def _norm(*xs):
+    """sqrt(x0^2 + x1^2 + ...), added left to right.  Where the squares
+    overflow, or underflow to 0 with an x nonzero, it is the norm of the xs
+    divided by their largest magnitude, times that magnitude."""
+    sq = 0.0
+    try:
+        for x in xs:
+            sq += x ** 2
+    except OverflowError:               # a float's ** raises where * gives inf
+        sq = math.inf
+    big = max(map(abs, xs))
+    if (sq == 0.0 or sq == math.inf) and 0.0 < big < math.inf:
+        return big * _norm(*(x / big for x in xs))
+    return np.sqrt(sq)
 
 
 ONE = Quaternion(1.0)

@@ -66,12 +66,13 @@ class Tolerances:
 
 def _number(name, val, integral, error=ConfigError):
     """A value read from outside input as a finite float, or as an int when
-    ``integral`` (a boolean is neither); otherwise ``error`` naming ``name``."""
+    ``integral`` (a boolean or a string is neither); otherwise ``error``
+    naming ``name``."""
     try:
-        num = float(val)
+        num = None if isinstance(val, (bool, str)) else float(val)
     except (TypeError, ValueError, OverflowError):
         num = None
-    if num is None or isinstance(val, bool):
+    if num is None:
         raise error(f"{name} is not a number: {val!r}")
     if not math.isfinite(num):
         raise error(f"{name} is not finite: {val!r}")

@@ -176,6 +176,36 @@ class TestCommands:
         text = capsys.readouterr().out
         assert code == 0 and text.startswith("command: verify")
 
+    SMALL = ["--preset", "number_operator", "--N", "400", "--window", "50",
+             "--count", "2", "--trials", "2", "--dim", "3"]
+
+    def test_csv_carries_the_answer(self, capsys):
+        assert main(["deficiency", *self.SMALL, "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "key,value" and lines[5:] == [
+            "n_plus,0", "n_minus,0", "status,ok", "self_adjoint,True",
+            "scan_status,ok", "scan_constant_dim,0"]
+        assert main(["report", *self.SMALL, "--format", "csv"]) == 0
+        sections = capsys.readouterr().out.split("\n\n")
+        assert [s.splitlines()[:2] for s in sections[1:]] == [
+            ["part,verify", "check,passed,residual,tolerance"],
+            ["part,deficiency", "key,value"], ["part,invariance", "key,value"]]
+        assert sections[2].endswith("scan_status,ok\nscan_constant_dim,0")
+        assert "max_discrepancy,0" in sections[3].splitlines()
+
+    def test_text_carries_the_answer(self, capsys):
+        assert main(["deficiency", *self.SMALL, "--format", "text"]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "  indices: (0, 0)  status=ok  self_adjoint=True",
+            "  scan: status=ok  constant_dim=0"]
+        assert main(["report", *self.SMALL, "--format", "text"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if not line.startswith(" ")] == [
+            "command: report", "passed: True", "verify:", "deficiency:", "invariance:"]
+        assert "    indices: (0, 0)  status=ok  self_adjoint=True" in lines
+        assert "    [ok ] unit_independence" in lines
+        assert lines[-1] == "    max discrepancy: 0"
+
     def test_q_flag_parsing(self, capsys):
         code = main(["deficiency", "--preset", "number_operator", "--N", "400",
                      "--window", "50", "--q", "1+i", "--count", "2"])
@@ -319,6 +349,8 @@ BAD_INPUT = [
      None, 2),
     ("env-N-negative", ["verify", "--preset", "free_jacobi"], {"N": -5}, None, 2),
     ("env-N-text", ["verify", "--preset", "free_jacobi"], {"N": "many"}, None, 2),
+    # once read as the number 100
+    ("env-N-numeric-text", ["verify", "--preset", "free_jacobi"], {"N": "100"}, None, 2),
     # NaN once made every ratio test false, so jacobi_sq read (0, 0) with exit 0
     ("env-ratio-nan", ["deficiency", "--preset", "jacobi_sq", "--N", "1000",
                        "--count", "2"], {"ratio": float("nan")}, None, 2),
@@ -399,6 +431,17 @@ class TestBadInput:
             assert any(f"'{key}'" in err or f"error: {key} " in err for key in env)
 
 
+@pytest.mark.parametrize("q", ["1e-200i", "1e200+1e-200i", "1e300i"])
+def test_shift_at_the_ends_of_the_double_range(q, capsys):
+    # once refused as real (|Im q| read 0) or ended by an OverflowError
+    code = main(["deficiency", "--preset", "free_jacobi", "--N", "400", "--window", "40",
+                 "--count", "3", f"--q={q}"])
+    captured = capsys.readouterr()
+    assert code in (0, 1) and captured.err == ""
+    report = json.loads(captured.out)["deficiency"]
+    assert (report["n_plus"], report["n_minus"], report["status"]) == (0, 0, "ok")
+
+
 @pytest.mark.parametrize("command", ["verify", "sspectrum", "report"])
 def test_dim_zero_matrix_is_config_error(command, tmp_path, capsys):
     # once a zero-size reduction traceback in verify, and accepted by sspectrum
@@ -440,9 +483,34 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
     ("deficiency", '{"bandwidth": 1, "coeff": {"offset_-1": [1], "offset_0": [0], '
                    '"offset_1": [true]}}', "offset_1 is not a number: True"),
     ("verify", '{"dim": 1, "entries": [true]}', "entries is not a number: True"),
+    # once Python's own message, which named no key
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_x": [1]}}',
+     "offset_x does not name an integer offset"),
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_1.5": [1]}}',
+     "offset_1.5 does not name an integer offset"),
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_0": [null]}}',
+     "offset_0 is not a number: None"),
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_0": [[1, 2]]}}',
+     "offset_0 is not a number: [1, 2]"),
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_0": [{"re": 1}]}}',
+     "offset_0 is not a number: {'re': 1}"),
+    ("verify", '{"dim": 1, "entries": [null]}', "entries is not a number: None"),
+    ("verify", '{"dim": 1, "entries": [[1]]}', "entries is not a number: [1]"),
+    ("verify", '{"dim": 1, "entries": [{}]}', "entries is not a number: {}"),
+    ("deficiency", '{"bandwidth": 1}', "coeff is missing"),
+    ("verify", '{"entries": [1]}', "dim is missing"),
+    ("verify", '{"dim": 1}', "entries is missing"),
+    # once read as the numbers 1 and 2
+    ("deficiency", '{"bandwidth": "1", %s}' % _JACOBI, "bandwidth is not a number: '1'"),
+    ("verify", '{"dim": "2", "entries": ["1", "0", "0", "1"]}',
+     "dim is not a number: '2'"),
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
         "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
-        "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool"])
+        "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool",
+        "offset-key-text", "offset-key-fraction", "offset-null", "offset-list",
+        "offset-object", "entries-null", "entries-list", "entries-object",
+        "coeff-missing", "dim-missing", "entries-missing", "bandwidth-string",
+        "dim-string"])
 def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
                                                  capsys):
     m = tmp_path / "m.json"

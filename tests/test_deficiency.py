@@ -279,6 +279,15 @@ class TestDeficiencyIndices:
             assert n_at_lam == n_scaled
             assert d_direct.status == "ok"
 
+    @pytest.mark.xfail(strict=True, reason=(
+        "both solutions fit a block ratio of 0.99945, within the 1e-3 margin of "
+        "1, and the flat-trend rule reads the power-law tail as divergent"))
+    def test_slow_power_law_tail_is_not_read_divergent(self):
+        # the known answer is (1, 1) (Berezanskii); at the default window the
+        # same flip comes by N = 10^6
+        rep = deficiency_indices(jacobi_sq(), "i", N=20000, window=4)
+        assert rep.indices == (1, 1) or rep.status == "inconclusive"
+
     def test_bad_unit(self):
         with pytest.raises(ValueError):
             deficiency_indices(number_operator(), "x")
@@ -613,9 +622,9 @@ class TestEngine:
         BandedOperator(1, {-1: [1.0], 0: [0.0], 1: [1e60]}, symmetric=False),
     ], ids=["grows-1e40", "decays-1e-60"])
     def test_norm_squares_out_of_range(self, op):
-        # |c| passes 1e154, or falls below 1e-162, a row after a quick test
-        # passed it, so the squares of its norm overflow or underflow: the
-        # exact test takes the norm of the scaled components, as the scalar
+        # |c| passes 1e154, or falls below 1e-162, a row after the window
+        # test passed it, so the squares of its norm overflow or underflow:
+        # the test takes the norm of the scaled components, as the scalar
         # march does
         N = 200
         seeds = np.zeros((1, 1, 4))
@@ -798,21 +807,10 @@ class TestEngine:
 # the block march against the row-by-row loop
 # ---------------------------------------------------------------------------
 
-def _quick_rowwise(c):
-    """The row-by-row loop's quick test of a slice of the mantissas."""
-    mags = np.abs(c).reshape(len(c), -1)
-    if mags.shape[1] > 1:
-        mags = np.maximum.reduce(mags, axis=1)
-    top = mags.ravel().tolist()
-    return min(top) >= 2.0 * RESCALE_LO and max(top) <= 0.25 * RESCALE_HI
-
-
 def rowwise_march(table, shifts, N, seeds, reverse=False):
     """The recurrence marched and judged row by row, the reference for
-    _march's blocks: after each row the new entry, or else the row's window,
-    takes the quick test, and only a row that fails both takes the exact
-    test (with the scaled norm where the plain squares overflow or
-    underflow)."""
+    _march's blocks: after each row its window takes the exact test (with
+    the scaled norm where the plain squares overflow or underflow)."""
     w = (table.shape[1] - 1) // 2
     tab = table[:N + 1]
     if tab.ndim == 3:
@@ -850,9 +848,6 @@ def rowwise_march(table, shifts, N, seeds, reverse=False):
                 lo, hi = max(0, n - w), min(N, n - 1 + w) + 1
             else:
                 lo, hi = max(0, n + 1 - w), min(N, n + w) + 1
-            if ((n != rows[0] and _quick_rowwise(C[:, out:out + 1]))
-                    or _quick_rowwise(C[:, lo:hi])):
-                continue
             window = comps[:, lo:hi]
             mags = np.sqrt(_normsq(window))
             big = np.abs(window).max(axis=-1)
@@ -942,8 +937,8 @@ class TestBlockMarch:
         settle = qdef.deficiency._settle
         where = set()
 
-        def recording(C, comps, logs, scale, block, w, first):
-            kept, hit = settle(C, comps, logs, scale, block, w, first)
+        def recording(C, comps, logs, scale, block, w):
+            kept, hit = settle(C, comps, logs, scale, block, w)
             if hit is not None and len(block) > 1:
                 where.add("first" if kept == 1 else "last" if kept == len(block)
                           else "inner")
@@ -961,8 +956,8 @@ class TestBlockMarch:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("hamilton", [False, True])
     def test_nan(self, reverse, hamilton):
-        # the quick tests pass over a NaN after the first solution's, as
-        # Python's min and max do, and fail on a NaN first solution
+        # a window's top passes over a NaN after its first entry, as Python's
+        # max does, and a NaN top never rescales, in every batch position
         op = jacobi(1, 0)
         N = 300
         table = op.table(N) if hamilton else op.table(N)[..., 0]
@@ -981,8 +976,7 @@ class TestBlockMarch:
     @pytest.mark.parametrize("hamilton", [False, True])
     def test_nan_beside_a_tiny_entry(self, b, hamilton):
         # a NaN shift makes solution b NaN from c_2 on, beside its tiny seed
-        # c_1: the exact test would rescale it, so only the quick tests'
-        # NaN rule decides whether it does
+        # c_1: the window's top passes over the NaN, so c_1 rescales
         op = jacobi(2, 0)
         N = 100
         table = op.table(N) if hamilton else op.table(N)[..., 0]
@@ -992,15 +986,37 @@ class TestBlockMarch:
         # solution 1 rescales at row 0, which ends the first block there
         seeds[1, 0] = 1e130
         logs = assert_same_march(table, qs, N, seeds, False)
-        assert (logs[b, 1] != 0.0) == (b == 0)    # b >= 1 is passed over
+        assert logs[b, 1] != 0.0
+
+    @pytest.mark.parametrize("hamilton", [False, True])
+    def test_batch_position_changes_no_bit(self, hamilton):
+        # the NaN problem above at batch position 0 and at 2: its bits do not
+        # depend on where it stands, and in Hamilton arithmetic they are the
+        # 4-tuple march's
+        op = jacobi(2, 0)
+        N = 100
+        table = op.table(N) if hamilton else op.table(N)[..., 0]
+        qs, seeds, _ = march_cases(table, N, np.random.default_rng(6))[0]
+        marched = []
+        for b in (0, 2):
+            shifts, tails = qs.copy(), seeds.copy()
+            shifts[b] = np.nan
+            tails[b, 1] = 1e-130
+            C, logs = _march(table, shifts, N, tails)
+            marched.append((C[b], logs[b]))
+        (C0, logs0), (C2, logs2) = marched
+        assert same_bits(C0, C2) and same_bits(logs0, logs2)
+        if hamilton:
+            C_ref, logs_ref = scalar_march(op, Quaternion(*shifts[2]), N, tails[2])
+            assert same_bits(C2, C_ref) and same_bits(logs2, logs_ref)
 
     def test_block_length_follows_rescale_rate(self, monkeypatch):
         settle = qdef.deficiency._settle
         blocks = []
 
-        def recording(C, comps, logs, scale, block, w, first):
+        def recording(C, comps, logs, scale, block, w):
             blocks.append(len(block))
-            return settle(C, comps, logs, scale, block, w, first)
+            return settle(C, comps, logs, scale, block, w)
 
         monkeypatch.setattr(qdef.deficiency, "_settle", recording)
         N = 4000
@@ -1034,7 +1050,7 @@ class TestBlockMarch:
 
     def test_growth_and_decay_in_one_batch(self):
         # one solution grows past RESCALE_HI while a zero seed slot keeps its
-        # chain at 0: its new entries fail the quick test every other row
+        # chain at 0: every other new entry is 0, below RESCALE_LO
         op = jacobi(2, 0)
         N = 2000
         table = op.table(N)[..., 0]

@@ -122,6 +122,30 @@ class TestEmbedding:
             assert back.isclose(q, atol=0)
 
 
+@pytest.mark.parametrize("comps,norm,im_norm", [
+    # squares underflow to 0 or overflow: once 0, or an OverflowError
+    ((0.0, 1e-200, 0.0, 0.0), 1e-200, 1e-200),
+    ((3e-200, 0.0, 4e-200, 0.0), 5e-200, 4e-200),
+    ((1e200, 1e-200, 0.0, 0.0), 1e200, 1e-200),
+    ((0.0, 1e300, 0.0, 0.0), 1e300, 1e300),
+    ((-3e200, 0.0, 0.0, 4e200), 5e200, 4e200),
+    # in range, the plain formula keeps its bits
+    ((1.0, 2.0, 3.0, 4.0), np.sqrt(30.0), np.sqrt(29.0)),
+    ((0.1, -0.7, 1e-100, 3.0), np.sqrt(0.1 ** 2 + 0.7 ** 2 + 1e-200 + 9.0),
+     np.sqrt(0.7 ** 2 + 1e-200 + 9.0)),
+    ((0.0, 0.0, 0.0, 0.0), 0.0, 0.0),
+])
+def test_norms_across_the_double_range(comps, norm, im_norm):
+    q = Quaternion(*comps)
+    assert q.norm() == pytest.approx(norm, rel=1e-15, abs=0.0)
+    assert q.im_norm() == pytest.approx(im_norm, rel=1e-15, abs=0.0)
+    if 1e-100 < norm < 1e100:
+        assert q.norm() == norm and q.im_norm() == im_norm
+    if norm:       # q^-1 = conj(u) / |q| for the unit u = q / |q|
+        unit = q / float(q.norm())
+        assert (q.inverse() * float(q.norm())).isclose(unit.conjugate(), atol=1e-15)
+
+
 class TestImNorm:
     def test_examples(self):
         assert Quaternion(5).im_norm() == 0.0
