@@ -18,6 +18,7 @@ QDEF_TOL_OVERRIDES may hold a JSON object overriding tolerance entries
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import io
 import json
@@ -249,29 +250,33 @@ def _render(report: dict, fmt: str) -> str:
 
 def _render_csv(report: dict) -> str:
     buf = io.StringIO()
+    rows = csv.writer(buf, lineterminator="\n")   # quotes a cell with a comma
     if "spheres" in report:
-        buf.write("re,im_mag,multiplicity\n")
+        rows.writerow(("re", "im_mag", "multiplicity"))
         for s in report["spheres"]:
-            buf.write(f"{s['re']!r},{s['im_mag']!r},{s['mult']}\n")
+            rows.writerow((repr(s["re"]), repr(s["im_mag"]), str(s["mult"])))
         return buf.getvalue()
     if "checks" in report:
-        buf.write("check,passed,residual,tolerance\n")
+        rows.writerow(("check", "passed", "residual", "tolerance"))
         for c in report["checks"]:
-            buf.write(f"{c['name']},{c['passed']},{c['residual']},{c['tolerance']}\n")
+            rows.writerow((c["name"], str(c["passed"]), str(c["residual"]),
+                           str(c["tolerance"])))
         return buf.getvalue()
-    buf.write("key,value\n")
+    rows.writerow(("key", "value"))
     for k in sorted(report):
         if k in ("tolerances", "parts", "deficiency"):
             continue
-        buf.write(f"{k},{report[k]}\n")
+        rows.writerow((k, str(report[k])))
     if "deficiency" in report:
         d = report["deficiency"]
         for k in ("n_plus", "n_minus", "status", "self_adjoint"):
-            buf.write(f"{k},{d[k]}\n")
+            rows.writerow((k, str(d[k])))
         for k in ("status", "constant_dim"):
-            buf.write(f"scan_{k},{d['stability'].get(k)}\n")
+            rows.writerow((f"scan_{k}", str(d["stability"].get(k))))
     for name, part in report.get("parts", {}).items():
-        buf.write(f"\npart,{name}\n{_render_csv(part)}")
+        buf.write("\n")
+        rows.writerow(("part", name))
+        buf.write(_render_csv(part))
     return buf.getvalue()
 
 

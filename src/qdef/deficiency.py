@@ -698,7 +698,8 @@ def classify_l2(sol: FormalSolution, window: int = DEFAULT.window,
         return SummabilityVerdict(INCONCLUSIVE, float("nan"), list(log_e))
     xs = np.arange(log_e.size, dtype=float)
     slope = np.polyfit(xs, log_e, 1)[0]
-    ratio = float(np.exp(slope))
+    with np.errstate(over="ignore"):   # super-geometric growth: ratio inf
+        ratio = float(np.exp(slope))
     if ratio <= 1.0 - ratio_margin:
         verdict = SQUARE_SUMMABLE
     elif ratio >= 1.0 + ratio_margin:

@@ -16,12 +16,13 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
-from .quat import (_NUM, Quaternion, format_quaternion, parse_quaternion,
+from .quat import (Quaternion, format_quaternion, parse_quaternion,
                    qconj, qmatmul, qmul, qnormsq)
 from .rmodule import LeftMul, QVector, _as_components
 from .tolerances import DEFAULT, _number
@@ -145,25 +146,33 @@ class QOperator:
             raise ValueError(f"entries must be a list, got {type(lits).__name__}")
         if len(lits) != dim * dim:
             raise ValueError("entry count does not match dim*dim")
-        arr = np.empty((dim, dim, 4))
-        arr[...] = np.fromiter(map(_literal_components, lits), dtype=(float, 4),
-                               count=len(lits)).reshape(arr.shape)
+        try:
+            # every entry canonical: all numbers in one stream; + 0.0 reads
+            # -0.0 as +0.0, as parse_quaternion's 0.0 slots do
+            flat = np.fromiter(map(float, chain.from_iterable(
+                m.groups() for m in map(_CANONICAL.fullmatch, lits))),
+                float, count=4 * len(lits)) + 0.0
+        except (TypeError, AttributeError, ValueError):
+            # a non-string entry, a non-canonical literal, or a canonical-
+            # looking number that float() rejects: read entry by entry
+            flat = np.fromiter(map(_literal_components, lits), dtype=(float, 4),
+                               count=len(lits))
+        arr = flat.reshape(dim, dim, 4)
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix entries must be finite numbers")
         return cls.from_entries(arr)
 
 
-# the canonical four-term literal +a-bi+cj-dk, every sign written, no spaces
-_CANONICAL = re.compile("([+-]{0})([+-]{0})i([+-]{0})j([+-]{0})k".format(_NUM))
+# the canonical four-term literal +a-bi+cj-dk, every sign written, no spaces.
+# Its number admits more than parse_quaternion's (two dots, or no digit), but
+# float() rejects exactly those, so the strings read here and their values
+# are the general parser's
+_CANONICAL = re.compile(
+    "([+-]{0})([+-]{0})i([+-]{0})j([+-]{0})k".format(r"[\d.]+(?:[eE][+-]?\d+)?"))
 
 
 def _literal_components(lit):
     if isinstance(lit, str):
-        m = _CANONICAL.fullmatch(lit)
-        if m:
-            # parse_quaternion adds each term to a 0.0 slot, so -0.0 reads +0.0
-            a, b, c, d = m.groups()
-            return float(a) + 0.0, float(b) + 0.0, float(c) + 0.0, float(d) + 0.0
         q = parse_quaternion(lit)
         return q.q0, q.q1, q.q2, q.q3
     if isinstance(lit, bool) or not isinstance(lit, (int, float)):

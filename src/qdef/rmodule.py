@@ -153,11 +153,13 @@ class Basis:
         n, dim = mat.shape[0], mat.shape[1]
         if n != dim:
             raise BasisError(f"a basis of H^{dim} needs {dim} vectors, got {n}")
+        if not np.all(np.isfinite(mat)):
+            raise BasisError("basis entries are not finite")
         gram = qmatmul(qconj(mat), mat.transpose(1, 0, 2))   # <e_a|e_b>
         target = np.zeros_like(gram)
         target[np.arange(n), np.arange(n), 0] = 1.0
         defect = np.max(np.abs(gram - target))
-        if defect > ORTHO_ATOL:
+        if not defect <= ORTHO_ATOL:   # a NaN defect fails too
             raise BasisError(f"basis not orthonormal (defect {defect:.3e})")
         self.matrix = mat
         self.label = label
@@ -250,32 +252,62 @@ def delta_map(L1: LeftMul, L2: LeftMul, q: Quaternion, psi: QVector) -> QVector:
     return left_scale(L2, q, phi)
 
 
+def _qr_pass(mat):
+    """One Householder QR of chi(G), G's columns the rows of ``mat`` (k, n, 4).
+
+    Returns the pivots |R_2c,2c| and the orthonormalized vectors as a
+    (k, n, 4) stack: the even columns of Q, each multiplied by the phase of
+    its R diagonal entry so that the diagonal becomes real and positive, read
+    back through ``unvec``.
+    """
+    from .embed import chi, unvec   # embed imports QVector from this module
+
+    k, n = mat.shape[:2]
+    Q, R = np.linalg.qr(chi(mat.transpose(1, 0, 2)))
+    d = np.diagonal(R)[0::2]
+    piv = np.abs(d)
+    with np.errstate(invalid="ignore", divide="ignore"):   # a zero pivot
+        cols = Q[:, 0::2] * (d / piv)
+    # vector c's 2n coordinates are one run of the flattened transpose, so
+    # its even and odd slots are unvec's
+    return piv, unvec(cols.T.ravel()).components.reshape(k, n, 4)
+
+
 def gram_schmidt(vectors, label="orthonormalized") -> Basis:
-    """Right-module Gram-Schmidt with coefficients applied on the right.
+    """Right-module Gram-Schmidt, as a Householder QR of the complex embedding.
 
     Returns a basis of H^n, so it needs exactly n right-linearly independent
-    vectors: fewer raise BasisError.  Each vector is projected against all
-    finished ones at once, subtracting sum_k e_k <e_k|v> (order matters
-    because scalars do not commute), in two classical passes ("twice is
-    enough").  Raises RankDeficient when a pivot norm falls below 1e-10.
+    vectors: fewer raise BasisError.  With G = E R, the right-module
+    Gram-Schmidt factorization of the matrix whose columns are the vectors (E
+    orthonormal, R upper triangular with a real positive diagonal), chi(G) =
+    chi(E) chi(R), where chi(E) has orthonormal columns and chi(R) is upper
+    triangular with the same real positive diagonal.  That QR factorization of
+    chi(G) is unique, so the complex QR of chi(G), with each column of Q
+    multiplied by a phase that makes R's diagonal real and positive, has
+    chi(E) as Q: its even columns are vec(e_k).  Householder keeps the structure of chi only to
+    condition * eps, so the QR is run again on chi(E) ("twice is enough").
+    Raises RankDeficient for an entry that is not finite, when a pivot
+    |R_2k,2k| (the norm the loop would divide by) is not at least 1e-10, and
+    when there are more vectors than n; a dependence is raised before a
+    vector of another dimension that comes after it.
     """
     vecs = [v if isinstance(v, QVector) else QVector(v) for v in vectors]
     if not vecs:
         raise RankDeficient("no input vectors")
     dim = vecs[0].dim
-    done = np.empty((len(vecs), dim, 4))
-    for k, v in enumerate(vecs):
-        if v.dim != dim:
-            raise DimensionMismatch("mixed dimensions in Gram-Schmidt input")
-        E, conj_E = done[:k], qconj(done[:k])
-        u = v.components
-        for _ in range(2):
-            u = u - qmatmul(E.transpose(1, 0, 2), qmatmul(conj_E, u))
-        nrm = np.sqrt(qnormsq(u).sum())
-        if nrm < 1e-10:
-            raise RankDeficient("right-linearly dependent input detected")
-        done[k] = u / nrm
-    return Basis(done, label=label)
+    m = next((k for k, v in enumerate(vecs) if v.dim != dim), len(vecs))
+    if m > dim:   # a vector beyond the n-th depends on the ones before it
+        raise RankDeficient("right-linearly dependent input detected")
+    mat = np.array([v.components for v in vecs[:m]], dtype=float)
+    if not np.all(np.isfinite(mat)):
+        # LAPACK would carry a NaN in R's off-diagonal and return a clean Q
+        raise RankDeficient("Gram-Schmidt input is not finite")
+    piv, done = _qr_pass(mat)
+    if not np.all(piv >= 1e-10):
+        raise RankDeficient("right-linearly dependent input detected")
+    if m < len(vecs):
+        raise DimensionMismatch("mixed dimensions in Gram-Schmidt input")
+    return Basis(_qr_pass(done)[1], label=label)
 
 
 def vector_from_literals(literals) -> QVector:

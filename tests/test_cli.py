@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -7,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import qdef.cli
 import qdef.deficiency
+import qdef.verify
 from qdef import hermitian_random
 from qdef.cli import main
 
@@ -193,6 +197,15 @@ class TestCommands:
         assert sections[2].endswith("scan_status,ok\nscan_constant_dim,0")
         assert "max_discrepancy,0" in sections[3].splitlines()
 
+    def test_csv_rows_have_two_fields(self, capsys):
+        # the free Jacobi description holds a comma: the cell is quoted
+        assert main(["deficiency", "--preset", "free_jacobi", "--N", "400",
+                     "--window", "40", "--count", "2", "--format", "csv"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert rows[0] == ["key", "value"]
+        assert all(len(row) == 2 for row in rows)
+        assert ["operator", "free Jacobi, unit off-diagonals"] in rows
+
     def test_text_carries_the_answer(self, capsys):
         assert main(["deficiency", *self.SMALL, "--format", "text"]) == 0
         assert capsys.readouterr().out.splitlines()[2:] == [
@@ -215,6 +228,26 @@ class TestCommands:
     def test_bad_q_literal(self):
         assert main(["deficiency", "--preset", "number_operator",
                      "--q", "wat"]) == 2
+
+
+class TestBasisInvarianceCanFail:
+    """A nonzero discrepancy reaches the verdict and the exit code."""
+
+    def test_verify_matrix_row_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(qdef.verify, "basis_invariance_check",
+                            lambda *args, **kwargs: 1)
+        argv = ["verify", "--matrix", str(DATA / "matrix_real_symmetric.json")]
+        assert main(argv) == 1
+        out = json.loads(capsys.readouterr().out)
+        failed = [c["name"] for c in out["checks"] if not c["passed"]]
+        assert failed == ["defect_dimension_basis_invariance"]
+
+    def test_invariance_command_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(qdef.cli, "basis_invariance_check",
+                            lambda *args, **kwargs: 1)
+        assert main(["invariance", "--dim", "4", "--trials", "2", "--seed", "2"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert out["max_discrepancy"] == 1 and out["passed"] is False
 
 
 class TestEnvOverrides:

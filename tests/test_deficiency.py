@@ -191,6 +191,16 @@ class TestClassify:
             assert v.verdict == "square_summable"
             assert sol.backward_check == "ok"
 
+    def test_super_geometric_growth_is_divergent_without_warning(self):
+        # a = (n+1)^3, b = (n+1)^2: the block energies grow so fast that the
+        # fitted ratio overflows to inf; tier-1 turns a RuntimeWarning into
+        # an error
+        op = BandedOperator(1, {-1: [0.0, 0.0, 1.0], 0: [1.0, 3.0, 3.0, 1.0],
+                                1: [1.0, 2.0, 1.0]})
+        rep = deficiency_indices(op, "i", N=2000, window=100)
+        assert (rep.n_plus, rep.n_minus, rep.status) == (0, 0, "ok")
+        assert [e["verdict"] for e in rep.evidence] == ["divergent", "divergent"]
+
     def test_window_precondition(self):
         with pytest.raises(PreconditionFailed):
             classify_l2(synthetic_solution(np.ones(100)), window=100)

@@ -325,6 +325,18 @@ class TestJsonFormat:
         assert self.parsed(lit) == self.general(lit)
         assert seen == [lit]
 
+    def test_mixed_file_reads_entry_by_entry(self, monkeypatch):
+        # one literal off the canonical form sends the whole file to the
+        # per-entry path, which must read every entry as the general parser
+        lits = ["+1.5-2i+0j+4e-3k", "-0.0+0.0i-0.0j+0.0k", "+1E5+.5i-7.j+0k",
+                "2-j", "+3+0i+1j-1k", "+1.25+0i+0j+0k", "-7+8i-9j+10k", "k",
+                "+0+0i+0j+0k"]
+        seen = self.reaching_general_parser(monkeypatch)
+        arr = QOperator.from_dict({"dim": 3, "entries": lits}).entries
+        assert seen == lits
+        want = np.array([parse_quaternion(lit).to_array() for lit in lits])
+        assert arr.tobytes() == want.reshape(3, 3, 4).tobytes()
+
     @pytest.mark.parametrize("dim", [0, -1])
     def test_dim_below_one_rejected(self, dim):
         with pytest.raises(ValueError, match="dim must be at least 1"):

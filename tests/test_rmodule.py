@@ -292,7 +292,13 @@ def gram_defect(mat):
 
 
 class TestBlockGramSchmidt:
-    """The block projection against the per-vector loop it replaced."""
+    """The QR of the complex embedding against the right-module loop.
+
+    ``gram_schmidt`` reads the basis off a Householder QR of chi(G), run
+    twice; ``gram_schmidt_loop`` projects one inner product at a time, with
+    the scalars on the right.  Both must give the same vectors, the same
+    exceptions and the same order of exceptions.
+    """
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 5, 8, 13, 24, 48])
     def test_matches_loop_oracle(self, dim):
@@ -306,8 +312,9 @@ class TestBlockGramSchmidt:
     @pytest.mark.parametrize("dim", [6, 12, 24])
     def test_ill_conditioned_input_stays_orthonormal(self, dim):
         # v_k = sum_j e_j c_jk with a real c of condition number 1e7: one
-        # classical pass leaves a Gram defect of 1e-5 to 5e-3 here, the
-        # second pass brings it back to rounding
+        # QR of the embedding keeps its quaternion structure only to
+        # condition * eps and leaves a Gram defect of 1e-11 to 6e-11 here,
+        # the second QR brings it back to rounding
         rng = np.random.default_rng(200 + dim)
         E = random_basis(rng, dim).matrix
         q1 = np.linalg.qr(rng.standard_normal((dim, dim)))[0]
@@ -344,6 +351,14 @@ class TestBlockGramSchmidt:
     def test_empty_input(self):
         with pytest.raises(RankDeficient):
             gram_schmidt([])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_non_finite_input_rejected(self, bad, at):
+        vecs = [QVector([1.0, 0.0]), QVector([0.0, 1.0])]
+        vecs[at].components[at - 1, at + 1] = bad
+        with pytest.raises(RankDeficient):
+            gram_schmidt(vecs)
 
 
 class TestLiteralLoading:
@@ -399,6 +414,15 @@ class TestBasisValidation:
                 else:
                     with pytest.raises(BasisError):
                         Basis(candidate)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(BasisError):
+            Basis(np.full((2, 2, 4), bad))
+        mat = Basis.canonical(3).matrix.copy()
+        mat[1, 2, 3] = bad
+        with pytest.raises(BasisError):
+            Basis(mat)
 
     def test_literals_with_unequal_rows_rejected(self):
         from qdef import basis_from_literals
