@@ -7,13 +7,13 @@ basis-change map that intertwines the two products isometrically.
 
 import numpy as np
 
-from qdef import (Basis, J, LeftMul, Quaternion, QVector, delta_map, inner,
+from qdef import (Basis, J, Quaternion, QVector, delta_map, inner,
                   left_scale, random_basis, random_qvector)
 
 rng = np.random.default_rng(0)
 dim = 3
-L_canonical = LeftMul.canonical(dim)
-L_rotated = LeftMul(random_basis(rng, dim, label="random quaternionic"))
+L_canonical = Basis.canonical(dim)
+L_rotated = random_basis(rng, dim, label="random quaternionic")
 
 phi = random_qvector(rng, dim)
 q = Quaternion(0.5, 1, -1, 2)
@@ -35,8 +35,8 @@ print(f"  p.(q.phi) vs (pq).phi residual: {(lhs - rhs).norm():.2e}")
 
 print("\n== but mixing two quaternionic bases breaks it ==")
 s = 1 / np.sqrt(2)
-L_h1 = LeftMul.canonical(1)
-L_theta = LeftMul(Basis([QVector([Quaternion(s, s, 0, 0)])]))
+L_h1 = Basis.canonical(1)
+L_theta = Basis([QVector([Quaternion(s, s, 0, 0)])])
 one = QVector([Quaternion(1)])
 mixed = left_scale(L_theta, Quaternion(1), left_scale(L_h1, J, one))
 direct = left_scale(L_theta, J, one)

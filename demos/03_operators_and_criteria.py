@@ -8,13 +8,13 @@ classic self-adjointness criteria coincide.
 
 import numpy as np
 
-from qdef import (LeftMul, Quaternion, criteria_report, inner,
+from qdef import (Basis, Quaternion, criteria_report, inner,
                   norm_identity_check, random_qvector, real_symmetric,
                   resolvent_poly, shift_left_scalar, symmetry_predicates)
 
 rng = np.random.default_rng(1)
 A = real_symmetric(5, seed=3)
-L = LeftMul.canonical(5)
+L = Basis.canonical(5)
 
 print("== symmetry predicates ==")
 preds = symmetry_predicates(A, L)

@@ -28,9 +28,8 @@ rep = point_sspectrum(B)
 s = rep.spheres[0]
 print(f"  sphere re={s.re:+.3f} |im|={s.im_mag:.3f}; all_real={rep.all_real}")
 rng = np.random.default_rng(2)
-dims = {kernel_q(resolvent_poly(B, Quaternion(s.re) + random_unit_imaginary(rng)
-                                * s.im_mag), scale=1.0).qdim
-        for _ in range(10)}
+points = [Quaternion(s.re) + random_unit_imaginary(rng) * s.im_mag for _ in range(10)]
+dims = {len(kernel_q(resolvent_poly(B, p), scale=1.0)) for p in points}
 print(f"  kernel dimension at 10 random points of the sphere: {dims}")
 
 print("\n== hermitian implies real spectrum ==")

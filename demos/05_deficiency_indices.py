@@ -42,7 +42,7 @@ print(f"  kernel dimension across {len(scan['samples'])} shifts in B(i, 1): "
 print("\n== the dense embedding agrees with the recurrence ==")
 for maker in (number_operator, free_jacobi, jacobi_sq):
     op3 = maker()
-    dense = truncated_kernel(op3, I, 60).qdim
+    dense = len(truncated_kernel(op3, I, 60))
     recur = len(formal_solutions(op3, I, 60))
     print(f"  {op3.description:38s} truncated kernel {dense} == "
           f"formal solutions {recur}")

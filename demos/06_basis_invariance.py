@@ -10,7 +10,7 @@ check below matters: the failure set is thin, not empty.
 
 import numpy as np
 
-from qdef import (Basis, I, LeftMul, Quaternion, QOperator, QVector,
+from qdef import (Basis, I, Quaternion, QOperator, QVector,
                   basis_invariance_check, random_basis, rank_q, real_symmetric,
                   shift_left_scalar)
 
@@ -30,7 +30,7 @@ adversarial = Basis([
     QVector([Quaternion(s), Quaternion(s)]),
 ])
 d_canonical = 2 - rank_q(shift_left_scalar(A2, I))
-d_adversarial = 2 - rank_q(shift_left_scalar(A2, I, LeftMul(adversarial)))
+d_adversarial = 2 - rank_q(shift_left_scalar(A2, I, adversarial))
 print(f"  canonical basis:   dim ran(A - i)^perp = {d_canonical}")
 print(f"  adversarial basis: dim ran(A - i)^perp = {d_adversarial}")
 print("  (the adversarial basis entangles the eigenvectors with j, outside")

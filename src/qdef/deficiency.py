@@ -77,7 +77,7 @@ from .errors import (DimensionMismatch, InternalInconsistency,
 from .qoperator import QOperator, shift_left_scalar
 from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
                    parse_quaternion, qnormsq)
-from .rmodule import Basis, LeftMul, QVector, inner
+from .rmodule import Basis, QVector, inner
 from .tolerances import DEFAULT, _number
 
 RESCALE_HI = 1e120
@@ -270,22 +270,11 @@ class BandedOperator:
             self._table = np.concatenate([self._table, new])
         return self._table[:N + 1]
 
-    def scale_real(self, factor: float) -> BandedOperator:
-        """The operator factor*A (real factor, entrywise)."""
-        return BandedOperator(
-            self.bandwidth,
-            {d: [Quaternion.from_array(c) for c in coeffs * float(factor)]
-             for d, coeffs in self._polys.items()},
-            symmetric=self.symmetric,
-            real_entries=self.real_entries,
-            description=f"{factor}*({self.description})",
-        )
-
     def truncate(self, M) -> np.ndarray:
-        """Leading M x M corner as a quaternionic entry array."""
+        """Leading M x M corner as a quaternionic entry array, from ``table``."""
         arr = np.zeros((M, M, 4))
         w = self.bandwidth
-        rows = self._rows(0, M - 1)
+        rows = self.table(M - 1)
         for d in range(-w, w + 1):
             n = np.arange(max(0, -d), min(M, M - d))
             arr[n, n + d] = rows[n, d + w]
@@ -1064,13 +1053,8 @@ def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
 # ---------------------------------------------------------------------------
 
 def _gram_min_eig(vectors):
-    t = len(vectors)
-    G = np.zeros((t, t, 4))
-    for a in range(t):
-        for b in range(t):
-            G[a, b] = inner(vectors[a], vectors[b]).to_array()
-    eigs = np.linalg.eigvalsh(embed.chi(G))
-    return float(eigs[0])
+    G = np.array([[inner(a, b).to_array() for b in vectors] for a in vectors])
+    return float(np.linalg.eigvalsh(embed.chi(G))[0])
 
 
 def _evidence(kind, dim_plus, dim_minus, vectors, status):
@@ -1121,8 +1105,8 @@ def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
             raise PreconditionFailed("directness evidence needs a symmetric operator")
         k_plus = embed.kernel_q(shift_left_scalar(adj, q))
         k_minus = embed.kernel_q(shift_left_scalar(adj, q.conjugate()))
-        return _evidence("finite", k_plus.qdim, k_minus.qdim,
-                         [v / v.norm() for v in k_plus.vectors + k_minus.vectors], "ok")
+        return _evidence("finite", len(k_plus), len(k_minus),
+                         [v / v.norm() for v in k_plus + k_minus], "ok")
     raise TypeError("expected a BandedOperator or QOperator")
 
 
@@ -1131,14 +1115,14 @@ def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
 # ---------------------------------------------------------------------------
 
 def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60,
-                     rank_tol: float = DEFAULT.rank_tol) -> embed.KernelBasis:
-    """Kernel of the truncated shifted matrix, boundary rows deleted.
+                     rank_tol: float = DEFAULT.rank_tol) -> list:
+    """Kernel vectors of the truncated shifted matrix, boundary rows deleted.
 
     The leading M x M corner of (A - q) keeps only its first M - w rows (the
     rows that do not reference truncated coefficients), and the quaternionic
-    nullity of the rectangle counts the formal solutions -- the dense
-    embedding oracle for the recurrence solver.  Raises PreconditionFailed
-    for M <= w, which leaves no row.
+    nullity of the rectangle (the length of the returned list of kernel
+    vectors) counts the formal solutions -- the dense embedding oracle for
+    the recurrence solver.  Raises PreconditionFailed for M <= w.
     """
     w = op.bandwidth
     if M <= w:
@@ -1171,7 +1155,7 @@ def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,
             raise DimensionMismatch("basis dimension differs from operator")
         n = A_.dim
         d1 = n - embed.rank_q(shift_left_scalar(A_, q_, None), rank_tol)
-        d2 = n - embed.rank_q(shift_left_scalar(A_, q_, LeftMul(B2_)), rank_tol)
+        d2 = n - embed.rank_q(shift_left_scalar(A_, q_, B2_), rank_tol)
         return abs(d1 - d2)
 
     worst = one(A, B2, q)

@@ -32,26 +32,25 @@ def _entries(A):
 
 
 def chi(A) -> np.ndarray:
-    """Entrywise 2x2 complex embedding of a quaternionic matrix: a 2n x 2m array."""
+    """Entrywise 2x2 complex embedding of a quaternionic matrix: a 2n x 2m array.
+
+    Block [[z1, -conj(z2)], [z2, conj(z1)]], z1 = q0 + i q3, z2 = q2 + i q1,
+    by real and imaginary part: a product 1j * inf would be NaN."""
     E = _entries(A)
     n, m = E.shape[0], E.shape[1]
-    z1 = E[..., 0] + 1j * E[..., 3]
-    z2 = E[..., 2] + 1j * E[..., 1]
     out = np.empty((2 * n, 2 * m), dtype=complex)
-    out[0::2, 0::2] = z1
-    out[0::2, 1::2] = -np.conj(z2)
-    out[1::2, 0::2] = z2
-    out[1::2, 1::2] = np.conj(z1)
+    re, im = out.real, out.imag
+    re[0::2, 0::2], im[0::2, 0::2] = E[..., 0], E[..., 3]
+    re[0::2, 1::2], im[0::2, 1::2] = -E[..., 2], E[..., 1]
+    re[1::2, 0::2], im[1::2, 0::2] = E[..., 2], E[..., 1]
+    re[1::2, 1::2], im[1::2, 1::2] = E[..., 0], -E[..., 3]
     return out
 
 
 def vec(phi: QVector) -> np.ndarray:
-    """First-column complex coordinates of a vector; preserves norms."""
-    c = phi.components
-    out = np.empty(2 * phi.dim, dtype=complex)
-    out[0::2] = c[:, 0] + 1j * c[:, 3]
-    out[1::2] = c[:, 2] + 1j * c[:, 1]
-    return out
+    """First-column complex coordinates of a vector, chi's first column of the
+    n x 1 matrix phi; preserves norms."""
+    return chi(phi.components[:, None])[:, 0]
 
 
 def unvec(v) -> QVector:
@@ -75,25 +74,22 @@ def structure_map(v) -> np.ndarray:
     return out
 
 
-class KernelBasis:
-    """Right-quaternionic kernel basis extracted from the complex null space."""
-
-    __slots__ = ("vectors", "qdim")
-
-    def __init__(self, vectors, qdim):
-        self.vectors = vectors
-        self.qdim = qdim
-
-    def __repr__(self):
-        return f"KernelBasis(qdim={self.qdim})"
+def _finite(M):
+    """M itself, checked before every decomposition: an infinite or NaN entry
+    raises NoConvergence, where LAPACK would return a rank of 0 or print an
+    error and go on."""
+    if not np.isfinite(M).all():
+        raise NoConvergence("the complex embedding has a non-finite entry")
+    return M
 
 
-def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
+def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> list:
     """Quaternionic null space of ``A`` via SVD of the complex embedding.
 
-    Complex null vectors are paired under the structure map J (each pair spans
-    one quaternionic direction); an odd complex nullity signals a broken
-    embedding and raises InternalInconsistency.  ``scale`` floors the
+    Returns the kernel vectors as a list, whose length is the quaternionic
+    nullity.  Complex null vectors are paired under the structure map J (each
+    pair spans one quaternionic direction); an odd complex nullity signals a
+    broken embedding and raises InternalInconsistency.  ``scale`` floors the
     threshold reference for matrices that are themselves near zero (the
     largest singular value is used otherwise).
     """
@@ -101,9 +97,8 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
     rows, cols = M.shape
     if min(rows, cols) == 0:
         # no equation constrains a vector: the kernel is all of H^(cols/2)
-        qdim = cols // 2
-        return KernelBasis([QVector.basis_vector(qdim, k) for k in range(qdim)], qdim)
-    U, s, Vh = np.linalg.svd(M)
+        return [QVector.basis_vector(cols // 2, k) for k in range(cols // 2)]
+    U, s, Vh = np.linalg.svd(_finite(M))
     smax = s[0] if s.size else 0.0
     thresh = rank_tol * max(smax, scale or 0.0)
     rank = int(np.sum(s > thresh))
@@ -111,7 +106,7 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
     if nullity % 2 != 0:
         raise InternalInconsistency("complex nullity of the embedding is odd")
     if nullity == 0:
-        return KernelBasis([], 0)
+        return []
     N = Vh[rank:, :].conj().T  # orthonormal null basis, shape (cols, nullity)
     vectors = []
     while N.shape[1] > 0:
@@ -135,7 +130,7 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> KernelBasis:
         N = U[:, sv > 1e-8]
     if len(vectors) != nullity // 2:
         raise InternalInconsistency("J-pairing produced a wrong kernel count")
-    return KernelBasis(vectors, nullity // 2)
+    return vectors
 
 
 def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
@@ -200,7 +195,7 @@ def _real_if_exact(M):
 
 def _singular_values(M) -> np.ndarray:
     """Singular values of M, largest first, in real arithmetic for a real M."""
-    return np.linalg.svd(_real_if_exact(M), compute_uv=False)
+    return np.linalg.svd(_real_if_exact(_finite(M)), compute_uv=False)
 
 
 def normal_eigenvalues(M, skew=False) -> np.ndarray:
@@ -213,8 +208,8 @@ def normal_eigenvalues(M, skew=False) -> np.ndarray:
     chi(A) is for A equal to plus or minus A* entry for entry.
     """
     if skew:
-        return 1j * np.linalg.eigvalsh(-1j * M)
-    return np.linalg.eigvalsh(_real_if_exact(M))
+        return 1j * np.linalg.eigvalsh(-1j * _finite(M))
+    return np.linalg.eigvalsh(_real_if_exact(_finite(M)))
 
 
 def eigenvalues_c(A) -> np.ndarray:
@@ -227,7 +222,7 @@ def eigenvalues_c(A) -> np.ndarray:
     if M.shape[0] != M.shape[1]:
         raise ValueError("eigenvalues require a square matrix")
     try:
-        lam = np.linalg.eigvals(M)
+        lam = np.linalg.eigvals(_finite(M))
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
     order = np.lexsort((lam.imag, lam.real))

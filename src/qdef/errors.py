@@ -30,7 +30,7 @@ class InternalInconsistency(QdefError):
 
 
 class NoConvergence(QdefError):
-    """Dense eigensolver failed to converge."""
+    """A dense decomposition failed, or was given a non-finite matrix."""
 
 
 class SingularSystem(QdefError):

@@ -6,9 +6,10 @@ adjoint is the conjugate transpose of the entries and satisfies
 <psi | A phi> = <A.adjoint() psi | phi>.
 
 Subtracting a non-real scalar from an operator is basis-dependent: (A - q)phi
-here always means apply(A, phi) - left_scale(L, q, phi) for an explicit left
-multiplication L.  With the canonical basis the left scalar operator is just
-diag(q), but a rotated basis gives a genuinely different matrix.
+here always means apply(A, phi) - left_scale(basis, q, phi) for the left
+multiplication of an explicit basis.  With the canonical basis the left
+scalar operator is just diag(q), but a rotated basis gives a genuinely
+different matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
 from .quat import (Quaternion, format_quaternion, parse_quaternion,
                    qconj, qmatmul, qmul, qnormsq)
-from .rmodule import LeftMul, QVector, _as_components
+from .rmodule import Basis, QVector, _as_components
 from .tolerances import DEFAULT, _number
 
 SYM_ATOL = 1e-10  # entrywise tolerance for symmetry predicates
@@ -184,32 +185,33 @@ def _literal_components(lit):
 # scalar-multiplied operators
 # ---------------------------------------------------------------------------
 
-def left_scalar(q: Quaternion, dim=None, L: LeftMul | None = None) -> QOperator:
+def left_scalar(q: Quaternion, dim=None, basis: Basis | None = None) -> QOperator:
     """Matrix of the left scalar operator phi -> q . phi.
 
-    With the canonical basis this is diag(q); for a general basis {e_k} the
-    matrix is sum_k e_k q <e_k|.>, one quaternionic matrix product.
+    With no ``basis`` (the canonical one) this is diag(q); for a general
+    basis {e_k} the matrix is sum_k e_k q <e_k|.>, one quaternionic matrix
+    product.
     """
-    if L is None:
+    if basis is None:
         if dim is None:
-            raise ValueError("need a dimension or a LeftMul")
+            raise ValueError("need a dimension or a basis")
         arr = np.zeros((dim, dim, 4))
         arr[np.arange(dim), np.arange(dim)] = q.to_array()
         return QOperator.from_entries(arr)
-    B = L.basis.matrix                                    # (k, n, 4)
+    B = basis.matrix                                      # (k, n, 4)
     bq = qmul(B, q.to_array()[None, None, :])             # e_k q
     return QOperator.from_entries(qmatmul(bq.transpose(1, 0, 2), qconj(B)))
 
 
-def shift_left_scalar(A: QOperator, q: Quaternion, L: LeftMul | None = None) -> QOperator:
-    """The operator (A - q), with q acting through the left multiplication L."""
-    return A - left_scalar(q, A.dim, L)
+def shift_left_scalar(A: QOperator, q: Quaternion, basis: Basis | None = None) -> QOperator:
+    """The operator (A - q), with q acting through the left product of ``basis``."""
+    return A - left_scalar(q, A.dim, basis)
 
 
-def scalar_op(q: Quaternion, A: QOperator, L: LeftMul | None = None,
+def scalar_op(q: Quaternion, A: QOperator, basis: Basis | None = None,
               side: str = "left") -> QOperator:
     """(qA)phi = q.(A phi) for side="left"; (Aq)phi = A(q.phi) for side="right"."""
-    Lq = left_scalar(q, A.dim, L)
+    Lq = left_scalar(q, A.dim, basis)
     if side == "left":
         return Lq @ A
     if side == "right":
@@ -228,25 +230,25 @@ class SymmetryReport:
         return all(self.anti.values())
 
 
-def symmetry_predicates(A: QOperator, L: LeftMul | None = None,
-                        atol=SYM_ATOL) -> SymmetryReport:
+def symmetry_predicates(A: QOperator, basis: Basis | None = None) -> SymmetryReport:
     """Symmetry of A and anti-symmetry of the unit-scaled operators eA.
 
     ``anti[e]`` records whether (eA) equals -(eA)^adjoint entrywise, where
-    (eA)phi = e.(A phi) through the left multiplication ``L``.
+    (eA)phi = e.(A phi) through the left product of ``basis``.  Every
+    comparison is entrywise to the absolute ``SYM_ATOL``.
     """
     from .quat import UNITS
     adj = A.adjoint()
     defect = A.max_entry_diff(adj)
     report = SymmetryReport(
-        is_symmetric=defect <= atol,
-        is_anti_symmetric=float(np.max(np.abs(A.entries + adj.entries))) <= atol,
+        is_symmetric=defect <= SYM_ATOL,
+        is_anti_symmetric=float(np.max(np.abs(A.entries + adj.entries))) <= SYM_ATOL,
         max_defect=defect,
     )
     for name, unit in UNITS.items():
-        eA = scalar_op(unit, A, L, side="left")
+        eA = scalar_op(unit, A, basis, side="left")
         report.anti[name] = float(
-            np.max(np.abs(eA.entries + eA.adjoint().entries))) <= atol
+            np.max(np.abs(eA.entries + eA.adjoint().entries))) <= SYM_ATOL
     return report
 
 
@@ -263,29 +265,22 @@ def resolvent_poly(A: QOperator, q: Quaternion) -> QOperator:
 # norm identities
 # ---------------------------------------------------------------------------
 
-def _required_units(q: Quaternion):
-    names = []
-    for name, comp in (("i", q.q1), ("j", q.q2), ("k", q.q3)):
-        if comp != 0.0:
-            names.append(name)
-    return names
-
-
-def norm_identity_check(A: QOperator, L: LeftMul | None, q: Quaternion,
+def norm_identity_check(A: QOperator, basis: Basis | None, q: Quaternion,
                         samples: int = 100, seed: int = 0, *,
                         preds: SymmetryReport | None = None) -> float:
     """Max residual of ||(A-q)phi||^2 = ||(A-q0)phi||^2 + (q1^2+q2^2+q3^2)||phi||^2.
 
     Requires anti-symmetry of eA for every unit e appearing in q; raises
     PreconditionFailed otherwise.  Sampled on ``samples`` unit vectors.
-    ``preds`` is ``symmetry_predicates(A, L)``, if the caller already holds it.
+    ``preds`` is ``symmetry_predicates(A, basis)``, if the caller already
+    holds it.
     """
-    preds = preds or symmetry_predicates(A, L)
-    for name in _required_units(q):
-        if not preds.anti[name]:
+    preds = preds or symmetry_predicates(A, basis)
+    for name, comp in zip("ijk", (q.q1, q.q2, q.q3)):
+        if comp != 0.0 and not preds.anti[name]:
             raise PreconditionFailed(f"{name}A is not anti-symmetric")
-    M = shift_left_scalar(A, q, L)
-    M0 = shift_left_scalar(A, Quaternion(q.real), L)
+    M = shift_left_scalar(A, q, basis)
+    M0 = shift_left_scalar(A, Quaternion(q.real), basis)
     im2 = q.im_norm() ** 2
     rng = np.random.default_rng(seed)
     block = rng.standard_normal((A.dim, samples, 4))
@@ -312,7 +307,7 @@ class CriteriaReport:
     general_ranges_full: bool | None = None
 
 
-def criteria_report(A: QOperator, L: LeftMul | None = None,
+def criteria_report(A: QOperator, basis: Basis | None = None,
                     q: Quaternion | None = None,
                     rank_tol=DEFAULT.rank_tol, *,
                     preds: SymmetryReport | None = None) -> CriteriaReport:
@@ -326,22 +321,23 @@ def criteria_report(A: QOperator, L: LeftMul | None = None,
     A must be symmetric (PreconditionFailed otherwise).  The equivalence of
     (a)-(c) is guaranteed when iA is anti-symmetric; a disagreement under that
     hypothesis raises InternalInconsistency since it can only be a bug.
-    ``preds`` is ``symmetry_predicates(A, L)``, if the caller already holds it.
+    ``preds`` is ``symmetry_predicates(A, basis)``, if the caller already
+    holds it.
     """
     from .quat import I
     if q is None:
         q = Quaternion(1.0, 1.0, 1.0, 1.0)
-    preds = preds or symmetry_predicates(A, L)
+    preds = preds or symmetry_predicates(A, basis)
     if not preds.is_symmetric:
         raise PreconditionFailed("operator is not symmetric")
     adj = A.adjoint()
     n = A.dim
     kernels_trivial = (
-        embed.kernel_q(shift_left_scalar(adj, I, L), rank_tol).qdim == 0
-        and embed.kernel_q(shift_left_scalar(adj, -I, L), rank_tol).qdim == 0)
+        not embed.kernel_q(shift_left_scalar(adj, I, basis), rank_tol)
+        and not embed.kernel_q(shift_left_scalar(adj, -I, basis), rank_tol))
     ranges_full = (
-        embed.rank_q(shift_left_scalar(A, I, L), rank_tol) == n
-        and embed.rank_q(shift_left_scalar(A, -I, L), rank_tol) == n)
+        embed.rank_q(shift_left_scalar(A, I, basis), rank_tol) == n
+        and embed.rank_q(shift_left_scalar(A, -I, basis), rank_tol) == n)
     self_adjoint = preds.is_symmetric
     agree = self_adjoint == kernels_trivial == ranges_full
     if preds.anti.get("i", False) and not agree:
@@ -349,10 +345,10 @@ def criteria_report(A: QOperator, L: LeftMul | None = None,
             "self-adjointness criteria disagree under valid hypotheses")
     gk = gr = None
     if q.im_norm() > 0:
-        gk = (embed.kernel_q(shift_left_scalar(adj, q, L), rank_tol).qdim == 0
-              and embed.kernel_q(shift_left_scalar(adj, q.conjugate(), L), rank_tol).qdim == 0)
-        gr = (embed.rank_q(shift_left_scalar(A, q, L), rank_tol) == n
-              and embed.rank_q(shift_left_scalar(A, q.conjugate(), L), rank_tol) == n)
+        gk = (not embed.kernel_q(shift_left_scalar(adj, q, basis), rank_tol)
+              and not embed.kernel_q(shift_left_scalar(adj, q.conjugate(), basis), rank_tol))
+        gr = (embed.rank_q(shift_left_scalar(A, q, basis), rank_tol) == n
+              and embed.rank_q(shift_left_scalar(A, q.conjugate(), basis), rank_tol) == n)
         if preds.all_units_anti() and not (self_adjoint == gk == gr):
             raise InternalInconsistency(
                 "general-shift criteria disagree under valid hypotheses")

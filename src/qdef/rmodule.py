@@ -13,9 +13,10 @@ orthonormal basis {e_k}, the left product is
 
     q . phi = sum_k e_k * q * <e_k | phi>,
 
-which turns each left scalar into a right-linear operator.  Two different
-bases define two different left products; ``delta_map`` is the isometric
-isomorphism intertwining them.
+which turns each left scalar into a right-linear operator.  The basis fixes
+the left product, so a ``Basis`` is what every function here and in
+``qoperator`` takes for one.  Two different bases define two different left
+products; ``delta_map`` is the isometric isomorphism intertwining them.
 """
 
 from __future__ import annotations
@@ -130,10 +131,10 @@ def inner(phi: QVector, psi: QVector) -> Quaternion:
 class Basis:
     """A complete orthonormal family in H^n, stored as an (n, n, 4) stack.
 
-    Such a basis induces a left scalar multiplication.  Construction raises
-    BasisError for a family of k != n vectors (with k < n the left product
-    would be a projection) and for one not orthonormal to ORTHO_ATOL; it
-    never re-orthonormalizes its input.
+    Such a basis induces a left scalar multiplication (``left_scale``) and
+    stands for it.  Construction raises BasisError for a family of k != n
+    vectors (with k < n the left product would be a projection) and for one
+    not orthonormal to ORTHO_ATOL; it never re-orthonormalizes its input.
     """
 
     __slots__ = ("matrix", "label")
@@ -187,34 +188,11 @@ class Basis:
         return f"Basis({self.label!r}, dim={self.dim})"
 
 
-class LeftMul:
-    """Left scalar multiplication induced by an orthonormal basis."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: Basis):
-        self.basis = basis
-
-    @classmethod
-    def canonical(cls, dim):
-        return cls(Basis.canonical(dim))
-
-    @property
-    def dim(self):
-        return self.basis.dim
-
-    def __call__(self, q: Quaternion, phi: QVector) -> QVector:
-        return left_scale(self, q, phi)
-
-    def __repr__(self):
-        return f"LeftMul({self.basis.label!r}, dim={self.dim})"
-
-
-def left_scale(L: LeftMul, q: Quaternion, phi: QVector) -> QVector:
-    """Evaluate q . phi = sum_k e_k q <e_k|phi> against the basis of ``L``."""
-    if phi.dim != L.dim:
+def left_scale(basis: Basis, q: Quaternion, phi: QVector) -> QVector:
+    """Evaluate q . phi = sum_k e_k q <e_k|phi>, the left product of ``basis``."""
+    if phi.dim != basis.dim:
         raise DimensionMismatch("vector dimension differs from basis dimension")
-    B = L.basis.matrix
+    B = basis.matrix
     coeffs = qmul(qconj(B), phi.components[None, :, :]).sum(axis=1)   # <e_k|phi>
     scaled = qmul(q.to_array()[None, :], coeffs)                      # q <e_k|phi>
     out = qmul(B, scaled[:, None, :]).sum(axis=0)                     # e_k * (...)
@@ -237,8 +215,8 @@ def reconstruct(B: Basis, coeffs) -> QVector:
     return QVector.from_components(out)
 
 
-def delta_map(L1: LeftMul, L2: LeftMul, q: Quaternion, psi: QVector) -> QVector:
-    """Basis-change map sending the L1 left product of q to the L2 one.
+def delta_map(B1: Basis, B2: Basis, q: Quaternion, psi: QVector) -> QVector:
+    """Basis-change map sending the B1 left product of q to the B2 one.
 
     Solves q .1 phi = psi (possible for every psi since left multiplication by
     a nonzero scalar is onto) and returns q .2 phi.  The resulting map is
@@ -246,10 +224,10 @@ def delta_map(L1: LeftMul, L2: LeftMul, q: Quaternion, psi: QVector) -> QVector:
     """
     if q.norm_sq() == 0.0:
         raise ZeroScalar("basis-change map requires q != 0")
-    if L1.dim != L2.dim:
+    if B1.dim != B2.dim:
         raise DimensionMismatch("left multiplications live on different modules")
-    phi = left_scale(L1, q.conjugate() / q.norm_sq(), psi)
-    return left_scale(L2, q, phi)
+    phi = left_scale(B1, q.conjugate() / q.norm_sq(), psi)
+    return left_scale(B2, q, phi)
 
 
 def _qr_pass(mat):

@@ -26,7 +26,7 @@ from .errors import InternalInconsistency, PreconditionFailed, SingularSystem
 from .qoperator import (QOperator, SymmetryReport, resolvent_poly,
                         symmetry_predicates)
 from .quat import Quaternion, qmatmul, qnormsq
-from .rmodule import LeftMul
+from .rmodule import Basis
 from .tolerances import DEFAULT
 
 # times max(1, max |lambda|) in point_sspectrum:
@@ -93,8 +93,7 @@ def _fold_conjugate_pairs(lam, real_tol, fold_tol):
     return sorted(points)
 
 
-def point_sspectrum(A: QOperator, verify_kernels: bool = True,
-                    real_tol=REAL_TOL, fold_tol=FOLD_TOL, *,
+def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
                     lam=None, rank_tol=DEFAULT.rank_tol) -> SpectrumReport:
     """Eigensphere list of ``A`` with kernel verification.
 
@@ -102,8 +101,9 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     representative q = re + i*im_mag of folded multiplicity m, compares the
     quaternionic dimension qdim of the kernel of R_q(A) with m; in finite
     dimension the report also states that the residual and continuous parts
-    are empty.  ``real_tol`` and ``fold_tol`` are relative to max(1,
-    max |lambda|): eigenvalues of size s carry rounding of about eps * s.
+    are empty.  The folding tolerances ``REAL_TOL`` and ``FOLD_TOL`` are
+    relative to max(1, max |lambda|): eigenvalues of size s carry rounding of
+    about eps * s.
     chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for lambda = re
     + i*im_mag, an eigenvalue of algebraic multiplicity m (2m when im_mag =
     0, where the two factors agree).  Its complex nullity is the sum of the
@@ -143,7 +143,7 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True,
     if lam is None:
         lam = embed.eigenvalues_c(A)
     size = float(np.max(np.abs(lam), initial=1.0))
-    real_tol, fold_tol = real_tol * size, fold_tol * size
+    real_tol, fold_tol = REAL_TOL * size, FOLD_TOL * size
     points = _fold_conjugate_pairs(lam, real_tol, fold_tol)
     spheres, starts = [], []       # a sphere's points are points[start:start + m]
     for at, (re, im) in enumerate(points):
@@ -211,7 +211,7 @@ class RealityVerdict:
     max_im_mag: float
 
 
-def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,
+def selfadjoint_iff_real(A: QOperator, basis: Basis | None = None,
                          strict: bool = False, *,
                          preds: SymmetryReport | None = None,
                          report: SpectrumReport | None = None) -> RealityVerdict:
@@ -221,10 +221,10 @@ def selfadjoint_iff_real(A: QOperator, L: LeftMul | None = None,
     needs nothing extra and is always asserted.  The converse holds for
     symmetric operators with iA, jA, kA anti-symmetric; with ``strict`` a
     violated hypothesis raises PreconditionFailed instead of being reported.
-    ``preds`` (``symmetry_predicates(A, L)``) and ``report``
+    ``preds`` (``symmetry_predicates(A, basis)``) and ``report``
     (``point_sspectrum(A)``) are used as given if the caller already holds them.
     """
-    preds = preds or symmetry_predicates(A, L)
+    preds = preds or symmetry_predicates(A, basis)
     hypotheses = preds.is_symmetric and preds.all_units_anti()
     if strict and not hypotheses:
         raise PreconditionFailed(

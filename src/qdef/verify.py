@@ -133,14 +133,14 @@ def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
         # -0.0 parts)
         kernel = (kb if np.array_equal(adj.entries, A.entries)
                   else embed.kernel_q(A, tol.rank_tol))
-        checks.append(_row("rank_nullity", rank + kernel.qdim == n,
+        checks.append(_row("rank_nullity", rank + len(kernel) == n,
                            detail=f"rank {rank} of {n}"))
     except InternalInconsistency as exc:
         checks.append(_row("rank_nullity", False, detail=str(exc)))
 
     checks.append(_bounded("range_perp_equals_adjoint_kernel",
-                           _range_perp(A, kb.vectors), 1e-10,
-                           f"adjoint kernel dim {kb.qdim}"))
+                           _range_perp(A, kb), 1e-10,
+                           f"adjoint kernel dim {len(kb)}"))
 
     lam = embed.eigenvalues_c(A)
     pair = embed.conjugation_defect(lam)
@@ -228,7 +228,7 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
                                                 margin, on_slice=False), N, window, margin)
         doubled = deficiency_indices(op, "i", N=2 * N, window=window,
                                      ratio_margin=margin)
-        agree = [truncated_kernel(op, q, 60, tol.rank_tol).qdim
+        agree = [len(truncated_kernel(op, q, 60, tol.rank_tol))
                  == len(deficiency._checked(op, sols))
                  for q, sols in zip((I, -I), deficiency._formal_batch(op, (I, -I), 60))]
         return j[0], doubled, agree

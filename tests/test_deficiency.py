@@ -106,7 +106,7 @@ class TestFormalSolutions:
 
     def test_against_truncated_kernel_direction(self):
         sols = formal_solutions(free_jacobi(), I, 60)
-        vecs = truncated_kernel(free_jacobi(), I, 61).vectors
+        vecs = truncated_kernel(free_jacobi(), I, 61)
         assert len(vecs) == 1
         sol_vec = sols[0].to_qvector()
         kv = vecs[0]
@@ -135,11 +135,11 @@ class TestFormalSolutions:
         # two decoupled chains: quaternionic nullity 2 of the truncated rows
         op = jacobi(2, 2, c)
         kb = truncated_kernel(op, I, 60)
-        assert kb.qdim == 2 and len(kb.vectors) == 2
+        assert len(kb) == 2
         arr = op.truncate(60)
         arr[np.arange(60), np.arange(60)] -= I.to_array()
         M = chi(arr[:58])
-        for v in kb.vectors:
+        for v in kb:
             assert np.linalg.norm(M @ vec(v)) <= 1e-10 * np.linalg.norm(M)
 
     def test_singular_leading_coefficient(self):
@@ -275,9 +275,14 @@ class TestDeficiencyIndices:
     def test_scaling_reduction(self):
         # kernel dims at q = i*lam equal kernel dims of (1/lam) A at q = i
         lam = 2.0
-        for maker in (free_jacobi, jacobi_sq):
+        for maker, polys in ((free_jacobi, {-1: [1.0], 0: [0.0], 1: [1.0]}),
+                             (jacobi_sq, {-1: [0.0, 0.0, 1.0], 0: [0.0],
+                                          1: [1.0, 2.0, 1.0]})):
             op = maker()
-            scaled = op.scale_real(1.0 / lam)
+            np.testing.assert_array_equal(BandedOperator(1, polys).table(40),
+                                          op.table(40))
+            scaled = BandedOperator(1, {d: [c / lam for c in coeffs]
+                                        for d, coeffs in polys.items()})
             d_direct = deficiency_indices(op, "i", N=1500)
             # shift i*lam realized through the scaled operator at unit shift
             sols = formal_solutions(op, I * lam, 1500)
@@ -369,8 +374,16 @@ class TestOracleAgreement:
     def test_truncated_kernel_counts(self, name, maker):
         op = maker()
         for q in (I, -I, J):
-            assert truncated_kernel(op, q, 60).qdim == len(
+            assert len(truncated_kernel(op, q, 60)) == len(
                 formal_solutions(op, q, 60))
+
+    def test_truncation_reads_the_checked_table(self):
+        # diag(n^95): squared norms finite on the rows 0..40 validated at
+        # construction, infinite from row 42 on.  The corner's own row
+        # evaluation gave a nullity of 47 at i, where the kernel is trivial
+        op = BandedOperator(0, {0: [0.0] * 95 + [1.0]})
+        with pytest.raises(PreconditionFailed, match=r"coeff\(42,0\)"):
+            truncated_kernel(op, I, 60)
 
     @pytest.mark.parametrize("w,M", [(0, 0), (1, 1), (3, 1), (3, 2), (3, 3)])
     def test_truncation_without_rows_rejected(self, w, M):
@@ -381,8 +394,7 @@ class TestOracleAgreement:
 
     def test_truncation_keeping_one_row(self):
         # one equation in w + 1 unknowns with an invertible leading entry
-        kb = truncated_kernel(jacobi(3, 2), I, 4)
-        assert kb.qdim == 3 and len(kb.vectors) == 3
+        assert len(truncated_kernel(jacobi(3, 2), I, 4)) == 3
 
 
 class TestBasisInvariance:
@@ -496,6 +508,70 @@ def scalar_march(op, q, N, seeds, reverse=False):
                 logs[idx] += K_
             scale += K_
     return np.array(C, dtype=float), logs
+
+
+def rowwise_residual(op, sol):
+    """recurrence_residual one row at a time: the window scaled by its largest
+    log factor, Hamilton products by _qmul, the terms d = -w..w added left to
+    right, the shift product subtracted, NaN rows passed over as np.fmax does."""
+    w = op.bandwidth
+    N = sol.length - 1
+    tab = op.table(N)
+    sq = _signed(sol.q.to_array())
+    worst = 0.0
+    with np.errstate(all="ignore"):
+        for n in range(N - w + 1):
+            m = [n + d for d in range(-w, w + 1) if 0 <= n + d <= N]
+            ref = max(sol.log_scale[m])
+            c = np.zeros((2 * w + 1, 4))
+            c[np.array(m) - n + w] = (sol.components(m)
+                                      * np.exp(sol.log_scale[m] - ref)[:, None])
+            t = [_qmul(_signed(tab[n, k]), c[k]) for k in range(2 * w + 1)]
+            qc = _qmul(sq, c[w])
+            acc = t[0]
+            for term in t[1:]:
+                acc = acc + term
+            acc = acc - qc
+            denom = max(np.sqrt(_normsq(qc)), *(np.sqrt(_normsq(x)) for x in t), 1e-300)
+            worst = np.fmax(worst, np.sqrt(_normsq(acc)) / denom)
+    return float(worst)
+
+
+class TestResidualReference:
+    """recurrence_residual's value, bit for bit, against rowwise_residual."""
+
+    @pytest.mark.parametrize("q", [I, Quaternion(0.3, 1.0, -2.0, 0.5)],
+                             ids=["unit", "general_axis"])
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "hamilton"])
+    @pytest.mark.parametrize("maker,rescaled", [(free_jacobi, True), (jacobi_sq, False),
+                                                (lambda: jacobi(2, 0), True)],
+                             ids=["free_jacobi", "jacobi_sq", "jacobi_w2"])
+    def test_equals_rowwise_reference(self, maker, rescaled, on_slice, q):
+        op = maker()
+        sols = _formal_batch(op, [q], 1500, on_slice=on_slice)[0]
+        assert any(sol.log_scale.any() for sol in sols) == rescaled
+        assert all((sol.axis is not None) == on_slice for sol in sols)
+        for sol in sols:
+            assert recurrence_residual(op, sol) == rowwise_residual(op, sol)
+
+    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "hamilton"])
+    def test_equals_rowwise_reference_off_solution(self, on_slice):
+        # random mantissas: no row cancels, so every term of each row counts
+        op = jacobi(2, 0)
+        sol = _formal_batch(op, [Quaternion(0.3, 1.0, -2.0, 0.5)], 1500,
+                            on_slice=on_slice)[0][0]
+        rng = np.random.default_rng(4)
+        noise = rng.standard_normal(sol.mantissas.shape + (2,)) @ [1.0, 1j]
+        sol.mantissas = noise if on_slice else rng.standard_normal(sol.mantissas.shape)
+        assert recurrence_residual(op, sol) == rowwise_residual(op, sol) > 0.1
+
+    def test_nan_rows_passed_over(self):
+        op = free_jacobi()
+        sol = _formal_batch(op, [I], 1500, on_slice=False)[0][0]
+        sol.mantissas[700] = np.nan
+        got = recurrence_residual(op, sol)
+        assert not math.isnan(got)
+        assert got == rowwise_residual(op, sol)
 
 
 def jacobi_cfg(w, p, c=1.3, diag=0.0):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qdef import (Basis, I, J, K, LeftMul, Quaternion, QVector, delta_map,
+from qdef import (Basis, I, J, K, Quaternion, QVector, delta_map,
                   expand, gram_schmidt, inner, left_scale, random_basis,
                   random_qvector, random_real_rotation_basis, reconstruct)
 from qdef.errors import (BasisError, DimensionMismatch, RankDeficient,
@@ -71,7 +71,7 @@ class TestRightScale:
 
 class TestLeftScale:
     def test_basis_vectors_commute(self):
-        L = LeftMul.canonical(3)
+        L = Basis.canonical(3)
         rng = np.random.default_rng(2)
         for k in range(3):
             q = rand_q(rng)
@@ -79,12 +79,12 @@ class TestLeftScale:
 
     def test_reals_commute(self):
         rng = np.random.default_rng(3)
-        L = LeftMul(random_basis(rng, 3))
+        L = random_basis(rng, 3)
         phi = random_qvector(rng, 3)
         assert left_scale(L, Quaternion(2.5), phi).isclose(phi * 2.5, atol=1e-12)
 
     def test_norm_example(self):
-        L = LeftMul.canonical(2)
+        L = Basis.canonical(2)
         phi = QVector([J, K])
         q = Quaternion(1, 1, 0, 0)
         assert left_scale(L, q, phi).norm() == pytest.approx(2.0, abs=1e-12)
@@ -94,7 +94,7 @@ class TestLeftScale:
         # distributivity, norm, composition, adjoint shift, real and basis cases
         rng = np.random.default_rng(seed)
         dim = int(rng.integers(2, 7))
-        L = LeftMul(random_basis(rng, dim))
+        L = random_basis(rng, dim)
         for _ in range(20):
             p, q = rand_q(rng), rand_q(rng)
             phi, psi = random_qvector(rng, dim), random_qvector(rng, dim)
@@ -121,7 +121,7 @@ class TestLeftScale:
         rng = np.random.default_rng(9)
         for _ in range(50):
             dim = int(rng.integers(2, 6))
-            L = LeftMul(random_basis(rng, dim))
+            L = random_basis(rng, dim)
             q = rand_q(rng)
             if q.norm() < 1e-3:
                 continue
@@ -135,8 +135,8 @@ class TestLeftScale:
         rng = np.random.default_rng(10)
         for _ in range(50):
             dim = int(rng.integers(2, 6))
-            L1 = LeftMul.canonical(dim)
-            L2 = LeftMul(random_real_rotation_basis(rng, dim))
+            L1 = Basis.canonical(dim)
+            L2 = random_real_rotation_basis(rng, dim)
             p, q = rand_q(rng), rand_q(rng)
             phi = random_qvector(rng, dim)
             lhs = left_scale(L2, p, left_scale(L1, q, phi))
@@ -150,8 +150,8 @@ class TestLeftScale:
         # boundary of validity: with second basis {(1+i)/sqrt2} of H^1,
         # 1*(j . 1) = j but (1*j)* 1 = theta j conj(theta) = k
         s = 1 / np.sqrt(2)
-        L1 = LeftMul.canonical(1)
-        L2 = LeftMul(Basis([QVector([Quaternion(s, s, 0, 0)])]))
+        L1 = Basis.canonical(1)
+        L2 = Basis([QVector([Quaternion(s, s, 0, 0)])])
         phi = QVector([Quaternion(1)])
         lhs = left_scale(L2, Quaternion(1), left_scale(L1, J, phi))
         rhs = left_scale(L2, J, phi)
@@ -188,7 +188,7 @@ class TestExpand:
 class TestDeltaMap:
     def test_same_basis_is_identity(self):
         rng = np.random.default_rng(12)
-        L = LeftMul(random_basis(rng, 4))
+        L = random_basis(rng, 4)
         psi = random_qvector(rng, 4)
         out = delta_map(L, L, rand_q(rng), psi)
         assert out.isclose(psi, atol=1e-11)
@@ -199,15 +199,15 @@ class TestDeltaMap:
         s = 1 / np.sqrt(2)
         B2 = Basis([QVector([Quaternion(s), Quaternion(s)]),
                     QVector([Quaternion(s), Quaternion(-s)])])
-        out = delta_map(LeftMul.canonical(2), LeftMul(B2), I, e(2, 0))
+        out = delta_map(Basis.canonical(2), B2, I, e(2, 0))
         assert out.isclose(e(2, 0), atol=1e-12)
 
     def test_isometry(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             dim = int(rng.integers(2, 6))
-            L1 = LeftMul.canonical(dim)
-            L2 = LeftMul(random_basis(rng, dim))
+            L1 = Basis.canonical(dim)
+            L2 = random_basis(rng, dim)
             psi1, psi2 = random_qvector(rng, dim), random_qvector(rng, dim)
             d1 = delta_map(L1, L2, J, psi1)
             d2 = delta_map(L1, L2, J, psi2)
@@ -215,8 +215,8 @@ class TestDeltaMap:
 
     def test_right_linear(self):
         rng = np.random.default_rng(14)
-        L1 = LeftMul.canonical(3)
-        L2 = LeftMul(random_basis(rng, 3))
+        L1 = Basis.canonical(3)
+        L2 = random_basis(rng, 3)
         q = Quaternion(0.3, -1, 2, 0.5)
         psi1, psi2 = random_qvector(rng, 3), random_qvector(rng, 3)
         x, y = rand_q(rng), rand_q(rng)
@@ -225,7 +225,7 @@ class TestDeltaMap:
         assert lhs.isclose(rhs, atol=1e-11)
 
     def test_zero_scalar_rejected(self):
-        L = LeftMul.canonical(2)
+        L = Basis.canonical(2)
         with pytest.raises(ZeroScalar):
             delta_map(L, L, Quaternion(0), e(2, 0))
 
