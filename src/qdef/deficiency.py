@@ -1054,7 +1054,7 @@ def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
 
 def _gram_min_eig(vectors):
     G = np.array([[inner(a, b).to_array() for b in vectors] for a in vectors])
-    return float(np.linalg.eigvalsh(embed.chi(G))[0])
+    return float(embed.normal_eigenvalues(embed.chi(G))[0])
 
 
 def _evidence(kind, dim_plus, dim_minus, vectors, status):

@@ -10,6 +10,9 @@ The complex kernel of the image is invariant under the antilinear structure
 map J that encodes right multiplication by j; its complex dimension is
 therefore even, and pairing null vectors under J produces a right-quaternionic
 kernel basis.
+
+Every SVD and eigensolver of qdef runs in this module, and each raises
+NoConvergence for an embedding with an infinite or NaN entry.
 """
 
 from __future__ import annotations
@@ -87,24 +90,19 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> list:
     """Quaternionic null space of ``A`` via SVD of the complex embedding.
 
     Returns the kernel vectors as a list, whose length is the quaternionic
-    nullity.  Complex null vectors are paired under the structure map J (each
-    pair spans one quaternionic direction); an odd complex nullity signals a
-    broken embedding and raises InternalInconsistency.  ``scale`` floors the
-    threshold reference for matrices that are themselves near zero (the
-    largest singular value is used otherwise).
+    nullity.  The rank is ``rank_from_values`` of the SVD's own singular
+    values, with its cut and checks; ``scale`` floors the cut's reference for
+    matrices that are themselves near zero.  Complex null vectors are paired
+    under the structure map J (each pair spans one quaternionic direction).
     """
     M = chi(A)
     rows, cols = M.shape
     if min(rows, cols) == 0:
         # no equation constrains a vector: the kernel is all of H^(cols/2)
         return [QVector.basis_vector(cols // 2, k) for k in range(cols // 2)]
-    U, s, Vh = np.linalg.svd(_finite(M))
-    smax = s[0] if s.size else 0.0
-    thresh = rank_tol * max(smax, scale or 0.0)
-    rank = int(np.sum(s > thresh))
+    _, s, Vh = np.linalg.svd(_finite(M))
+    rank = 2 * rank_from_values(s, rank_tol, scale)
     nullity = cols - rank
-    if nullity % 2 != 0:
-        raise InternalInconsistency("complex nullity of the embedding is odd")
     if nullity == 0:
         return []
     N = Vh[rank:, :].conj().T  # orthonormal null basis, shape (cols, nullity)
@@ -136,45 +134,27 @@ def kernel_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> list:
 def rank_q(A, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     """Rank over the quaternions: complex rank of the embedding, halved.
 
-    ``chi_rank`` of chi(A): only singular values are computed, cut at
-    ``rank_tol`` times the larger of the largest one and ``scale``, as in
-    ``kernel_q``, in real arithmetic when A has real entries.
+    Only singular values are computed (``singular_values``), and
+    ``rank_from_values`` cuts them.
     """
-    return chi_rank(chi(A), rank_tol, scale)
-
-
-def chi_rank(M, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
-    """Quaternionic rank of an embedding M = chi(A), from its singular values.
-
-    The singular values come from an SVD, in real arithmetic when M has no
-    imaginary part, and ``rank_from_values`` cuts and checks them.  Where
-    the embedding is normal they need no SVD: for A equal to A* or -A*,
-    ``spectrum.point_sspectrum`` reads those of chi(R_q(A)) = (chi(A) -
-    lambda)(chi(A) - conj(lambda)) as the products |mu - lambda| |mu -
-    conj(lambda)| over the eigenvalues mu of chi(A), whose eigenvectors
-    diagonalise every such polynomial (the spectral theorem), and passes
-    them to ``rank_from_values`` directly.  Those mu come from one
-    ``normal_eigenvalues``, a decomposition of its own: the
-    ``eigenvalues_c`` that the sphere checks are compared with never feeds
-    it, nor it them.
-    """
-    if min(M.shape) == 0:
-        return 0
-    return rank_from_values(_singular_values(M), rank_tol, scale)
+    return rank_from_values(singular_values(chi(A)), rank_tol, scale)
 
 
 def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     """Quaternionic rank from the singular values ``s`` of an embedding, largest first.
 
-    The values are cut at ``rank_tol`` times the larger of the largest one
-    and ``scale``.  They also witness the J-structure that ``kernel_q``
-    checks by pairing null vectors: chi(A) and chi(A)* = chi(A*) commute
-    with the antiunitary J, so each eigenspace of chi(A)* chi(A) is
-    J-invariant; as J^2 = -1, v and Jv are orthogonal and such a space has
-    even dimension.  Every singular value therefore has even multiplicity.
-    Sorted values that do not pair up to _PAIRING_TOL times the cut's
-    reference raise InternalInconsistency, as does an odd complex rank.
+    The one rank cut: ``rank_q``, ``kernel_q`` and the sphere checks of
+    ``spectrum.point_sspectrum`` all decide here, at ``rank_tol`` times the
+    larger of the largest value and ``scale``.  The values also witness the
+    J-structure: chi(A) and chi(A)* = chi(A*) commute with the antiunitary
+    J, so each eigenspace of chi(A)* chi(A) is J-invariant; as J^2 = -1, v
+    and Jv are orthogonal and such a space has even dimension.  Every
+    singular value therefore has even multiplicity.  Sorted values that do
+    not pair up to _PAIRING_TOL times the cut's reference raise
+    InternalInconsistency, as does an odd complex rank.
     """
+    if len(s) == 0:
+        return 0
     ref = max(s[0], scale or 0.0)
     pairing = float(np.max(np.abs(s[0::2] - s[1::2])))
     if pairing > _PAIRING_TOL * ref:
@@ -193,8 +173,11 @@ def _real_if_exact(M):
     return M
 
 
-def _singular_values(M) -> np.ndarray:
-    """Singular values of M, largest first, in real arithmetic for a real M."""
+def singular_values(M) -> np.ndarray:
+    """Singular values of M, largest first, in real arithmetic for a real M.
+
+    The one values-only SVD: every rank, norm and resolvent decision that
+    needs no singular vectors takes its values here."""
     return np.linalg.svd(_real_if_exact(_finite(M)), compute_uv=False)
 
 
@@ -205,7 +188,8 @@ def normal_eigenvalues(M, skew=False) -> np.ndarray:
     imaginary part, or of the Hermitian -i M for a skew M, whose
     eigenvalues nu give M's as i nu.  ``eigvalsh`` reads the lower triangle
     only, so the caller vouches that M is (skew-)Hermitian as numbers, as
-    chi(A) is for A equal to plus or minus A* entry for entry.
+    chi(A) is for A equal to plus or minus A* entry for entry, or that the
+    lower triangle is the one meant, as for a Gram matrix.
     """
     if skew:
         return 1j * np.linalg.eigvalsh(-1j * _finite(M))
@@ -242,8 +226,3 @@ def conjugation_defect(lam) -> float:
     lam = lam[order]
     return float(np.max(np.abs(lam[0::2] - np.conj(lam[1::2]))))
 
-
-def operator_norm(A) -> float:
-    """Largest singular value of the complex embedding (= quaternionic norm)."""
-    s = _singular_values(chi(A))
-    return float(s[0]) if s.size else 0.0

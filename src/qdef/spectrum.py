@@ -164,7 +164,7 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
             norm_a = float(np.max(np.abs(eig_a), initial=0.0))
         else:
-            norm_a = embed.operator_norm(A)
+            norm_a = float(embed.singular_values(chi_a)[0])
             # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
             chi_aa = embed.chi(A @ A)
             diag = np.arange(2 * A.dim)
@@ -176,12 +176,12 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
             if normal:
                 sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
-                rank = embed.rank_from_values(np.sort(sv)[::-1], rank_tol, scale)
+                sv = np.sort(sv)[::-1]
             else:
                 R = chi_aa - (2.0 * q.real) * chi_a
                 R[diag, diag] += q.norm_sq()
-                rank = embed.chi_rank(R, rank_tol, scale)
-            qdim = A.dim - rank
+                sv = embed.singular_values(R)
+            qdim = A.dim - embed.rank_from_values(sv, rank_tol, scale)
             if qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
@@ -249,8 +249,13 @@ def selfadjoint_iff_real(A: QOperator, basis: Basis | None = None,
 
 
 def resolvent_inverse_norm(A: QOperator, q: Quaternion) -> float:
-    """Operator norm of R_q(A)^{-1} (reciprocal smallest singular value)."""
-    s = np.linalg.svd(embed.chi(resolvent_poly(A, q)), compute_uv=False)
+    """Operator norm of R_q(A)^{-1} (reciprocal smallest singular value).
+
+    A non-finite A raises NoConvergence: R_q(A) is formed without a warning
+    and ``embed.singular_values`` rejects it."""
+    with np.errstate(all="ignore"):
+        R = resolvent_poly(A, q)
+    s = embed.singular_values(embed.chi(R))
     smin = float(s[-1]) if s.size else 0.0
     if smin <= 0.0:
         raise SingularSystem("R_q(A) is singular; q lies in the spectrum")
@@ -267,16 +272,19 @@ def resolvent_bound_check(A: QOperator, q: Quaternion, samples: int = 50,
     ||R_q(A) phi|| >= (q1^2+q2^2+q3^2) ||phi||.  Requires A self-adjoint and
     q non-real.  Each sampled ratio is compared with 1, so the result is <= 0
     when the bound holds and its size is the margin.  ``preds`` is
-    ``symmetry_predicates(A)``, if the caller already holds it.
+    ``symmetry_predicates(A)``, if the caller already holds it.  A non-finite
+    A raises NoConvergence, as in ``resolvent_inverse_norm``, before the
+    symmetry check.
     """
     if q.im_norm() == 0.0:
         raise PreconditionFailed("resolvent bound needs a non-real shift")
+    with np.errstate(all="ignore"):
+        R = resolvent_poly(A, q)
+    M = embed.chi(R)
+    s = embed.singular_values(M)
     if not (preds or symmetry_predicates(A)).is_symmetric:
         raise PreconditionFailed("resolvent bound needs a self-adjoint operator")
     im2 = q.im_norm() ** 2
-    R = resolvent_poly(A, q)
-    M = embed.chi(R)
-    s = np.linalg.svd(M, compute_uv=False)
     if s[-1] <= 1e-14 * s[0]:
         raise SingularSystem("R_q(A) is numerically singular")
     rng = np.random.default_rng(seed)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -11,8 +12,9 @@ import pytest
 
 import qdef.cli
 import qdef.deficiency
+import qdef.embed
 import qdef.verify
-from qdef import hermitian_random
+from qdef import QVector, RealityVerdict, hermitian_random
 from qdef.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -248,6 +250,59 @@ class TestBasisInvarianceCanFail:
         assert main(["invariance", "--dim", "4", "--trials", "2", "--seed", "2"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert out["max_discrepancy"] == 1 and out["passed"] is False
+
+
+def failed_rows(argv, capsys):
+    """The names of the rows that fail, after asserting that verify exits 1."""
+    assert main(argv) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["passed"] is False
+    return [c["name"] for c in out["checks"] if not c["passed"]]
+
+
+class TestVerifyRowsCanFail:
+    """Each row reads passed: false, and verify exits 1, when the input it
+    judges is wrong."""
+
+    MATRIX = ["verify", "--matrix", str(DATA / "matrix_real_symmetric.json")]
+    BANDED = ["verify", "--preset", "number_operator", "--N", "400", "--window", "40"]
+
+    def test_rank_nullity(self, monkeypatch, capsys):
+        # a non-symmetric matrix: no criteria row takes the rank as well
+        monkeypatch.setattr(qdef.embed, "rank_q", lambda A, *args, **kwargs: A.dim - 1)
+        argv = ["verify", "--matrix", str(DATA / "matrix_general.json")]
+        assert failed_rows(argv, capsys) == ["rank_nullity"]
+
+    def test_self_adjointness_criteria_agree(self, monkeypatch, capsys):
+        real = qdef.verify.criteria_report
+        monkeypatch.setattr(qdef.verify, "criteria_report", lambda *args, **kwargs:
+                            dataclasses.replace(real(*args, **kwargs), agree=False))
+        assert failed_rows(self.MATRIX, capsys) == ["self_adjointness_criteria_agree"]
+
+    def test_spectrum_real_iff_self_adjoint(self, monkeypatch, capsys):
+        verdict = RealityVerdict(self_adjoint=True, all_real=False, hypotheses_met=True,
+                                 equivalent=False, max_im_mag=1.0)
+        monkeypatch.setattr(qdef.verify, "selfadjoint_iff_real",
+                            lambda *args, **kwargs: verdict)
+        assert failed_rows(self.MATRIX, capsys) == ["spectrum_real_iff_self_adjoint"]
+
+    def test_truncated_matrix_oracle_agreement(self, monkeypatch, capsys):
+        # w + 1 vectors: more than any banded operator of bandwidth w has
+        monkeypatch.setattr(qdef.verify, "truncated_kernel", lambda op, q, M, *args: [
+            QVector.basis_vector(M, k) for k in range(op.bandwidth + 1)])
+        assert failed_rows(self.BANDED, capsys) == ["truncated_matrix_oracle_agreement"]
+
+    def test_defect_space_directness(self, monkeypatch, capsys):
+        real = qdef.verify._banded_evidence
+        monkeypatch.setattr(qdef.verify, "_banded_evidence",
+                            lambda *args: {**real(*args), "direct": False})
+        assert failed_rows(self.BANDED, capsys) == ["defect_space_directness"]
+
+    def test_self_adjoint_iff_zero_indices(self, monkeypatch, capsys):
+        real = qdef.verify._unit_reports
+        monkeypatch.setattr(qdef.verify, "_unit_reports", lambda *args: [
+            dataclasses.replace(r, self_adjoint=not r.self_adjoint) for r in real(*args)])
+        assert failed_rows(self.BANDED, capsys) == ["self_adjoint_iff_zero_indices"]
 
 
 class TestEnvOverrides:

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +221,34 @@ class TestRank:
         monkeypatch.setattr(qdef.embed, "chi", lambda A: np.diag([1.0, 2.0]).astype(complex))
         with pytest.raises(InternalInconsistency, match="do not pair up"):
             rank_q(QOperator.identity(1))
+
+    def test_kernel_takes_the_shared_cut(self, monkeypatch):
+        monkeypatch.setattr(qdef.embed, "chi", lambda A: np.diag([1.0, 2.0]).astype(complex))
+        with pytest.raises(InternalInconsistency, match="do not pair up"):
+            kernel_q(QOperator.identity(1))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "qdef"
+DECOMPOSITIONS = {"svd", "eig", "eigh", "eigvals", "eigvalsh"}
+
+
+def linalg_decompositions(path):
+    """Line numbers of the numpy.linalg SVDs and eigensolvers a module names."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in DECOMPOSITIONS \
+                and ast.unparse(node.value).split(".")[-1] == "linalg":
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            lines += [node.lineno for alias in node.names if alias.name in DECOMPOSITIONS]
+    return lines
+
+
+def test_only_embed_decomposes():
+    # every rank, norm and spectrum decision goes through embed's checked entries
+    found = {path.name: linalg_decompositions(path) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("embed.py")
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 class TestEigenvalues:

@@ -1,5 +1,6 @@
 import collections
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from qdef import (I, J, Quaternion, QOperator, gram_schmidt,
                   real_symmetric, resolvent_bound_check,
                   resolvent_inverse_norm, resolvent_poly, selfadjoint_iff_real)
 from qdef.cli import main
-from qdef.errors import InternalInconsistency, PreconditionFailed
+from qdef.errors import InternalInconsistency, NoConvergence, PreconditionFailed
 from qdef.tolerances import DEFAULT
 from qdef.verify import verify_matrix
 
@@ -142,6 +143,18 @@ class TestResolventBound:
     def test_non_symmetric_rejected(self):
         with pytest.raises(PreconditionFailed):
             resolvent_bound_check(random_operator(3, seed=5), I)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("call", [resolvent_inverse_norm, resolvent_bound_check])
+    def test_non_finite_entry_raises(self, call, bad, capfd):
+        # R_q(A) starts with A @ A, which once raised a RuntimeWarning here
+        E = np.zeros((2, 2, 4))
+        E[0, 0, 0], E[1, 1, 0], E[1, 0, 0] = 1.0, 2.0, bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConvergence, match="non-finite"):
+                call(QOperator.from_entries(E), I)
+        assert capfd.readouterr().err == ""
 
     def test_hermitian_family(self):
         rng = np.random.default_rng(6)

@@ -6,11 +6,17 @@ qdef sources of this checkout, and prints one line per call:
 
     workload seed label sha256(exit, stdout, stderr)
 
+After those lines it runs each demo as ``python -W error demos/NN_*.py`` in a
+subprocess, on this checkout's ``src``, and prints one line per demo:
+
+    demo file sha256(exit, stdout, stderr)
+
 A CLI call is run through ``qdef.cli.run``; a scan call through
 ``index_stability_scan``, with its result as JSON on stdout, exit 0, or the
 exception's last line on stderr and exit null.  Inputs are written under
 ``.perfbench_work/digests/`` (git-ignored) and that path reads as
-``<workdir>`` in every digest, so two checkouts compare line for line:
+``<workdir>`` in every digest, and the checkout's root reads as ``<root>`` in
+a demo's output, so two checkouts compare line for line:
 
     python tools/output_digests.py > change.txt
 
@@ -25,6 +31,7 @@ import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import traceback
 
@@ -76,15 +83,31 @@ def _scan(spec):
     return 0, json.dumps(result, sort_keys=True), ""
 
 
+def _digest(code, out, err, path, mark):
+    """sha256 of (exit, stdout, stderr), with ``path`` read as ``mark``."""
+    blob = json.dumps([code] + [s.replace(path, mark) for s in (out, err)])
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def _demos():
+    env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
+    for name in sorted(os.listdir(os.path.join(ROOT, "demos"))):
+        if name.endswith(".py"):
+            done = subprocess.run([sys.executable, "-W", "error", os.path.join("demos", name)],
+                                  cwd=ROOT, env=env, capture_output=True, text=True)
+            yield name, done.returncode, done.stdout, done.stderr
+
+
 def main():
     workloads = _workloads()
     for name, seed in RUNS:
         workdir = os.path.join(WORKDIR, f"{name}-{seed}")
         for call in workloads.generate(name, seed, workdir):
             code, out, err = _scan(call.scan) if call.kind == "scan" else _cli(call.argv)
-            blob = json.dumps([code] + [s.replace(WORKDIR, "<workdir>") for s in (out, err)])
-            digest = hashlib.sha256(blob.encode()).hexdigest()
-            print(name, seed, call.label, digest, flush=True)
+            print(name, seed, call.label, _digest(code, out, err, WORKDIR, "<workdir>"),
+                  flush=True)
+    for name, code, out, err in _demos():
+        print("demo", name, _digest(code, out, err, ROOT, "<root>"), flush=True)
 
 
 if __name__ == "__main__":
