@@ -14,8 +14,10 @@ import qdef.cli
 import qdef.deficiency
 import qdef.embed
 import qdef.verify
-from qdef import QVector, RealityVerdict, hermitian_random
+from qdef import (I, QVector, RealityVerdict, free_jacobi, hermitian_random,
+                  index_stability_scan)
 from qdef.cli import main
+from qdef.errors import StabilityViolation
 
 DATA = Path(__file__).parent / "data"
 
@@ -59,6 +61,23 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["sspectrum", "--matrix", "/nonexistent/x.json"]) == 2
 
+    @pytest.mark.parametrize("argv,text,err", [
+        (["deficiency", "--preset", "free_jacobi", "--matrix"], "{}",
+         "give either --preset or --matrix, not both"),
+        (["verify", "--matrix"], "[1, 2]", "{path}: expected a JSON object"),
+        (["sspectrum", "--preset", "free_jacobi"], None,
+         "sspectrum expects a finite matrix (--matrix)"),
+    ], ids=["preset-and-matrix", "matrix-list", "sspectrum-banded"])
+    def test_config_error_message(self, argv, text, err, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        if text is not None:
+            path.write_text(text)
+            argv = argv + [str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"config error: {err.format(path=path)}\n"
+
     @pytest.mark.parametrize("target", ["missing-dir/x.json", "."])
     def test_unwritable_out(self, target, tmp_path, capsys):
         out = tmp_path / target
@@ -97,6 +116,16 @@ class TestCommands:
         assert out["spheres"] == [{"re": 1.0, "im_mag": 0.0, "mult": 1},
                                   {"re": 2.0, "im_mag": 0.0, "mult": 1}]
         assert out["all_real"] is True
+
+    def test_sspectrum_text(self, tmp_path, capsys):
+        m = tmp_path / "diag.json"
+        m.write_text(json.dumps({"dim": 2, "entries": ["1", "0", "0", "2"]}))
+        assert main(["sspectrum", "--matrix", str(m), "--format", "text"]) == 0
+        assert capsys.readouterr().out == (
+            "command: sspectrum\n"
+            "passed: True\n"
+            "  sphere re=+1 im=0 mult=1\n"
+            "  sphere re=+2 im=0 mult=1\n")
 
     def test_sspectrum_csv(self, tmp_path, capsys):
         m = tmp_path / "diag.json"
@@ -258,6 +287,59 @@ def failed_rows(argv, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["passed"] is False
     return [c["name"] for c in out["checks"] if not c["passed"]]
+
+
+@pytest.fixture
+def one_more_at_last_sample(monkeypatch):
+    """``make(count)`` has the last sample of a scan about I with ``count``
+    samples and seed 0 count one square-summable solution more."""
+    def make(count):
+        # the shifts depend on the centre, count and seed alone
+        last = qdef.deficiency._scan_shifts(free_jacobi(), I, count, 0)[-1]
+        real = qdef.deficiency._count_l2
+
+        def counting(op, shifts, *args, **kwargs):
+            return [(dim + (q == last), *rest) for q, (dim, *rest)
+                    in zip(shifts, real(op, shifts, *args, **kwargs))]
+
+        monkeypatch.setattr(qdef.deficiency, "_count_l2", counting)
+        monkeypatch.setattr(qdef.verify, "_count_l2", counting)
+    return make
+
+
+class TestScanDisagreement:
+    """A scan whose samples disagree on the kernel dimension reads
+    "violation" in a report and raises StabilityViolation from the library."""
+
+    DETAIL = "kernel dimension not constant: [0, 1]"
+
+    def test_deficiency_reports_the_violation(self, one_more_at_last_sample, capsys):
+        one_more_at_last_sample(4)
+        assert main(["deficiency", "--preset", "free_jacobi", "--N", "400",
+                     "--window", "50", "--count", "4"]) == 1
+        out = capsys.readouterr().out
+        assert '"status": "violation"' in out
+        scan = json.loads(out)["deficiency"]["stability"]
+        assert sorted(scan) == ["detail", "samples", "status"]
+        assert (scan["status"], scan["detail"]) == ("violation", self.DETAIL)
+        assert [(s["dim"], s["status"]) for s in scan["samples"]] == \
+            [(0, "ok")] * 7 + [(1, "ok")]
+
+    def test_verify_fails_the_index_stability_row(self, one_more_at_last_sample,
+                                                  capsys):
+        one_more_at_last_sample(8)
+        assert main(TestVerifyRowsCanFail.BANDED) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert [(c["name"], c["detail"]) for c in out["checks"] if not c["passed"]] == \
+            [("index_stability", self.DETAIL)]
+
+    def test_library_scan_raises(self, one_more_at_last_sample):
+        one_more_at_last_sample(4)
+        with pytest.raises(StabilityViolation, match=r"^kernel dimension not "
+                                                     r"constant: \[0, 1\]$") as caught:
+            index_stability_scan(free_jacobi(), I, count=4, N=400, window=50)
+        assert [(s["dim"], s["status"]) for s in caught.value.discordant] == \
+            [(0, "ok")] * 7 + [(1, "ok")]
 
 
 class TestVerifyRowsCanFail:
@@ -678,15 +760,29 @@ class TestErrorPrecedence:
             "property failure: forward recurrence residual 1.000e+00 exceeds 1e-10\n"
 
 
+def _src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
+def test_module_entry_point():
+    done = subprocess.run(
+        [sys.executable, "-m", "qdef", "deficiency", "--preset", "free_jacobi",
+         "--N", "400", "--window", "50", "--count", "0"],
+        capture_output=True, text=True, env=_src_env(), timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert json.loads(done.stdout)["deficiency"]["self_adjoint"] is True
+
+
 def test_cli_run_does_not_import_scipy():
     code = ("import sys, qdef.cli; "
             "code = qdef.cli.main(['deficiency', '--preset', 'free_jacobi', "
             "'--N', '400', '--window', '50', '--count', '0']); "
             "print(code, 'scipy' in sys.modules)")
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_src_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "0 False"
