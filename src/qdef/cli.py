@@ -30,8 +30,7 @@ import numpy as np
 
 from .deficiency import (PRESETS, _indices_and_scan, _scan_shifts,
                          basis_invariance_check, deficiency_indices, from_config)
-from .errors import (ConfigError, PreconditionFailed, QdefError,
-                     StabilityViolation)
+from .errors import ConfigError, PreconditionFailed, QdefError
 from .qoperator import QOperator, real_symmetric
 from .quat import Quaternion, parse_quaternion
 from .rmodule import random_basis
@@ -165,9 +164,6 @@ def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
         raise
     rep, scan = _indices_and_scan(op, args.unit, scan_shifts, tol.N, tol.window,
                                   args.seed, tol.ratio)
-    if isinstance(scan, StabilityViolation):
-        scan = {"status": "violation", "detail": str(scan),
-                "samples": scan.discordant}
     rep_dict = rep.to_dict()
     rep_dict["stability"] = scan
     passed = rep.status == "ok" and scan["status"] == "ok"

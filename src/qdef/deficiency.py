@@ -35,9 +35,9 @@ slice C_I = {x + yI}: real coefficients commute with I, and C_I is closed
 under sums, products and inverses.  x + yI -> x + iy maps C_I onto the
 complex numbers, so such operators march in complex128 at z = a + ib, one
 complex product per term, and quaternion components are formed only where
-they are read (values, residual chunks, the probe's row 0, the backward
-comparison).  A solution thus depends on Re q and |Im q| alone, the axial
-symmetry of the S-spectrum: +e and -e of a unit, and the scan's three unit
+they are read (values, residual chunks, the backward comparison).  A
+solution thus depends on Re q and |Im q| alone, the axial symmetry of the
+S-spectrum: +e and -e of a unit, and the scan's three unit
 directions, are one problem.  For I = +-i, +-j, +-k each complex product
 rounds as the Hamilton product of the mapped numbers (the extra terms are
 signed zeros), so those solutions keep their bits up to the signs of zeros;
@@ -59,7 +59,9 @@ window, and no bit changes.  For square-
 summable candidates a backward re-solve from the computed tail cross-checks
 the forward pass, and for bandwidth-1 operators a minimal-solution probe
 (backward march from a zero tail seed) guards against the forward recurrence
-drifting off a decaying solution; discrepancies downgrade verdicts to
+drifting off a decaying solution: its boundary row is judged by
+``recurrence_residual``, relative to the row's terms.  A discrepancy, or a
+decaying probe that satisfies the boundary row, downgrades a verdict to
 ``inconclusive``.
 """
 
@@ -74,7 +76,7 @@ from . import embed
 from .errors import (DimensionMismatch, InternalInconsistency,
                      PreconditionFailed, SingularLeadingCoefficient,
                      StabilityViolation)
-from .qoperator import QOperator, shift_left_scalar
+from .qoperator import SYM_ATOL, QOperator, shift_left_scalar
 from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
                    parse_quaternion, qnormsq)
 from .rmodule import Basis, QVector, inner
@@ -137,17 +139,6 @@ def _slice_of(q: Quaternion):
     r = float(q.im_norm())
     axis = q.to_array()[1:] / r if r > 0.0 else np.array([1.0, 0.0, 0.0])
     return complex(q.q0, r), axis
-
-
-def _quaternions(m, axis):
-    """Quaternion components (..., 4) of mantissas ``m``: ``m`` itself, or
-    with a slice ``axis`` I the numbers x + yI of the complex m = x + iy."""
-    if axis is None:
-        return m
-    out = np.empty(m.shape + (4,))
-    out[..., 0] = m.real
-    out[..., 1:] = m.imag[..., None] * axis
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +364,16 @@ class FormalSolution:
         return self.mantissas.shape[0]
 
     def components(self, rows=slice(None)) -> np.ndarray:
-        """Quaternion components (..., 4) of the mantissas at ``rows``."""
-        return _quaternions(self.mantissas[rows], self.axis)
+        """Quaternion components (..., 4) of the mantissas at ``rows``: the
+        mantissas themselves, or on a slice the numbers x + yI of the
+        complex mantissas x + iy."""
+        m = self.mantissas[rows]
+        if self.axis is None:
+            return m
+        out = np.empty(m.shape + (4,))
+        out[..., 0] = m.real
+        out[..., 1:] = m.imag[..., None] * self.axis
+        return out
 
     def values(self) -> np.ndarray:
         """True coefficients as an (N+1, 4) array; raises on overflow."""
@@ -772,23 +771,15 @@ def _probe_result(op: BandedOperator, entry: _Entry, C, logs, window: int,
     """Boundary-row relative residual and verdict of a minimal solution.
 
     Miller-style probe (bandwidth 1): the backward march from the zero tail
-    seed c_{N-1} = 1, c_N = 0 converges to the minimal solution; row 0,
-    a(0,0) c_0 + a(0,1) c_1 = q c_0, is checked in the local scale of the
-    head, in Hamilton arithmetic.
+    seed c_{N-1} = 1, c_N = 0 converges to the minimal solution.  Cut to
+    its first two rows, the probe has row 0, a(0,0) c_0 + a(0,1) c_1 = q c_0,
+    as its one interior row, and ``recurrence_residual`` checks it relative
+    to the largest of its terms, so the residual does not depend on the
+    operator's scale.
     """
-    ref = max(logs[0], logs[1])
-    head = _quaternions(C[:2], entry.axis)
-    c0 = head[0] * math.exp(logs[0] - ref)
-    c1 = head[1] * math.exp(logs[1] - ref)
-    row = op.table(1)[0]
-    t0 = _qmul(_signed(row[1]), c0)
-    t1 = _qmul(_signed(row[2]), c1)
-    rq = _qmul(_signed(entry.q.to_array()), c0)
-    resid = math.sqrt(_normsq((t0 + t1) - rq))
-    denom = max(*(math.sqrt(_normsq(x)) for x in (t0, t1, rq, c0, c1)), 1e-300)
-    verdict = classify_l2(FormalSolution(C, logs, entry.q, -1, axis=entry.axis),
-                          window, ratio_margin)
-    return resid / denom, verdict
+    probe = FormalSolution(C, logs, entry.q, -1, axis=entry.axis)
+    head = replace(probe, mantissas=C[:2], log_scale=logs[:2])
+    return recurrence_residual(op, head), classify_l2(probe, window, ratio_margin)
 
 
 def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: float):
@@ -985,11 +976,15 @@ def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20
     Samples ``count`` non-real shifts in the ball B(center, |Im center|),
     plus the center itself and the three unit directions scaled to
     |Im center|.  All square-summable kernel dimensions must agree; a
-    discordant shift raises StabilityViolation.
+    discordant shift raises StabilityViolation, whose ``discordant`` holds
+    every sample.
     """
     shifts = _scan_shifts(op, center, count, seed)
-    return _scan_result(shifts, _count_l2(op, shifts, N, window, ratio_margin),
+    scan = _scan_result(shifts, _count_l2(op, shifts, N, window, ratio_margin),
                         N, window, seed)
+    if scan["status"] == "violation":
+        raise StabilityViolation(scan["detail"], discordant=scan["samples"])
+    return scan
 
 
 def _scan_shifts(op: BandedOperator, center: Quaternion, count: int, seed: int):
@@ -1010,7 +1005,8 @@ def _scan_shifts(op: BandedOperator, center: Quaternion, count: int, seed: int):
 
 def _scan_result(shifts, counts, N: int, window: int, seed: int):
     """index_stability_scan's result from the ``_count_l2`` entries of its
-    ``_scan_shifts``."""
+    ``_scan_shifts``, or where the dimensions disagree, status "violation"
+    with a ``detail`` and the samples."""
     samples = []
     dims = set()
     inconclusive = False
@@ -1022,9 +1018,8 @@ def _scan_result(shifts, counts, N: int, window: int, seed: int):
         else:
             dims.add(d)
     if len(dims) > 1:
-        raise StabilityViolation(
-            f"kernel dimension not constant: {sorted(dims)}",
-            discordant=samples)
+        return {"status": "violation", "samples": samples,
+                "detail": f"kernel dimension not constant: {sorted(dims)}"}
     return {
         "constant_dim": dims.pop() if dims else None,
         "status": INCONCLUSIVE if inconclusive else "ok",
@@ -1038,14 +1033,11 @@ def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
                       window: int, seed: int, ratio_margin: float):
     """deficiency_indices at ``unit`` and index_stability_scan over its
     ``scan_shifts`` (from ``_scan_shifts``) from one ``_count_l2``: the report
-    and the scan's result, or the StabilityViolation the scan raises."""
+    and the ``_scan_result``."""
     counts = _count_l2(op, _unit_shifts(op, [unit]) + scan_shifts, N, window,
                        ratio_margin)
     [report] = _unit_reports(op, [unit], counts[:2], N, window, ratio_margin)
-    try:
-        return report, _scan_result(scan_shifts, counts[2:], N, window, seed)
-    except StabilityViolation as exc:
-        return report, exc
+    return report, _scan_result(scan_shifts, counts[2:], N, window, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -1101,7 +1093,7 @@ def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
                                            ratio_margin, keep=(0, 1)))
     if isinstance(op, QOperator):
         adj = op.adjoint()
-        if op.max_entry_diff(adj) > 1e-10:
+        if op.max_entry_diff(adj) > SYM_ATOL:
             raise PreconditionFailed("directness evidence needs a symmetric operator")
         k_plus = embed.kernel_q(shift_left_scalar(adj, q))
         k_minus = embed.kernel_q(shift_left_scalar(adj, q.conjugate()))
@@ -1148,7 +1140,7 @@ def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,
     def one(A_, B2_, q_):
         if q_.im_norm() == 0.0:
             raise PreconditionFailed("basis invariance needs a non-real shift")
-        if not A_.is_real() or A_.max_entry_diff(A_.adjoint()) > 1e-10:
+        if not A_.is_real() or A_.max_entry_diff(A_.adjoint()) > SYM_ATOL:
             raise PreconditionFailed(
                 "basis invariance check is implemented for the real symmetric family")
         if B2_.dim != A_.dim:

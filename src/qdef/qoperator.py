@@ -235,9 +235,12 @@ def symmetry_predicates(A: QOperator, basis: Basis | None = None) -> SymmetryRep
 
     ``anti[e]`` records whether (eA) equals -(eA)^adjoint entrywise, where
     (eA)phi = e.(A phi) through the left product of ``basis``.  Every
-    comparison is entrywise to the absolute ``SYM_ATOL``.
+    comparison is entrywise to the absolute ``SYM_ATOL``.  PreconditionFailed
+    for an operator with a non-finite entry.
     """
     from .quat import UNITS
+    if not np.isfinite(A.entries).all():
+        raise PreconditionFailed("operator has a non-finite entry")
     adj = A.adjoint()
     defect = A.max_entry_diff(adj)
     report = SymmetryReport(

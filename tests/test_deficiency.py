@@ -228,6 +228,16 @@ class TestSafeguardOutcomes:
         assert classify_solution(op, sol).verdict == "inconclusive"
         assert sol.backward_check == "not_run"
 
+    @pytest.mark.parametrize("c", [1.0, 1e-6, 1e-9])
+    def test_probe_verdict_is_scale_free(self, c):
+        # b_n = c, a_n = 0.3c at q = 0.5c i is the c = 1 problem times c:
+        # the boundary residual, a ratio of terms of row 0, cannot depend on c
+        op = BandedOperator(1, {-1: [c], 0: [0.3 * c], 1: [c]})
+        q = Quaternion(0.0, 0.5 * c, 0.0, 0.0)
+        sol = formal_solutions(op, q, 1000)[0]
+        assert classify_solution(op, sol).verdict == "divergent"
+        assert index_stability_scan(op, q, count=4, N=1000)["constant_dim"] == 0
+
     def test_singular_reverse_lead_skips_the_backward_check(self):
         # forward leads (n+1)^2 never vanish, the reverse lead n - 3 does at
         # row 3; a symmetric band cannot do this

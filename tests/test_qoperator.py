@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from qdef import (Basis, I, J, K, Quaternion, QOperator, QVector,
                   criteria_report, hermitian_random, inner, kernel_q,
                   left_scalar, norm_identity_check, random_operator,
                   random_qvector, real_symmetric, resolvent_poly, scalar_op,
-                  shift_left_scalar, symmetry_predicates)
+                  selfadjoint_iff_real, shift_left_scalar, symmetry_predicates)
 from qdef.errors import (DimensionMismatch, PreconditionFailed)
 from qdef.quat import parse_quaternion
 from qdef.rmodule import left_scale, random_basis
@@ -129,6 +131,22 @@ class TestSymmetryPredicates:
         preds = symmetry_predicates(A)
         assert preds.is_symmetric
         assert not preds.anti["i"]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+@pytest.mark.parametrize("call", [
+    symmetry_predicates, criteria_report, selfadjoint_iff_real,
+    lambda A: norm_identity_check(A, None, I)],
+    ids=["symmetry_predicates", "criteria_report", "selfadjoint_iff_real",
+         "norm_identity_check"])
+def test_non_finite_entry_raises(call, bad):
+    # eA's product once raised a RuntimeWarning here
+    E = np.zeros((2, 2, 4))
+    E[0, 0, 0], E[1, 1, 0], E[0, 1, 1] = 1.0, 2.0, bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionFailed, match="^operator has a non-finite entry$"):
+            call(QOperator.from_entries(E))
 
 
 class TestScalarOp:
