@@ -441,7 +441,8 @@ def _march(table, shifts, N, seeds, reverse=False):
         rows, off = range(N - w + 1), w
         C[:w] = np.swapaxes(seeds, 0, 1)
     lead = tab[:, off + w].reshape(N + 1, -1)
-    singular = np.sqrt(_normsq(lead[np.array(rows)])) <= 1e-12
+    # singular only where |lead|^2 underflows: a lead of any other size inverts
+    singular = _normsq(lead[np.array(rows)]) < np.finfo(float).tiny
     if singular.any():
         n = rows[int(np.argmax(singular))]
         raise SingularLeadingCoefficient(n, tuple(lead[n]))
@@ -851,7 +852,6 @@ class DeficiencyReport:
     hypotheses_met: bool
     evidence: list = field(default_factory=list)
     stability: list = field(default_factory=list)
-    infinity_suspected: bool = False
     params: dict = field(default_factory=dict)
 
     @property

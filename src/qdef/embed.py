@@ -12,7 +12,9 @@ therefore even, and pairing null vectors under J produces a right-quaternionic
 kernel basis.
 
 Every SVD and eigensolver of qdef runs in this module, and each raises
-NoConvergence for an embedding with an infinite or NaN entry.
+NoConvergence for an embedding with an infinite or NaN entry.  So does the
+sphere-kernel certificate ``kernel_certified``, one LU solve that bounds two
+singular values from above where an SVD would compute them all.
 """
 
 from __future__ import annotations
@@ -145,7 +147,8 @@ def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
 
     The one rank cut: ``rank_q``, ``kernel_q`` and the sphere checks of
     ``spectrum.point_sspectrum`` all decide here, at ``rank_tol`` times the
-    larger of the largest value and ``scale``.  The values also witness the
+    larger of the largest value and ``scale``; ``kernel_certified`` bounds
+    values below the same cut.  The values also witness the
     J-structure: chi(A) and chi(A)* = chi(A*) commute with the antiunitary
     J, so each eigenspace of chi(A)* chi(A) is J-invariant; as J^2 = -1, v
     and Jv are orthogonal and such a space has even dimension.  Every
@@ -164,6 +167,34 @@ def rank_from_values(s, rank_tol=DEFAULT.rank_tol, scale=None) -> int:
     if rank % 2 != 0:
         raise InternalInconsistency("complex rank of the embedding is odd")
     return rank // 2
+
+
+def kernel_certified(M, lam, rank_tol=DEFAULT.rank_tol, scale=1.0) -> bool:
+    """Whether P = (M - conj(lam))(M - lam), for M = chi(A) and an n x n A,
+    has quaternionic rank below n by ``rank_from_values``'s cut, shown
+    without an SVD.
+
+    For lam = re + i*im_mag, P is chi(R_q(A)) at q = re + i*im_mag.  One step
+    of inverse iteration (one LU solve (M - lam) v = b, b all ones) gives a
+    unit vector u = v / ||v|| with residual e = ||P u||.  P commutes with
+    the antiunitary J, and u and Ju are orthonormal, so ||P x|| <= sqrt(2)
+    e ||x|| on their span, and by Courant-Fischer the two smallest singular
+    values of P are at most sqrt(2) e.  Where sqrt(2) e <= rank_tol *
+    scale, at most 2n - 2 singular values exceed the cut, whose reference
+    is never below ``scale``: the rank is at most n - 1.  A singular solve
+    or a larger or non-finite bound returns False, which shows nothing.
+    """
+    shifted = _finite(M).astype(complex)
+    shifted[np.diag_indices_from(shifted)] -= lam
+    try:
+        v = np.linalg.solve(shifted, np.ones(len(shifted)))
+    except np.linalg.LinAlgError:
+        return False
+    with np.errstate(all="ignore"):
+        w = shifted @ (v / np.linalg.norm(v))
+        # (M - conj(lam)) w = (M - lam) w + (lam - conj(lam)) w
+        bound = np.sqrt(2.0) * np.linalg.norm(shifted @ w + (lam - np.conj(lam)) * w)
+    return bool(bound <= rank_tol * scale)
 
 
 def _real_if_exact(M):

@@ -12,7 +12,10 @@ come in conjugate pairs: each pair (lambda, conj(lambda)) folds onto the
 sphere (Re lambda, |Im lambda|).  The extraction is verified, not assumed:
 every sphere representative is checked to produce a nontrivial R_q kernel,
 for a matrix equal to plus or minus its adjoint one no larger than the
-sphere's folded multiplicity.
+sphere's folded multiplicity.  A matrix equal to plus or minus its adjoint
+is checked from one eigvalsh; any other matrix from one SVD and then one
+inverse-iteration certificate per sphere, with an SVD only for a sphere the
+certificate cannot decide.
 """
 
 from __future__ import annotations
@@ -112,8 +115,9 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
     so 1 <= qdim <= m in exact arithmetic.
 
     qdim is read from the singular values of chi(R_q(A)) alone
-    (``embed.rank_from_values``), from a decomposition other than the one
-    whose eigenvalues were folded; the two never feed each other.  Where A
+    (``embed.rank_from_values``), or bounded below by a certificate, from a
+    decomposition other than the one whose eigenvalues were folded; the two
+    never feed each other.  Where A
     equals A* or -A* as numbers, chi(A) is Hermitian or skew-Hermitian (chi
     sends the adjoint to the conjugate transpose), hence normal, and by the
     spectral theorem its eigenvectors diagonalise every chi(R_q(A)) =
@@ -121,18 +125,25 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
     matrix (``embed.normal_eigenvalues``) gives the eigenvalues mu of
     chi(A), and the singular values of chi(R_q(A)) at every sphere are the
     products |mu - lambda| |mu - conj(lambda)|; ||A|| is max |mu|.  Other
-    matrices take one SVD per sphere of chi(A^2) - 2 Re(q) chi(A) + |q|^2
-    I, from two embeddings formed once, in real arithmetic for a real A.
-    The rank cut is rank_tol * scale, where scale = max(1, (||A|| +
-    |q|)^2) >= ||R_q(A)||.
+    matrices take one SVD of chi(A) for ||A||, whose values also pass
+    through ``embed.rank_from_values`` as the matrix's J-pairing witness.
+    Each of their spheres is then first put to ``embed.kernel_certified``:
+    one LU solve of chi(A) - lambda, a decomposition apart from the folded
+    ``eigvals`` too, whose residual bounds two singular values of chi(R_q(A))
+    below the cut, so qdim >= 1.  Only a sphere the certificate cannot
+    decide (a singular solve, a bound above the cut) takes an SVD of chi(A^2)
+    - 2 Re(q) chi(A) + |q|^2 I, from two embeddings formed once, in real
+    arithmetic for a real A.  The rank cut is rank_tol * scale, where scale
+    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.
 
-    qdim >= 1 is required of every matrix.  The cut can also count singular
-    values that belong to eigenvalues mu of other spheres, and how far they
-    fall below the products |mu - lambda| |mu - conj(lambda)| depends on
-    how far A is from normal: for blockdiag([[0, 1], [0.01, 0]], [[0, 1],
-    [0.010003, 0]]) at q = 0.1 the product is 2.25e-10 and the singular
-    value 4.5e-11, and a real 3x3 matrix whose A A* - A* A has entries of
-    6.4e-11 still gives a simple sphere qdim 2.  So qdim <= m is required
+    qdim >= 1 is required of every matrix, and is all a certificate shows.
+    The cut can also count singular values that belong to eigenvalues mu of
+    other spheres, and how far they fall below the products |mu - lambda|
+    |mu - conj(lambda)| depends on how far A is from normal: for
+    blockdiag([[0, 1], [0.01, 0]], [[0, 1], [0.010003, 0]]) at q = 0.1 the
+    product is 2.25e-10 and the singular value 4.5e-11, and a real 3x3
+    matrix whose A A* - A* A has entries of 6.4e-11 still gives a simple
+    sphere qdim 2.  So qdim <= m is required
     only where A equals A* or -A* as numbers: then R_q(A) is normal, its
     singular values are the products up to rounding, and the points of
     other spheres whose product lies within twice the cut (plus rounding)
@@ -164,7 +175,10 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
             norm_a = float(np.max(np.abs(eig_a), initial=0.0))
         else:
-            norm_a = float(embed.singular_values(chi_a)[0])
+            sv_a = embed.singular_values(chi_a)
+            # the J-pairing witness of the spheres the certificate decides
+            embed.rank_from_values(sv_a, rank_tol)
+            norm_a = float(sv_a[0])
             # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
             chi_aa = embed.chi(A @ A)
             diag = np.arange(2 * A.dim)
@@ -177,6 +191,8 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             if normal:
                 sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
                 sv = np.sort(sv)[::-1]
+            elif embed.kernel_certified(chi_a, lam_s, rank_tol, scale):
+                continue       # qdim >= 1, the one bound of a non-normal sphere
             else:
                 R = chi_aa - (2.0 * q.real) * chi_a
                 R[diag, diag] += q.norm_sq()

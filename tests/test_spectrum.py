@@ -28,6 +28,28 @@ def spheres_of(report):
             for s in report.spheres]
 
 
+def record_certificates(monkeypatch, passes=None):
+    """The (lambda, scale, verdict) of each ``embed.kernel_certified`` call,
+    in sphere order; ``passes=False`` makes every certificate fail, so each
+    sphere takes the SVD fallback."""
+    real = qdef.embed.kernel_certified
+    seen = []
+
+    def kernel_certified(M, lam, rank_tol=DEFAULT.rank_tol, scale=1.0):
+        verdict = real(M, lam, rank_tol, scale) if passes is None else passes
+        seen.append((lam, scale, verdict))
+        return verdict
+    monkeypatch.setattr(qdef.embed, "kernel_certified", kernel_certified)
+    return seen
+
+
+def oracle_qdim(A, q, scale):
+    """Kernel dimension of R_q(A) from the complex SVD of its embedding, at
+    the sphere checks' cut."""
+    sv = np.linalg.svd(qdef.embed.chi(resolvent_poly(A, q)), compute_uv=False)
+    return A.dim - int(np.sum(sv > DEFAULT.rank_tol * max(sv[0], scale))) // 2
+
+
 class TestPointSpectrum:
     def test_real_diagonal(self):
         rep = point_sspectrum(QOperator([[1, 0], [0, 2]]))
@@ -304,6 +326,8 @@ class TestVerifyMatrixReuse:
             return real_rank(s, rank_tol)
 
         monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
+        # a general matrix's spheres reach the rank only where the certificate fails
+        certificates = record_certificates(monkeypatch, passes=False)
         assert main(["verify", "--matrix", str(MATRICES / f"matrix_{matrix}.json")]) == 1
         out = capsys.readouterr()
         assert out.err == ""
@@ -312,6 +336,7 @@ class TestVerifyMatrixReuse:
         assert [c["name"] for c in failed] == ["sphere_kernel_verification"]
         assert "trivial R_q kernel" in failed[0]["detail"]
         assert report["summary"]["spheres"]
+        assert bool(certificates) == (matrix == "general")
 
     def test_rank_failure_keeps_report(self, monkeypatch, capsys):
         # singular values that do not pair fail the rank_nullity row; the
@@ -425,8 +450,10 @@ class TestSphereMultiplicity:
         # every sphere is simple, but the cut counts a second singular value
         # at one of them: qdim 2 is compared with the multiplicity only where
         # A = +-A*, and otherwise only qdim >= 1 is required
-        qdims = self.sphere_qdims(monkeypatch)
         A = QOperator.from_real(np.array(M, dtype=float))
+        point_sspectrum(A)             # the certificates that pass suffice
+        qdims = self.sphere_qdims(monkeypatch)
+        record_certificates(monkeypatch, passes=False)
         rep = point_sspectrum(A)
         assert [s.multiplicity for s in rep.spheres] == [1] * A.dim
         assert max(qdims) == 2 and min(qdims) >= 1
@@ -472,8 +499,10 @@ def _count_decompositions(monkeypatch):
 
 class TestSphereRankPaths:
     """Each sphere's rank, read from one eigvalsh of chi(A) where A = A* or
-    A = -A* and from one SVD per sphere otherwise, equals the rank of the
-    complex SVD of chi(resolvent_poly(A, q)) under the same cut."""
+    A = -A* and otherwise from one SVD per sphere the kernel certificate
+    leaves undecided, equals the rank of the complex SVD of
+    chi(resolvent_poly(A, q)) under the same cut; where the certificate
+    decides, that SVD's kernel is nontrivial."""
 
     KINDS = {"real-symmetric": (real_symmetric, "eigvalsh real"),
              "hermitian": (hermitian_random, "eigvalsh complex"),
@@ -481,10 +510,12 @@ class TestSphereRankPaths:
              "general": (random_operator, "svd")}
 
     @staticmethod
-    def sphere_ranks(monkeypatch, A):
-        """(q, rank, the oracle's rank) per verified sphere, and the route:
-        "eigvalsh real" or "eigvalsh complex" for one eigvalsh and no SVD,
-        "svd" for no eigvalsh and one SVD per sphere plus one for ||A||."""
+    def sphere_ranks(monkeypatch, A, certify=True):
+        """(q, rank, the oracle's rank) per verified sphere, rank None where
+        the kernel certificate passed, and the route: "eigvalsh real" or
+        "eigvalsh complex" for one eigvalsh and no SVD, "svd" for no
+        eigvalsh, one SVD for ||A|| and one per sphere whose certificate
+        fails.  ``certify=False`` makes every certificate fail."""
         real_rank = qdef.embed.rank_from_values
         calls = []
 
@@ -494,25 +525,40 @@ class TestSphereRankPaths:
                 calls.append((rank, scale))
             return rank
         monkeypatch.setattr(qdef.embed, "rank_from_values", rank_from_values)
+        certificates = record_certificates(monkeypatch, None if certify else False)
         counts = _count_decompositions(monkeypatch)
         rep = point_sspectrum(A)
-        assert len(calls) == len(rep.spheres)
         if counts["eigvalsh"]:
             assert counts["eigvalsh"] == 1 and counts["svd"] == 0
+            assert certificates == []
             route = "eigvalsh real" if counts["eigvalsh real"] else "eigvalsh complex"
+            decided = calls
         else:
-            assert counts["svd"] == len(rep.spheres) + 1
+            assert len(certificates) == len(rep.spheres)
+            assert counts["svd"] == len(calls) + 1
             route = "svd"
+            ranks = iter(calls)
+            decided = [(None, scale) if passed else next(ranks)
+                       for _, scale, passed in certificates]
+        assert len(decided) == len(rep.spheres)
         norm = np.linalg.svd(qdef.embed.chi(A), compute_uv=False)[0]
         out = []
-        for s, (rank, scale) in zip(rep.spheres, calls):
+        for s, (rank, scale) in zip(rep.spheres, decided):
             q = s.representative()
             # the cut's scale is (||A|| + |q|)^2, floored at 1, on either route
             assert scale == pytest.approx(max((norm + q.norm()) ** 2, 1.0), rel=1e-9)
-            sv = np.linalg.svd(qdef.embed.chi(resolvent_poly(A, q)), compute_uv=False)
-            oracle = int(np.sum(sv > DEFAULT.rank_tol * max(sv[0], scale))) // 2
-            out.append((q, rank, oracle))
+            out.append((q, rank, A.dim - oracle_qdim(A, q, scale)))
         return out, route
+
+    @staticmethod
+    def assert_oracle_agrees(A, seen):
+        """A certified sphere has a nontrivial oracle kernel; every other
+        sphere's rank is the oracle's."""
+        for q, rank, oracle in seen:
+            if rank is None:
+                assert oracle < A.dim, q
+            else:
+                assert rank == oracle, q
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("dim", [2, 3, 5, 8, 16, 24, 48])
@@ -520,11 +566,15 @@ class TestSphereRankPaths:
     def test_ranks_equal_complex_svd(self, kind, dim, scale, monkeypatch):
         make, route = self.KINDS[kind]
         A = make(dim, seed=100 + dim) * scale
-        seen, taken = self.sphere_ranks(monkeypatch, A)
-        assert seen
-        assert taken == route
-        for q, rank, oracle in seen:
-            assert rank == oracle, q
+        # a general matrix once through its certificates, once with each failing
+        for certify in (True, False) if route == "svd" else (True,):
+            with monkeypatch.context() as patch:
+                seen, taken = self.sphere_ranks(patch, A, certify)
+            assert seen
+            assert taken == route
+            self.assert_oracle_agrees(A, seen)
+            if route == "svd":
+                assert all(rank is None for _, rank, _ in seen) == certify
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7])
     def test_close_real_points(self, gap, monkeypatch):
@@ -537,11 +587,12 @@ class TestSphereRankPaths:
     @pytest.mark.parametrize("M", BELOW_PRODUCTS)
     def test_cut_below_products(self, M, monkeypatch):
         A = QOperator.from_real(np.array(M, dtype=float))
-        seen, route = self.sphere_ranks(monkeypatch, A)
-        assert route == "svd"
+        for certify in (True, False):
+            with monkeypatch.context() as patch:
+                seen, route = self.sphere_ranks(patch, A, certify)
+            assert route == "svd"
+            self.assert_oracle_agrees(A, seen)
         assert max(A.dim - rank for _, rank, _ in seen) == 2
-        for q, rank, oracle in seen:
-            assert rank == oracle, q
 
     def test_indefinite_hermitian_counts_magnitudes(self, monkeypatch):
         # chi(A) has eigenvalues 2, 2, -3, -3, 0, 0; at the sphere 0 the
@@ -583,8 +634,8 @@ class TestSphereRankPaths:
 
 class TestSphereDecompositionCounts:
     """The work of the sphere checks, counted rather than timed: one eigvalsh
-    per matrix equal to plus or minus its adjoint, one SVD per sphere (plus
-    one for ||A||) for any other matrix."""
+    per matrix equal to plus or minus its adjoint, one SVD (for ||A||) and
+    one solve per sphere for any other matrix whose certificates pass."""
 
     @pytest.mark.parametrize("make", [hermitian_random, _skew_adjoint],
                              ids=["hermitian", "skew-adjoint"])
@@ -602,7 +653,79 @@ class TestSphereDecompositionCounts:
         rep = point_sspectrum(A)
         assert len(rep.spheres) >= 40
         assert counts["eigvalsh"] == 0
-        assert counts["svd"] == len(rep.spheres) + 1
+        assert counts["svd"] == 1
+
+
+class TestKernelCertificate:
+    """``embed.kernel_certified`` decides a non-normal sphere without an SVD
+    only where the oracle SVD's kernel is nontrivial; where it fails, the
+    sphere's rank comes from the SVD fallback."""
+
+    def test_moved_representative_fails_and_the_fallback_raises(self, monkeypatch):
+        A = random_operator(6, seed=4)
+        real_fold = qdef.spectrum._fold_conjugate_pairs
+
+        def fold(*args):
+            points = real_fold(*args)
+            points[0] = (points[0][0] + 1e-3, points[0][1])
+            return points
+        monkeypatch.setattr(qdef.spectrum, "_fold_conjugate_pairs", fold)
+        certificates = record_certificates(monkeypatch)
+        counts = _count_decompositions(monkeypatch)
+        with pytest.raises(InternalInconsistency, match="trivial R_q kernel"):
+            point_sspectrum(A)
+        assert [passed for _, _, passed in certificates] == [False]
+        assert counts["svd"] == 2        # ||A|| and the moved sphere's fallback
+
+    def test_exactly_singular_solve_takes_the_fallback(self, monkeypatch):
+        # chi of an upper-triangular real matrix is upper triangular, and its
+        # eigenvalues come out exact: each shifted solve meets a zero pivot
+        A = QOperator.from_real(np.array([[1.0, 1.0, 0.5], [0.0, 2.0, 3.0],
+                                          [0.0, 0.0, -0.5]]))
+        M = qdef.embed.chi(A)
+        for lam in (1.0, 2.0, -0.5):
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(M - lam * np.eye(6), np.ones(6))
+            assert not qdef.embed.kernel_certified(M, complex(lam), scale=1.0)
+        counts = _count_decompositions(monkeypatch)
+        rep = point_sspectrum(A)
+        assert spheres_of(rep) == [(-0.5, 0.0, 1), (1.0, 0.0, 1), (2.0, 0.0, 1)]
+        assert counts["svd"] == 1 + len(rep.spheres)
+
+    def test_unpaired_norm_values_raise(self, monkeypatch):
+        # with every sphere certified, the singular values taken for ||A||
+        # are the matrix's J-pairing witness
+        real_svd = np.linalg.svd
+
+        def svd(a, *args, **kwargs):
+            s = real_svd(a, *args, **kwargs)
+            s[1] *= 0.5
+            return s
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        with pytest.raises(InternalInconsistency, match="do not pair up"):
+            point_sspectrum(random_operator(4, seed=3))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("dim", [4, 8, 16, 24, 48])
+    def test_never_passes_on_a_trivial_kernel(self, dim, scale):
+        # sphere representatives moved by 0 to 1e-3 of the spectrum's size:
+        # the oracle's kernel is nontrivial near the spectrum and trivial far off
+        A = random_operator(dim, seed=200 + dim) * scale
+        M = qdef.embed.chi(A)
+        norm = np.linalg.svd(M, compute_uv=False)[0]
+        spheres = point_sspectrum(A, verify_kernels=False).spheres
+        size = max(abs(complex(s.re, s.im_mag)) for s in spheres)
+        verdicts = collections.Counter()
+        for s in spheres[::max(1, len(spheres) // 6)]:
+            for shift in (0.0, 1e-14, 1e-12, 1e-10, 1e-8, 1e-6, 1e-3):
+                q = Quaternion(s.re + shift * size, s.im_mag)
+                cut_scale = max((norm + q.norm()) ** 2, 1.0)
+                passed = qdef.embed.kernel_certified(M, complex(q.q0, q.q1),
+                                                     scale=cut_scale)
+                qdim = oracle_qdim(A, q, cut_scale)
+                assert qdim >= 1 or not passed, (s, shift)
+                verdicts[passed, qdim >= 1] += 1
+        assert verdicts[True, True] and verdicts[False, False]
 
 
 class TestRelativeFolding:
