@@ -14,8 +14,9 @@ every sphere representative is checked to produce a nontrivial R_q kernel,
 for a matrix equal to plus or minus its adjoint one no larger than the
 sphere's folded multiplicity.  A matrix equal to plus or minus its adjoint
 is checked from one eigvalsh; any other matrix from one SVD and then one
-inverse-iteration certificate per sphere, with an SVD only for a sphere the
-certificate cannot decide.
+inverse-iteration certificate per sphere.  Only a sphere the certificate
+cannot decide forms R_q(A) (``qoperator.resolvent_poly``) and takes the rank
+of its embedding.
 """
 
 from __future__ import annotations
@@ -131,10 +132,10 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
     one LU solve of chi(A) - lambda, a decomposition apart from the folded
     ``eigvals`` too, whose residual bounds two singular values of chi(R_q(A))
     below the cut, so qdim >= 1.  Only a sphere the certificate cannot
-    decide (a singular solve, a bound above the cut) takes an SVD of chi(A^2)
-    - 2 Re(q) chi(A) + |q|^2 I, from two embeddings formed once, in real
-    arithmetic for a real A.  The rank cut is rank_tol * scale, where scale
-    = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.
+    decide (a singular solve, a bound above the cut) takes
+    ``embed.rank_q(resolvent_poly(A, q))``, one values-only SVD of
+    chi(R_q(A)), in real arithmetic for a real A.  The rank cut is rank_tol
+    * scale, where scale = max(1, (||A|| + |q|)^2) >= ||R_q(A)||.
 
     qdim >= 1 is required of every matrix, and is all a certificate shows.
     The cut can also count singular values that belong to eigenvalues mu of
@@ -165,7 +166,6 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             spheres.append(EigenSphere(re, im, 1))
             starts.append(at)
     if verify_kernels:
-        mu = np.array([complex(re, im) for re, im in points])
         adj = A.adjoint().entries
         hermitian = np.array_equal(adj, A.entries)
         normal = hermitian or np.array_equal(adj, -A.entries)
@@ -174,14 +174,12 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             # eigenvalues of chi(A), apart from the folded ones in lam
             eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
             norm_a = float(np.max(np.abs(eig_a), initial=0.0))
+            mu = np.array([complex(re, im) for re, im in points])
         else:
             sv_a = embed.singular_values(chi_a)
             # the J-pairing witness of the spheres the certificate decides
             embed.rank_from_values(sv_a, rank_tol)
             norm_a = float(sv_a[0])
-            # chi is linear: chi(R_q(A)) = chi(A^2) - 2 Re(q) chi(A) + |q|^2 I
-            chi_aa = embed.chi(A @ A)
-            diag = np.arange(2 * A.dim)
         for s, at in zip(spheres, starts):
             q = s.representative()
             lam_s = complex(s.re, s.im_mag)
@@ -190,14 +188,12 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
             scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
             if normal:
                 sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
-                sv = np.sort(sv)[::-1]
+                rank = embed.rank_from_values(np.sort(sv)[::-1], rank_tol, scale)
             elif embed.kernel_certified(chi_a, lam_s, rank_tol, scale):
                 continue       # qdim >= 1, the one bound of a non-normal sphere
             else:
-                R = chi_aa - (2.0 * q.real) * chi_a
-                R[diag, diag] += q.norm_sq()
-                sv = embed.singular_values(R)
-            qdim = A.dim - embed.rank_from_values(sv, rank_tol, scale)
+                rank = embed.rank_q(resolvent_poly(A, q), rank_tol, scale)
+            qdim = A.dim - rank
             if qdim < 1:
                 raise InternalInconsistency(
                     f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "

@@ -258,7 +258,8 @@ class TestVerifyMatrixReuse:
         report = json.loads(capsys.readouterr().out)
         assert len(report["summary"]["spheres"]) >= 2
         assert counts["verifying point_sspectrum"] == 1
-        assert counts["A @ A"] == 1
+        # every sphere is certified: R_q(A), and with it A @ A, is never formed
+        assert counts["A @ A"] == 0
 
     def test_report_computes_spectrum_once(self, monkeypatch, capsys):
         counts = self.instrument(monkeypatch)
