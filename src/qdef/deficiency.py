@@ -851,7 +851,6 @@ class DeficiencyReport:
     self_adjoint: bool
     hypotheses_met: bool
     evidence: list = field(default_factory=list)
-    stability: list = field(default_factory=list)
     params: dict = field(default_factory=dict)
 
     @property

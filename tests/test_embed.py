@@ -11,7 +11,7 @@ from qdef import (I, J, Quaternion, QOperator, QVector, chi,
                   conjugation_defect, eigenvalues_c, embed2x2, inner, kernel_q,
                   left_scalar, qmatmul, random_operator, random_qvector, rank_q,
                   real_symmetric, resolvent_poly, structure_map, unvec, vec)
-from qdef.embed import normal_eigenvalues
+from qdef.embed import normal_eigenvalues, rank_from_values
 from qdef.errors import InternalInconsistency, NoConvergence
 
 
@@ -221,6 +221,13 @@ class TestRank:
         monkeypatch.setattr(qdef.embed, "chi", lambda A: np.diag([1.0, 2.0]).astype(complex))
         with pytest.raises(InternalInconsistency, match="do not pair up"):
             rank_q(QOperator.identity(1))
+
+    def test_odd_rank_raises(self):
+        # values that pair up to the pairing tolerance, with the cut between
+        # the two of a pair
+        s = np.array([1.0, 1.0, 0.5 + 1e-10, 0.5 - 1e-10])
+        with pytest.raises(InternalInconsistency, match="complex rank of the embedding is odd"):
+            rank_from_values(s, rank_tol=0.5)
 
     def test_kernel_takes_the_shared_cut(self, monkeypatch):
         monkeypatch.setattr(qdef.embed, "chi", lambda A: np.diag([1.0, 2.0]).astype(complex))

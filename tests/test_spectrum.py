@@ -121,6 +121,16 @@ class TestPointSpectrum:
         assert csv.splitlines()[0] == "re,im_mag,multiplicity"
         assert len(csv.splitlines()) == 3
 
+    @pytest.mark.parametrize("lam,message", [
+        ([1 + 1j, 2 + 1j], "not closed under conjugation"),
+        ([1.0, 2.0, 3.0], "not closed under conjugation"),
+        ([1 + 1j, 2 - 1j], "no conjugate partner within 1e-08"),
+        ([1.0, 2.0], "real eigenvalues do not pair up"),
+    ], ids=["unmatched-signs", "odd-reals", "no-partner", "unpaired-reals"])
+    def test_fold_rejects_an_unclosed_multiset(self, lam, message):
+        with pytest.raises(InternalInconsistency, match=message):
+            qdef.spectrum._fold_conjugate_pairs(np.array(lam, complex), 1e-9, 1e-8)
+
 
 class TestSelfAdjointIffReal:
     def test_real_symmetric(self):
@@ -260,6 +270,19 @@ class TestVerifyMatrixReuse:
         assert counts["verifying point_sspectrum"] == 1
         # every sphere is certified: R_q(A), and with it A @ A, is never formed
         assert counts["A @ A"] == 0
+
+    def test_uncertified_sphere_squares_once(self, monkeypatch, capsys):
+        # a sphere the certificate leaves undecided forms R_q(A) once, and
+        # its rank gives the same report
+        counts = self.instrument(monkeypatch)
+        certificates = record_certificates(monkeypatch, passes=False)
+        path = MATRICES / "matrix_general.json"
+        assert main(["verify", "--matrix", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert out == (MATRICES / "verify_matrix_general.json").read_text()
+        spheres = json.loads(out)["summary"]["spheres"]
+        assert len(certificates) == len(spheres) >= 2
+        assert counts["A @ A"] == len(spheres)
 
     def test_report_computes_spectrum_once(self, monkeypatch, capsys):
         counts = self.instrument(monkeypatch)

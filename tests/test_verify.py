@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qdef.verify
 from qdef import embed
 from qdef.qoperator import QOperator, hermitian_random, random_operator, real_symmetric
 from qdef.quat import qnormsq, random_quaternion
@@ -97,11 +98,6 @@ def test_stacked_rows_equal_per_vector_loops(kind, dim, seed):
 
 SCALES = [1e-14, 1e-12, 1e-11, 1e-8, 1e-4, 1e4, 1e6, 1e8]
 
-ADJOINT_LIMIT = ("adjoint_identity compares with an absolute 1e-10, while its "
-                 "residual grows with the entries")
-CLOSURE_LIMIT = ("adjoint_identity (absolute 1e-10) and "
-                 "eigenvalue_conjugation_closure (absolute 1e-8) compare with "
-                 "absolute limits, while their residuals grow with the entries")
 SYM_ATOL_CAUSE = ("symmetry_predicates compares with the absolute SYM_ATOL = "
                   "1e-10, so a small matrix reads as symmetric and "
                   "anti-symmetric and runs the Hermitian-only rows")
@@ -110,18 +106,12 @@ FOLD_FLOOR = ("point_sspectrum folds and clusters eigenvalues with tolerances "
               "spheres of a small matrix merge")
 
 ROW_FAILURES = {
-    ("real_symmetric", 1e6): ADJOINT_LIMIT,
-    ("real_symmetric", 1e8): CLOSURE_LIMIT,
     ("hermitian", 1e-14): SYM_ATOL_CAUSE,
     ("hermitian", 1e-12): SYM_ATOL_CAUSE,
     ("hermitian", 1e-11): SYM_ATOL_CAUSE,
-    ("hermitian", 1e6): ADJOINT_LIMIT,
-    ("hermitian", 1e8): CLOSURE_LIMIT,
     ("general", 1e-14): SYM_ATOL_CAUSE,
     ("general", 1e-12): SYM_ATOL_CAUSE,
     ("general", 1e-11): SYM_ATOL_CAUSE,
-    ("general", 1e6): CLOSURE_LIMIT,
-    ("general", 1e8): CLOSURE_LIMIT,
 }
 SPHERE_FAILURES = {
     **{("real_symmetric", c): FOLD_FLOOR for c in (1e-14, 1e-12, 1e-11, 1e-8)},
@@ -161,3 +151,42 @@ def test_spheres_are_scale_covariant(unscaled, kind, c):
     for s, b in zip(spheres, base):
         assert abs(s["re"] - c * b["re"]) <= 1e-9 * c * radius
         assert abs(s["im_mag"] - c * b["im_mag"]) <= 1e-9 * c * radius
+
+
+# The limits of adjoint_identity and eigenvalue_conjugation_closure grow with
+# ||chi(A)||_F, and must still catch a relative error of 1e-6 in what their
+# rows compare, at any scale (as TestScaledLimits does for the product rows).
+
+def _perturb_adjoint(real):
+    # the adjoint that A is compared with, off by a relative 1e-6
+    return lambda A, adj, rng: real(A, QOperator.from_entries(adj.entries * (1.0 + 1e-6)),
+                                    rng)
+
+
+def _perturb_eigenvalues(real):
+    # one eigenvalue of each conjugate pair off by a relative 1e-6
+    def defect(lam):
+        lam = np.array(lam, dtype=complex)
+        lam[0::2] *= 1.0 + 1e-6
+        return real(lam)
+    return defect
+
+
+class TestRelativeLimits:
+    # row -> (owner and name of the function whose result the row compares,
+    # how to perturb it)
+    INJECT = {
+        "adjoint_identity": (qdef.verify, "_adjoint_identity", _perturb_adjoint),
+        "eigenvalue_conjugation_closure": (embed, "conjugation_defect",
+                                           _perturb_eigenvalues),
+    }
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    @pytest.mark.parametrize("name", sorted(INJECT))
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_relative_error_fails(self, kind, name, scale, monkeypatch):
+        owner, attr, perturb = self.INJECT[name]
+        monkeypatch.setattr(owner, attr, perturb(getattr(owner, attr)))
+        checks, _, _ = verify_matrix(KINDS[kind](8, seed=3) * scale, 0, DEFAULT)
+        row = {c["name"]: c for c in checks}[name]
+        assert not row["passed"], row
