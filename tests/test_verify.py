@@ -173,8 +173,8 @@ def _perturb_eigenvalues(real):
 
 
 class TestRelativeLimits:
-    # row -> (owner and name of the function whose result the row compares,
-    # how to perturb it)
+    # row -> (owner and name of the function the row reads, how to perturb
+    # what it compares)
     INJECT = {
         "adjoint_identity": (qdef.verify, "_adjoint_identity", _perturb_adjoint),
         "eigenvalue_conjugation_closure": (embed, "conjugation_defect",
