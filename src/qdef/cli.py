@@ -28,8 +28,8 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .deficiency import (PRESETS, _indices_and_scan, _scan_shifts,
-                         basis_invariance_check, deficiency_indices, from_config)
+from .deficiency import (PRESETS, _indices_and_scan, _scan_shifts, _unit_shifts,
+                         basis_invariance_check, from_config)
 from .errors import ConfigError, PreconditionFailed, QdefError
 from .qoperator import QOperator, real_symmetric
 from .quat import Quaternion, parse_quaternion
@@ -151,17 +151,13 @@ def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
     if kind != "banded":
         raise ConfigError("deficiency expects a banded operator "
                           "(--preset or a banded --matrix config)")
-    try:
-        center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
-        if center.im_norm() == 0.0:
-            raise ConfigError("stability scan center must be non-real")
-        scan_shifts = _scan_shifts(op, center, args.count, args.seed)
-    except (ConfigError, PreconditionFailed):
-        # the indices are counted before the scan is set up: an error of
-        # theirs comes first
-        deficiency_indices(op, args.unit, N=tol.N, window=tol.window,
-                           ratio_margin=tol.ratio)
-        raise
+    # the indices and the scan are set up before either marches, the indices
+    # first, so that a set-up error comes before any error of the march
+    _unit_shifts(op, [args.unit])
+    center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
+    if center.im_norm() == 0.0:
+        raise ConfigError("stability scan center must be non-real")
+    scan_shifts = _scan_shifts(op, center, args.count, args.seed)
     rep, scan = _indices_and_scan(op, args.unit, scan_shifts, tol.N, tol.window,
                                   args.seed, tol.ratio)
     rep_dict = rep.to_dict()
@@ -345,7 +341,7 @@ def run(argv=None):
     try:
         tol = Tolerances.load(os.environ.get("QDEF_TOL_OVERRIDES"),
                               args.N, args.window)
-        for name, low in (("dim", 1), ("trials", 1), ("count", 0)):
+        for name, low in (("dim", 1), ("trials", 1), ("count", 0), ("seed", 0)):
             if getattr(args, name) < low:
                 raise ConfigError(f"--{name} must be at least {low}, "
                                   f"got {getattr(args, name)}")

@@ -76,10 +76,10 @@ from . import embed
 from .errors import (DimensionMismatch, InternalInconsistency,
                      PreconditionFailed, SingularLeadingCoefficient,
                      StabilityViolation)
-from .qoperator import SYM_ATOL, QOperator, shift_left_scalar
+from .qoperator import SYM_ATOL, QOperator, real_symmetric, shift_left_scalar
 from .quat import (UNITS, Quaternion, _qmul, _signed, format_quaternion,
                    parse_quaternion, qnormsq)
-from .rmodule import Basis, QVector, inner
+from .rmodule import Basis, QVector, inner, random_basis
 from .tolerances import DEFAULT, _number
 
 RESCALE_HI = 1e120
@@ -1133,9 +1133,6 @@ def basis_invariance_check(A: QOperator, B2: Basis, q: Quaternion,
     shifts of the same dimension.  Both dimensions come from embedding ranks
     and the returned maximum discrepancy must be zero.
     """
-    from .qoperator import real_symmetric
-    from .rmodule import random_basis
-
     def one(A_, B2_, q_):
         if q_.im_norm() == 0.0:
             raise PreconditionFailed("basis invariance needs a non-real shift")

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import embed
 from .errors import DimensionMismatch, InternalInconsistency, PreconditionFailed
-from .quat import (Quaternion, format_quaternion, parse_quaternion,
+from .quat import (UNITS, I, Quaternion, format_quaternion, parse_quaternion,
                    qconj, qmatmul, qmul, qnormsq)
 from .rmodule import Basis, QVector, _as_components
 from .tolerances import DEFAULT, _number
@@ -238,7 +238,6 @@ def symmetry_predicates(A: QOperator, basis: Basis | None = None) -> SymmetryRep
     comparison is entrywise to the absolute ``SYM_ATOL``.  PreconditionFailed
     for an operator with a non-finite entry.
     """
-    from .quat import UNITS
     if not np.isfinite(A.entries).all():
         raise PreconditionFailed("operator has a non-finite entry")
     adj = A.adjoint()
@@ -327,7 +326,6 @@ def criteria_report(A: QOperator, basis: Basis | None = None,
     ``preds`` is ``symmetry_predicates(A, basis)``, if the caller already
     holds it.
     """
-    from .quat import I
     if q is None:
         q = Quaternion(1.0, 1.0, 1.0, 1.0)
     preds = preds or symmetry_predicates(A, basis)

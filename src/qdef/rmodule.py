@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BasisError, DimensionMismatch, RankDeficient, ZeroScalar
-from .quat import Quaternion, qconj, qmatmul, qmul, qnormsq
+from .quat import Quaternion, parse_quaternion, qconj, qmatmul, qmul, qnormsq
 
 ORTHO_ATOL = 1e-10  # orthonormality validation tolerance
 
@@ -290,7 +290,6 @@ def gram_schmidt(vectors, label="orthonormalized") -> Basis:
 
 def vector_from_literals(literals) -> QVector:
     """Vector from an array of quaternion literals, e.g. ["1", "2-j"]."""
-    from .quat import parse_quaternion
     return QVector([parse_quaternion(t) if isinstance(t, str)
                     else Quaternion(float(t)) for t in literals])
 

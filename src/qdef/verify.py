@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import deficiency, embed
+from . import embed
 from .deficiency import (BandedOperator, _banded_evidence, _count_l2,
                          _scan_result, _scan_shifts, _unit_reports, _unit_shifts,
-                         deficiency_indices, truncated_kernel)
-from .errors import InternalInconsistency, QdefError
+                         basis_invariance_check, deficiency_indices, truncated_kernel)
+from .errors import InternalInconsistency
 from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
                         resolvent_poly, scalar_op, shift_left_scalar,
                         symmetry_predicates, criteria_report)
@@ -21,7 +21,6 @@ from .quat import I, Quaternion, qconj, qmatmul_stack, qmul, qnormsq
 from .rmodule import random_basis
 from .spectrum import (REAL_SPECTRUM_TOL, point_sspectrum,
                        resolvent_bound_check, selfadjoint_iff_real)
-from .deficiency import basis_invariance_check
 from .tolerances import Tolerances
 
 
@@ -216,41 +215,34 @@ def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
 
 
 def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
-    """Invariant suite for a banded half-line operator."""
+    """Invariant suite for a banded half-line operator.
+
+    Every stage is set up before anything marches, so that a set-up error
+    (a non-symmetric operator, a scan the entries do not allow) comes first;
+    then each stage marches once, in report order, and the first march to
+    fail names the error."""
     N, window, margin = tol.N, tol.window, tol.ratio
     checks = []
 
     worst = op.band_symmetry_defect(40)
     checks.append(_bounded("band_symmetry", worst, tol.atol))
 
-    def own_marches():
-        """The stages that march on their own, in report order."""
-        # +-j march in Hamilton arithmetic: on the slice the three units are
-        # one problem, and this row would compare a result with itself
-        j = _unit_reports(op, ("j",), _count_l2(op, _unit_shifts(op, ("j",)), N, window,
-                                                margin, on_slice=False), N, window, margin)
-        doubled = deficiency_indices(op, "i", N=2 * N, window=window,
-                                     ratio_margin=margin)
-        agree = [len(truncated_kernel(op, q, 60, tol.rank_tol))
-                 == len(deficiency._checked(op, sols))
-                 for q, sols in zip((I, -I), deficiency._formal_batch(op, (I, -I), 60))]
-        return j[0], doubled, agree
-
+    units = _unit_shifts(op, ("i", "k", "j"))
+    scan_shifts = _scan_shifts(op, I, 8, seed)
     # One _count_l2 at N for the unit reports at i and k, the scan and the
     # directness evidence at +-i, which reads the kept solutions of unit i
-    units = _unit_shifts(op, ("i", "k"))
-    try:
-        scan_shifts = _scan_shifts(op, I, 8, seed)
-        shared = _count_l2(op, units + scan_shifts, N, window, margin, keep=(0, 1))
-    except QdefError:
-        # the stages before the scan run alone, in report order, so that the
-        # first of them to fail names the error; else this error stands
-        _count_l2(op, units, N, window, margin)
-        own_marches()
-        raise
+    shared = _count_l2(op, units[:4] + scan_shifts, N, window, margin, keep=(0, 1))
     reports = dict(zip(("i", "k"), _unit_reports(op, ("i", "k"), shared[:4], N, window,
                                                  margin)))
-    reports["j"], doubled, agree = own_marches()
+    # +-j march in Hamilton arithmetic: on the slice the three units are
+    # one problem, and this row would compare a result with itself
+    [reports["j"]] = _unit_reports(op, ("j",), _count_l2(op, units[4:], N, window, margin,
+                                                         on_slice=False), N, window, margin)
+    doubled = deficiency_indices(op, "i", N=2 * N, window=window, ratio_margin=margin)
+    # the dense oracle's nullity at +-i against the number of formal solutions
+    # (evidence rows) that the shared march classified there
+    agree = [len(truncated_kernel(op, q, 60, tol.rank_tol)) == len(counted[1])
+             for q, counted in zip((I, -I), shared)]
     base = reports["i"]
     checks.append(_row("deficiency_indices_conclusive",
                        all(r.status == "ok" for r in reports.values()),

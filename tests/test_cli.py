@@ -480,12 +480,24 @@ class TestEnvOverrides:
         capsys.readouterr()
         expected = {value}
         if field == "N" and command == "verify":
-            expected = {value, 2 * value, 60}   # the doubled run, the 60-row oracle
+            expected = {value, 2 * value}       # and the doubled run
         assert seen[field] == expected
 
     def test_bad_env_is_config_error(self, monkeypatch):
         monkeypatch.setenv("QDEF_TOL_OVERRIDES", "{nope")
         assert main(["verify", "--preset", "number_operator"]) == 2
+
+    @pytest.mark.parametrize("overrides,message", [
+        ([1], "QDEF_TOL_OVERRIDES must be a JSON object"),
+        ({"N": [1]}, "tolerance override 'N' is not a number: [1]"),
+        # float() of the integer overflows
+        ({"N": 10 ** 400}, "tolerance override 'N' is not a number: " + "1" + "0" * 400),
+    ], ids=["list", "N-list", "N-beyond-double"])
+    def test_bad_env_value_is_config_error(self, overrides, message, monkeypatch,
+                                           capsys):
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps(overrides))
+        assert main(["verify", "--preset", "number_operator"]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
     def test_unknown_key_rejected(self, monkeypatch):
         monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"mystery": 1}))
@@ -515,6 +527,14 @@ BAD_INPUT = [
     ("count-negative", ["deficiency", "--preset", "free_jacobi", "--count", "-1"],
      None, None, 2),
     ("dim-zero", ["invariance", "--dim", "0"], None, None, 2),
+    # once a ValueError traceback from numpy's default_rng
+    ("seed-negative-deficiency", ["deficiency", "--preset", "free_jacobi", "--seed", "-1"],
+     None, None, 2),
+    ("seed-negative-verify-banded", ["verify", "--preset", "free_jacobi", "--seed", "-1"],
+     None, None, 2),
+    ("seed-negative-verify-matrix", ["verify", "--seed", "-1", "--matrix"], None,
+     [1, 0, 0, 2], 2),
+    ("seed-negative-invariance", ["invariance", "--seed", "-1"], None, None, 2),
     ("trials-zero", ["invariance", "--trials", "0"], None, None, 2),
     ("env-window-zero", ["deficiency", "--preset", "free_jacobi"], {"window": 0},
      None, 2),
@@ -675,13 +695,16 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
     ("deficiency", '{"bandwidth": "1", %s}' % _JACOBI, "bandwidth is not a number: '1'"),
     ("verify", '{"dim": "2", "entries": ["1", "0", "0", "1"]}',
      "dim is not a number: '2'"),
+    ("deficiency", '{"bandwidth": -1, %s}' % _JACOBI, "bandwidth must be nonnegative"),
+    ("deficiency", '{"bandwidth": 1, "coeff": {"type": "table", "offset_0": [1]}}',
+     "unknown coefficient generator type 'table'"),
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
         "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
         "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool",
         "offset-key-text", "offset-key-fraction", "offset-null", "offset-list",
         "offset-object", "entries-null", "entries-list", "entries-object",
         "coeff-missing", "dim-missing", "entries-missing", "bandwidth-string",
-        "dim-string"])
+        "dim-string", "bandwidth-negative", "coeff-type-unknown"])
 def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
                                                  capsys):
     m = tmp_path / "m.json"
@@ -720,30 +743,29 @@ def test_json_renders_numpy_scalars():
 
 
 class TestErrorPrecedence:
-    """The stages of a command share marches, but the first stage that fails
-    still names the error."""
+    """A command sets up every stage before anything marches: a set-up error
+    (unit, scan centre, scan applicability) comes first, then the first march
+    to fail, in batch order, names the error."""
 
     @pytest.mark.parametrize("argv,band,err", [
-        # the indices are counted before the scan's centre is read
+        # the scan's centre is read before the indices march
         (["deficiency", "--preset", "free_jacobi", "--N", "5", "--q", "1"], None,
-         "truncation length 5 < 10*bandwidth"),
+         "stability scan center must be non-real"),
         (["deficiency", "--preset", "free_jacobi", "--N", "400", "--window", "50",
           "--q", "1"], None, "stability scan center must be non-real"),
         (["deficiency", "--preset", "free_jacobi", "--N", "400", "--window", "50",
           "--q", "1e400i"], None, "--q '1e400i' has a non-finite component"),
         (["deficiency", "--N", "5", "--matrix"], QUATERNION_BAND,
-         "truncation length 5 < 10*bandwidth"),
+         "stability scan is implemented for real-entried symmetric operators"),
         (["deficiency", "--N", "600", "--window", "60", "--matrix"], QUATERNION_BAND,
          "stability scan is implemented for real-entried symmetric operators"),
         (["verify", "--N", "600", "--window", "60", "--matrix"], QUATERNION_BAND,
          "stability scan is implemented for real-entried symmetric operators"),
         (["verify", "--N", "5", "--matrix"], QUATERNION_BAND,
-         "truncation length 5 < 10*bandwidth"),
-        # the 60-row oracle comes after the shared march
-        (["verify", "--N", "600", "--window", "60", "--matrix"],
-         {"bandwidth": 7, "coeff": {"type": "poly", "offset_-7": [1.0],
-                                    "offset_0": [0.0, 1.0], "offset_7": [1.0]}},
-         "truncation length 60 < 10*bandwidth"),
+         "stability scan is implemented for real-entried symmetric operators"),
+        # once "property failure: MemoryError" from the march's 7 TiB table
+        (["deficiency", "--preset", "free_jacobi", "--N", "1000000000000", "--q", "1"],
+         None, "stability scan center must be non-real"),
     ])
     def test_first_error(self, argv, band, err, tmp_path, capsys):
         if band is not None:
@@ -756,8 +778,9 @@ class TestErrorPrecedence:
     def test_verify_raises_the_earlier_stage_error(self, monkeypatch, capsys):
         residual = qdef.deficiency.recurrence_residual
 
-        # the doubled run, a stage before the scan, and the scan's samples
-        # fail, with different residuals
+        # the scan's samples, in the shared batch, and the doubled run, a
+        # later batch, fail with different residuals: the shared batch's
+        # failure is the error
         def failing(op, sol):
             if sol.length == 1201:
                 return 1.0
@@ -767,7 +790,36 @@ class TestErrorPrecedence:
         assert main(["verify", "--preset", "jacobi_sq", "--N", "600",
                      "--window", "60"]) == 1
         assert capsys.readouterr().err == \
-            "property failure: forward recurrence residual 1.000e+00 exceeds 1e-10\n"
+            "property failure: forward recurrence residual 2.000e+00 exceeds 1e-10\n"
+
+    def test_verify_answers_bandwidth_7(self, tmp_path, capsys):
+        # diag(n) plus a bounded symmetric perturbation: self-adjoint, (0, 0);
+        # the oracle once marched 60 rows of its own, too few for w >= 7
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"bandwidth": 7, "coeff": {
+            "offset_-7": [1.0], "offset_0": [0.0, 1.0], "offset_7": [1.0]}}))
+        assert main(["verify", "--N", "4000", "--window", "100",
+                     "--matrix", str(path)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert len(out["checks"]) == 8 and all(c["passed"] for c in out["checks"])
+        assert (out["summary"]["n_plus"], out["summary"]["n_minus"]) == (0, 0)
+
+    def test_verify_refuses_before_marching(self, tmp_path, capsys, monkeypatch):
+        marches = []
+        real_march = qdef.deficiency._march
+
+        def counting(table, shifts, N, seeds, reverse=False):
+            marches.append(N)
+            return real_march(table, shifts, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(QUATERNION_BAND))
+        assert main(["verify", "--N", "2000", "--window", "60",
+                     "--matrix", str(path)]) == 2
+        assert capsys.readouterr().err == ("config error: stability scan is implemented "
+                                           "for real-entried symmetric operators\n")
+        assert marches == []
 
 
 def _src_env():

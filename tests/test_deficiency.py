@@ -804,9 +804,10 @@ class TestEngine:
         # one march per (N, arithmetic), one row per distinct (Re q, |Im q|):
         # units i and k, the scan (centre and unit directions one problem,
         # 8 samples) and the directness evidence at +-i share one; then +-j
-        # in Hamilton arithmetic, the doubled run and the 60-row oracle
+        # in Hamilton arithmetic and the doubled run; the dense oracle reads
+        # the shared march's count
         assert forward == [("slice", 2000, 9), ("hamilton", 2000, 2),
-                           ("slice", 4000, 1), ("slice", 60, 1)]
+                           ("slice", 4000, 1)]
 
     def test_deficiency_marches_once_each_way(self, monkeypatch, capsys):
         calls = []
