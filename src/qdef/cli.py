@@ -147,17 +147,21 @@ def _cmd_sspectrum(args, tol: Tolerances, kind, op, declared, spectrum=None):
     return 0, report
 
 
-def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
+def _deficiency_setup(args, kind, op):
+    """The deficiency command's checks before it marches, the indices first,
+    then the scan: the scan's shifts."""
     if kind != "banded":
         raise ConfigError("deficiency expects a banded operator "
                           "(--preset or a banded --matrix config)")
-    # the indices and the scan are set up before either marches, the indices
-    # first, so that a set-up error comes before any error of the march
-    _unit_shifts(op, [args.unit])
+    _unit_shifts(op, args.unit)
     center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
     if center.im_norm() == 0.0:
         raise ConfigError("stability scan center must be non-real")
-    scan_shifts = _scan_shifts(op, center, args.count, args.seed)
+    return _scan_shifts(op, center, args.count, args.seed)
+
+
+def _deficiency(args, tol: Tolerances, op, scan_shifts):
+    """deficiency's exit code and report, after ``_deficiency_setup``."""
     rep, scan = _indices_and_scan(op, args.unit, scan_shifts, tol.N, tol.window,
                                   args.seed, tol.ratio)
     rep_dict = rep.to_dict()
@@ -172,6 +176,10 @@ def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
         "passed": passed,
     }
     return (0 if passed else 1), report
+
+
+def _cmd_deficiency(args, tol: Tolerances, kind, op, declared):
+    return _deficiency(args, tol, op, _deficiency_setup(args, kind, op))
 
 
 def _cmd_invariance(args, tol: Tolerances):
@@ -196,13 +204,16 @@ def _cmd_invariance(args, tol: Tolerances):
 
 
 def _cmd_report(args, tol: Tolerances, kind, op, declared):
+    # the deficiency part is set up before verify marches, so that its set-up
+    # errors come before any error of a march
+    scan_shifts = _deficiency_setup(args, kind, op) if kind == "banded" else None
     code, bundle, spectrum = _verify(args, tol, kind, op, declared)
     parts = {"verify": bundle}
     if kind == "matrix":
         c2, rep = _cmd_sspectrum(args, tol, kind, op, declared, spectrum)
         parts["sspectrum"] = rep
     else:
-        c2, rep = _cmd_deficiency(args, tol, kind, op, declared)
+        c2, rep = _deficiency(args, tol, op, scan_shifts)
         parts["deficiency"] = rep
     code = max(code, c2)
     c3, rep = _cmd_invariance(args, tol)

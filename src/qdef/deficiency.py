@@ -24,10 +24,9 @@ arithmetic are solved together: one forward march carries every formal
 solution as a batch, and one reverse march carries every backward re-solve
 and probe; problems equal in value (shift and seeds) are marched once and
 share their rows.  The ``deficiency`` command counts the indices and its
-stability scan in one batch, and ``verify`` its unit reports at i and k, its
-scan and its directness evidence.  In Hamilton arithmetic
-each solution's arithmetic is the scalar component formulas in their order,
-so batching changes no bit.
+stability scan in one batch, and ``verify`` its indices at +-i, its scan and
+its directness evidence.  In Hamilton arithmetic each solution's arithmetic
+is the scalar component formulas in their order, so batching changes no bit.
 
 The slice.  When every coefficient is real, a solution with real seeds at
 the shift q = a + bI (b = |Im q|, I a unit imaginary, I^2 = -1) stays in the
@@ -41,9 +40,9 @@ S-spectrum: +e and -e of a unit, and the scan's three unit
 directions, are one problem.  For I = +-i, +-j, +-k each complex product
 rounds as the Hamilton product of the mapped numbers (the extra terms are
 signed zeros), so those solutions keep their bits up to the signs of zeros;
-at other axes the two agree to rounding.  Operators with quaternion entries
-march in Hamilton arithmetic, and so does the verify suite's unit check at
-+-j, as a route independent of the slice.
+at other axes the two agree to rounding.  ``recurrence_residual`` checks
+every slice solution in Hamilton arithmetic at its quaternion shift.
+Operators with quaternion entries march in Hamilton arithmetic.
 
 Growth handling: the march rescales each solution's active window whenever
 its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
@@ -586,13 +585,12 @@ def recurrence_residual(op: BandedOperator, sol: FormalSolution) -> float:
     return worst
 
 
-def _formal_batch(op: BandedOperator, shifts, N: int, on_slice=True):
+def _formal_batch(op: BandedOperator, shifts, N: int):
     """Formal solutions at every shift (one list per shift), not yet checked.
 
     All shifts and seed slots of a banded operator share one forward march,
     which solves each distinct problem once.  A table without imaginary
-    components marches on the slice unless ``on_slice`` is False, which
-    keeps the Hamilton arithmetic.
+    components marches on the slice.
     """
     w = op.bandwidth
     if w == 0:
@@ -611,7 +609,7 @@ def _formal_batch(op: BandedOperator, shifts, N: int, on_slice=True):
         raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
     tab = op.table(N)
     seeds = np.eye(w)                                  # slot s: c_s = 1
-    if on_slice and not tab[..., 1:].any():
+    if not tab[..., 1:].any():
         problems = [_slice_of(q) for q in shifts]
         tab = tab[..., 0]
     else:
@@ -868,17 +866,17 @@ _BATCH_BYTES = 32 * 2 ** 20
 
 
 def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: float,
-              on_slice=True, keep=()):
+              keep=()):
     """Per shift: (count of square-summable solutions, evidence rows,
     any_inconclusive, its square-summable solutions if its index is in
     ``keep``, else None), from one forward and one reverse march for as many
-    shifts as fit in _BATCH_BYTES (``on_slice`` as for ``_formal_batch``)."""
+    shifts as fit in _BATCH_BYTES."""
     per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
     if len(shifts) > per_batch:
         return [counted for i in range(0, len(shifts), per_batch)
                 for counted in _count_l2(op, shifts[i:i + per_batch], N, window,
-                                         ratio_margin, on_slice, [k - i for k in keep])]
-    batch = _formal_batch(op, shifts, N, on_slice)
+                                         ratio_margin, [k - i for k in keep])]
+    batch = _formal_batch(op, shifts, N)
     screened = [_screen(op, _checked(op, sols), window, ratio_margin)
                 for sols in batch]
     # the reverse march needs none of the forward mantissas; kept solutions
@@ -913,44 +911,41 @@ def deficiency_indices(op: BandedOperator, unit: str = "i", N: int = DEFAULT.N,
     self-adjointness verdict.  Any unclassifiable solution marks the whole
     report ``inconclusive`` and is not counted.
     """
-    counts = _count_l2(op, _unit_shifts(op, [unit]), N, window, ratio_margin)
-    return _unit_reports(op, [unit], counts, N, window, ratio_margin)[0]
+    counts = _count_l2(op, _unit_shifts(op, unit), N, window, ratio_margin)
+    return _unit_report(op, unit, counts, N, window, ratio_margin)
 
 
-def _unit_shifts(op: BandedOperator, units):
-    """The shifts +e, -e of each of ``units``, checked as deficiency_indices
-    checks its unit and operator."""
-    if not set(units) <= set(UNITS):
+def _unit_shifts(op: BandedOperator, unit: str):
+    """The shifts +e, -e of ``unit``, checked as deficiency_indices checks
+    its unit and operator."""
+    if unit not in UNITS:
         raise ValueError("unit must be one of 'i', 'j', 'k'")
     if not op.symmetric:
         raise PreconditionFailed("deficiency indices require a symmetric operator")
-    return [s for u in units for s in (UNITS[u], -UNITS[u])]
+    return [UNITS[unit], -UNITS[unit]]
 
 
-def _unit_reports(op: BandedOperator, units, counts, N: int, window: int,
-                  ratio_margin: float):
-    """deficiency_indices for each of ``units`` from the ``_count_l2``
-    entries of their ``_unit_shifts``."""
-    reports = []
-    for unit, (n_plus, ev_plus, inc_p, _), (n_minus, ev_minus, inc_m, _) in zip(
-            units, counts[0::2], counts[1::2]):
-        for row in ev_plus:
-            row["sign"] = "+"
-        for row in ev_minus:
-            row["sign"] = "-"
-        status = INCONCLUSIVE if (inc_p or inc_m) else "ok"
-        reports.append(DeficiencyReport(
-            n_plus=n_plus,
-            n_minus=n_minus,
-            unit=unit,
-            status=status,
-            self_adjoint=(status == "ok" and n_plus == 0 and n_minus == 0),
-            hypotheses_met=op.real_entries,
-            evidence=ev_plus + ev_minus,
-            params={"N": N, "window": window, "ratio_margin": ratio_margin,
-                    "description": op.description},
-        ))
-    return reports
+def _unit_report(op: BandedOperator, unit: str, counts, N: int, window: int,
+                 ratio_margin: float) -> DeficiencyReport:
+    """deficiency_indices at ``unit`` from the ``_count_l2`` entries of its
+    ``_unit_shifts``."""
+    (n_plus, ev_plus, inc_p, _), (n_minus, ev_minus, inc_m, _) = counts
+    for row in ev_plus:
+        row["sign"] = "+"
+    for row in ev_minus:
+        row["sign"] = "-"
+    status = INCONCLUSIVE if (inc_p or inc_m) else "ok"
+    return DeficiencyReport(
+        n_plus=n_plus,
+        n_minus=n_minus,
+        unit=unit,
+        status=status,
+        self_adjoint=(status == "ok" and n_plus == 0 and n_minus == 0),
+        hypotheses_met=op.real_entries,
+        evidence=ev_plus + ev_minus,
+        params={"N": N, "window": window, "ratio_margin": ratio_margin,
+                "description": op.description},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1033,9 +1028,9 @@ def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
     """deficiency_indices at ``unit`` and index_stability_scan over its
     ``scan_shifts`` (from ``_scan_shifts``) from one ``_count_l2``: the report
     and the ``_scan_result``."""
-    counts = _count_l2(op, _unit_shifts(op, [unit]) + scan_shifts, N, window,
+    counts = _count_l2(op, _unit_shifts(op, unit) + scan_shifts, N, window,
                        ratio_margin)
-    [report] = _unit_reports(op, [unit], counts[:2], N, window, ratio_margin)
+    report = _unit_report(op, unit, counts[:2], N, window, ratio_margin)
     return report, _scan_result(scan_shifts, counts[2:], N, window, seed)
 
 

@@ -248,7 +248,7 @@ class TestCommands:
         assert [line for line in lines if not line.startswith(" ")] == [
             "command: report", "passed: True", "verify:", "deficiency:", "invariance:"]
         assert "    indices: (0, 0)  status=ok  self_adjoint=True" in lines
-        assert "    [ok ] unit_independence" in lines
+        assert "    [ok ] deficiency_indices_conclusive" in lines
         assert lines[-1] == "    max discrepancy: 0"
 
     def test_q_flag_parsing(self, capsys):
@@ -382,9 +382,13 @@ class TestVerifyRowsCanFail:
         assert failed_rows(self.BANDED, capsys) == ["defect_space_directness"]
 
     def test_self_adjoint_iff_zero_indices(self, monkeypatch, capsys):
-        real = qdef.verify._unit_reports
-        monkeypatch.setattr(qdef.verify, "_unit_reports", lambda *args: [
-            dataclasses.replace(r, self_adjoint=not r.self_adjoint) for r in real(*args)])
+        real = qdef.verify._unit_report
+
+        def flipped(*args):
+            r = real(*args)
+            return dataclasses.replace(r, self_adjoint=not r.self_adjoint)
+
+        monkeypatch.setattr(qdef.verify, "_unit_report", flipped)
         assert failed_rows(self.BANDED, capsys) == ["self_adjoint_iff_zero_indices"]
 
 
@@ -801,10 +805,12 @@ class TestErrorPrecedence:
         assert main(["verify", "--N", "4000", "--window", "100",
                      "--matrix", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["checks"]) == 8 and all(c["passed"] for c in out["checks"])
+        assert len(out["checks"]) == 7 and all(c["passed"] for c in out["checks"])
         assert (out["summary"]["n_plus"], out["summary"]["n_minus"]) == (0, 0)
 
-    def test_verify_refuses_before_marching(self, tmp_path, capsys, monkeypatch):
+    @staticmethod
+    def count_marches(monkeypatch):
+        """The N of every _march from now on."""
         marches = []
         real_march = qdef.deficiency._march
 
@@ -813,12 +819,36 @@ class TestErrorPrecedence:
             return real_march(table, shifts, N, seeds, reverse)
 
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        return marches
+
+    def test_verify_refuses_before_marching(self, tmp_path, capsys, monkeypatch):
+        marches = self.count_marches(monkeypatch)
         path = tmp_path / "band.json"
         path.write_text(json.dumps(QUATERNION_BAND))
         assert main(["verify", "--N", "2000", "--window", "60",
                      "--matrix", str(path)]) == 2
         assert capsys.readouterr().err == ("config error: stability scan is implemented "
                                            "for real-entried symmetric operators\n")
+        assert marches == []
+
+    @pytest.mark.parametrize("argv,err", [
+        # the 60-row dense oracle keeps no row at bandwidth 60, whatever N is
+        (["verify", "--N", "2000", "--window", "100", "--matrix", "W60"],
+         "truncation M = 60 keeps no row at bandwidth 60"),
+        (["report", "--N", "2000", "--window", "100", "--matrix", "W60"],
+         "truncation M = 60 keeps no row at bandwidth 60"),
+        # report sets up its deficiency part before verify marches
+        (["report", "--preset", "jacobi_sq", "--q", "1"],
+         "stability scan center must be non-real"),
+    ], ids=["verify-w60", "report-w60", "report-real-q"])
+    def test_set_up_error_before_marching(self, argv, err, tmp_path, capsys,
+                                          monkeypatch):
+        marches = self.count_marches(monkeypatch)
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"bandwidth": 60, "coeff": {
+            "offset_-60": [1.0], "offset_0": [0.0, 1.0], "offset_60": [1.0]}}))
+        assert main([str(path) if a == "W60" else a for a in argv]) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
         assert marches == []
 
 

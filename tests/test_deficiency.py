@@ -14,11 +14,12 @@ from qdef import (Basis, I, J, Quaternion, QOperator, BandedOperator,
                   real_symmetric, recurrence_residual, truncated_kernel,
                   von_neumann_evidence)
 from qdef.cli import main
-from qdef.deficiency import (RESCALE_HI, RESCALE_LO, FormalSolution, _formal_batch,
-                             _inv, _march, _normsq)
+from qdef.deficiency import (RESCALE_HI, RESCALE_LO, RESIDUAL_TOL, FormalSolution,
+                             _formal_batch, _inv, _march, _normsq)
 from qdef.embed import vec
 from qdef.errors import PreconditionFailed, SingularLeadingCoefficient
 from qdef.quat import _qmul, _signed
+from qdef.tolerances import DEFAULT
 
 DATA = Path(__file__).parent / "data"
 
@@ -561,37 +562,49 @@ def rowwise_residual(op, sol):
     return float(worst)
 
 
+def hamilton_batch(op, shifts, N):
+    """Formal solutions at every shift (one list per shift) of a band of
+    bandwidth >= 1, marched in Hamilton arithmetic on its quaternion table,
+    the arithmetic of a quaternion-entried band, whatever its entries."""
+    w = op.bandwidth
+    seeds = np.eye(w)[..., None] * [1.0, 0.0, 0.0, 0.0]    # slot s: c_s = 1
+    C, logs = _march(op.table(N), np.repeat([q.to_array() for q in shifts], w, axis=0),
+                     N, np.tile(seeds, (len(shifts), 1, 1)))
+    return [[FormalSolution(C[i * w + s], logs[i * w + s], q, s) for s in range(w)]
+            for i, q in enumerate(shifts)]
+
+
 class TestResidualReference:
     """recurrence_residual's value, bit for bit, against rowwise_residual."""
 
     @pytest.mark.parametrize("q", [I, Quaternion(0.3, 1.0, -2.0, 0.5)],
                              ids=["unit", "general_axis"])
-    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "hamilton"])
+    @pytest.mark.parametrize("hamilton", [False, True], ids=["slice", "hamilton"])
     @pytest.mark.parametrize("maker,rescaled", [(free_jacobi, True), (jacobi_sq, False),
                                                 (lambda: jacobi(2, 0), True)],
                              ids=["free_jacobi", "jacobi_sq", "jacobi_w2"])
-    def test_equals_rowwise_reference(self, maker, rescaled, on_slice, q):
+    def test_equals_rowwise_reference(self, maker, rescaled, hamilton, q):
         op = maker()
-        sols = _formal_batch(op, [q], 1500, on_slice=on_slice)[0]
+        sols = (hamilton_batch if hamilton else _formal_batch)(op, [q], 1500)[0]
         assert any(sol.log_scale.any() for sol in sols) == rescaled
-        assert all((sol.axis is not None) == on_slice for sol in sols)
+        assert all((sol.axis is None) == hamilton for sol in sols)
         for sol in sols:
             assert recurrence_residual(op, sol) == rowwise_residual(op, sol)
 
-    @pytest.mark.parametrize("on_slice", [True, False], ids=["slice", "hamilton"])
-    def test_equals_rowwise_reference_off_solution(self, on_slice):
+    @pytest.mark.parametrize("hamilton", [False, True], ids=["slice", "hamilton"])
+    def test_equals_rowwise_reference_off_solution(self, hamilton):
         # random mantissas: no row cancels, so every term of each row counts
         op = jacobi(2, 0)
-        sol = _formal_batch(op, [Quaternion(0.3, 1.0, -2.0, 0.5)], 1500,
-                            on_slice=on_slice)[0][0]
+        sol = (hamilton_batch if hamilton else _formal_batch)(
+            op, [Quaternion(0.3, 1.0, -2.0, 0.5)], 1500)[0][0]
         rng = np.random.default_rng(4)
         noise = rng.standard_normal(sol.mantissas.shape + (2,)) @ [1.0, 1j]
-        sol.mantissas = noise if on_slice else rng.standard_normal(sol.mantissas.shape)
+        sol.mantissas = rng.standard_normal(sol.mantissas.shape) if hamilton else noise
         assert recurrence_residual(op, sol) == rowwise_residual(op, sol) > 0.1
 
     def test_nan_rows_passed_over(self):
         op = free_jacobi()
-        sol = _formal_batch(op, [I], 1500, on_slice=False)[0][0]
+        sol = hamilton_batch(op, [I], 1500)[0][0]
         sol.mantissas[700] = np.nan
         got = recurrence_residual(op, sol)
         assert not math.isnan(got)
@@ -781,13 +794,38 @@ class TestEngine:
         op = jacobi(w, p, diag=diag)
         shifts = self.SHIFTS + [Quaternion(0.3, 0.0, 0.6, -0.8), -J * 0.5]
         N = 2000
-        for sols, refs in zip(_formal_batch(op, shifts, N),
-                              _formal_batch(op, shifts, N, on_slice=False)):
+        for sols, refs in zip(_formal_batch(op, shifts, N), hamilton_batch(op, shifts, N)):
             for sol, ref in zip(sols, refs):
                 assert sol.axis is not None and ref.axis is None
                 got = sol.components() * np.exp(sol.log_scale - ref.log_scale)[:, None]
                 gap = np.sqrt(_normsq(got - ref.mantissas))
                 assert np.all(gap <= 1e-12 * np.sqrt(_normsq(ref.mantissas)))
+
+    @pytest.mark.parametrize("maker", [free_jacobi, jacobi_sq] + [
+        (lambda w=w, p=p: jacobi(w, p)) for w in (1, 2) for p in range(4)],
+        ids=["free_jacobi", "jacobi_sq"] + [f"jacobi_w{w}_p{p}" for w in (1, 2)
+                                            for p in range(4)])
+    def test_hamilton_unit_j_counts_as_the_slice(self, maker):
+        # on the slice the units i, j and k are one problem, so verify counts
+        # the indices at +-i alone; +-j marched and classified in Hamilton
+        # arithmetic gives the slice's verdicts, slot by slot (number_operator
+        # is diagonal and marches in neither)
+        op = maker()
+        report = deficiency_indices(op, "j", N=DEFAULT.N)
+        rows, counts = [], []
+        for sols in hamilton_batch(op, [J, -J], DEFAULT.N):
+            verdicts = []
+            for sol in sols:
+                assert recurrence_residual(op, sol) <= RESIDUAL_TOL
+                v = classify_solution(op, sol)
+                verdicts.append(v.verdict)
+                rows.append((sol.seed_slot, v.verdict,
+                             v.ratio if math.isfinite(v.ratio) else None,
+                             sol.backward_check))
+            counts.append(verdicts.count("square_summable"))
+        assert [(r["seed_slot"], r["verdict"], r["ratio"], r["backward_check"])
+                for r in report.evidence] == rows
+        assert report.indices == tuple(counts)
 
     def test_verify_marches_each_problem_once(self, monkeypatch, capsys):
         forward = []
@@ -801,13 +839,11 @@ class TestEngine:
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
         assert main(["verify", "--preset", "jacobi_sq"]) == 0
         capsys.readouterr()
-        # one march per (N, arithmetic), one row per distinct (Re q, |Im q|):
-        # units i and k, the scan (centre and unit directions one problem,
-        # 8 samples) and the directness evidence at +-i share one; then +-j
-        # in Hamilton arithmetic and the doubled run; the dense oracle reads
-        # the shared march's count
-        assert forward == [("slice", 2000, 9), ("hamilton", 2000, 2),
-                           ("slice", 4000, 1)]
+        # one march per N, one row per distinct (Re q, |Im q|): the indices
+        # at +-i, the scan (centre and unit directions one problem, 8
+        # samples) and the directness evidence share one; then the doubled
+        # run; the dense oracle reads the shared march's count
+        assert forward == [("slice", 2000, 9), ("slice", 4000, 1)]
 
     def test_deficiency_marches_once_each_way(self, monkeypatch, capsys):
         calls = []
@@ -823,23 +859,6 @@ class TestEngine:
         # +-e are the scan's centre i: 21 distinct problems of 26 shifts, and
         # every square-summable one is re-solved backward
         assert calls == [("slice", 2000, 21, False), ("slice", 2000, 21, True)]
-
-    def test_unit_independence_sees_a_wrong_hamilton_route(self, monkeypatch, capsys):
-        def wrong(table, shifts, N, seeds, reverse=False):
-            C, logs = _march(table, shifts, N, seeds, reverse)
-            if table.ndim == 3 and not reverse:
-                logs = logs + 0.05 * np.arange(N + 1)    # growth not in the recurrence
-            return C, logs
-
-        monkeypatch.setattr(qdef.deficiency, "_march", wrong)
-        # the residual check would stop the wrong solutions before the row
-        monkeypatch.setattr(qdef.deficiency, "RESIDUAL_TOL", math.inf)
-        assert main(["verify", "--preset", "jacobi_sq", "--N", "1000"]) == 1
-        checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-        assert not checks["unit_independence"]["passed"]
-        assert checks["unit_independence"]["detail"] == \
-            "{'i': (1, 1), 'j': (0, 0), 'k': (1, 1)}"
-        assert checks["truncation_doubling_stable"]["passed"]
 
     def test_scan_marches_forward_once(self, monkeypatch):
         calls = []
