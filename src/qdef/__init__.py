@@ -20,8 +20,8 @@ from .qoperator import (CriteriaReport, QOperator, SymmetryReport,
                         norm_identity_check, random_operator, real_symmetric,
                         resolvent_poly, scalar_op, shift_left_scalar,
                         symmetry_predicates)
-from .embed import (chi, conjugation_defect, eigenvalues_c, kernel_q, rank_q,
-                    structure_map, unvec, vec)
+from .embed import (chi, eigenvalues_c, kernel_q, rank_q, structure_map, unvec,
+                    vec)
 from .spectrum import (EigenSphere, RealityVerdict, SpectrumReport,
                        point_sspectrum, resolvent_bound_check,
                        resolvent_inverse_norm, selfadjoint_iff_real)

@@ -242,18 +242,3 @@ def eigenvalues_c(A) -> np.ndarray:
         raise NoConvergence(f"dense eigensolver failed: {exc}") from exc
     order = np.lexsort((lam.imag, lam.real))
     return lam[order]
-
-
-def conjugation_defect(lam) -> float:
-    """How far an eigenvalue multiset is from closure under conjugation.
-
-    Sorting by (real, |imag|) makes conjugate partners adjacent; the defect is
-    the worst |lambda - conj(partner)| over consecutive pairs.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    if lam.size % 2 != 0:
-        raise InternalInconsistency("odd eigenvalue count from the embedding")
-    order = np.lexsort((lam.imag, np.abs(lam.imag), lam.real))
-    lam = lam[order]
-    return float(np.max(np.abs(lam[0::2] - np.conj(lam[1::2]))))
-

@@ -8,19 +8,20 @@ whole spherical spectrum (a rank argument empties the residual and continuous
 parts).
 
 Spheres are extracted from the eigenvalues of the complex embedding, which
-come in conjugate pairs: each pair (lambda, conj(lambda)) folds onto the
-sphere (Re lambda, |Im lambda|).  The extraction is verified, not assumed:
-every sphere representative is checked to produce a nontrivial R_q kernel,
-for a matrix equal to plus or minus its adjoint one no larger than the
-sphere's folded multiplicity.  A matrix equal to plus or minus its adjoint
-is checked from one eigvalsh; any other matrix from one SVD and then one
-inverse-iteration certificate per sphere.  Only a sphere the certificate
-cannot decide forms R_q(A) (``qoperator.resolvent_poly``) and takes the rank
-of its embedding.
+come in conjugate pairs: each is paired once, with its nearest conjugate,
+and the pair (lambda, conj(lambda)) folds onto the sphere (Re lambda,
+|Im lambda|); the worst pair distance is verify's closure residual.  The
+extraction is verified, not assumed: every sphere is checked to have a
+nontrivial R_q kernel, for a matrix equal to plus or minus its adjoint one
+no larger than its folded multiplicity, from one eigvalsh; any other matrix
+takes one SVD and one inverse-iteration certificate per sphere.  Only a
+sphere the certificate cannot decide forms R_q(A)
+(``qoperator.resolvent_poly``) and takes the rank of its embedding.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,13 +75,15 @@ class SpectrumReport:
 
 
 def _fold_conjugate_pairs(lam, real_tol, fold_tol):
-    """Fold a conjugation-closed eigenvalue multiset onto (re, im_mag) points."""
-    reals = sorted(l.real for l in lam if abs(l.imag) <= real_tol)
-    pos = sorted((l for l in lam if l.imag > real_tol), key=lambda z: (z.real, z.imag))
-    neg = sorted((l for l in lam if l.imag < -real_tol), key=lambda z: (z.real, z.imag))
+    """Fold a conjugation-closed eigenvalue multiset onto (re, im_mag) points,
+    and the worst |lambda - conj(mu)| over the pairs (lambda, mu) it forms."""
+    lam = sorted(lam, key=lambda z: (z.real, z.imag))
+    reals = [l for l in lam if abs(l.imag) <= real_tol]
+    pos = [l for l in lam if l.imag > real_tol]
+    neg = [l for l in lam if l.imag < -real_tol]
     if len(pos) != len(neg) or len(reals) % 2 != 0:
         raise InternalInconsistency("eigenvalues are not closed under conjugation")
-    points = []
+    points, pairs = [], list(zip(reals[0::2], np.conj(reals[1::2])))
     remaining = [np.conj(z) for z in neg]
     for z in pos:
         dists = [abs(z - w) for w in remaining]
@@ -88,27 +91,49 @@ def _fold_conjugate_pairs(lam, real_tol, fold_tol):
         if dists[jmin] > fold_tol:
             raise InternalInconsistency(
                 f"no conjugate partner within {fold_tol:g} for eigenvalue {z}")
-        remaining.pop(jmin)
+        pairs.append((z, remaining.pop(jmin)))
         points.append((float(z.real), float(abs(z.imag))))
     for a, b in zip(reals[0::2], reals[1::2]):
-        if abs(a - b) > fold_tol:
+        if abs(a.real - b.real) > fold_tol:
             raise InternalInconsistency("real eigenvalues do not pair up")
-        points.append((float((a + b) / 2.0), 0.0))
-    return sorted(points)
+        points.append((float((a.real + b.real) / 2.0), 0.0))
+    first, near = np.array(pairs, complex).reshape(-1, 2).T
+    return sorted(points), float(np.max(np.abs(first - near), initial=0.0))
 
 
-def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
-                    lam=None, rank_tol=DEFAULT.rank_tol) -> SpectrumReport:
-    """Eigensphere list of ``A`` with kernel verification.
+# ``_fold``'s result: the unverified report, its points (re, im_mag), one per
+# pair and sorted, of which a sphere's are points[start:start + multiplicity],
+# and the worst |lambda - conj(mu)| over the pairs (lambda, mu) formed.
+_Fold = namedtuple("_Fold", "report points starts closure")
 
-    Folds the embedding eigenvalues into spheres and, for each sphere
-    representative q = re + i*im_mag of folded multiplicity m, compares the
-    quaternionic dimension qdim of the kernel of R_q(A) with m; in finite
-    dimension the report also states that the residual and continuous parts
-    are empty.  The folding tolerances ``REAL_TOL`` and ``FOLD_TOL`` are
-    relative to max(1, max |lambda|): eigenvalues of size s carry rounding of
-    about eps * s.
-    chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for lambda = re
+
+def _fold(lam) -> _Fold:
+    """Fold the embedding eigenvalues ``lam`` into spheres: each pairs with
+    its nearest conjugate, a real one with its neighbour, and pairs within
+    ``FOLD_TOL`` cluster.  ``REAL_TOL`` and ``FOLD_TOL`` are relative to
+    max(1, max |lambda|), as eigenvalues of size s carry rounding of about
+    eps * s; a pair farther apart raises InternalInconsistency."""
+    size = float(np.max(np.abs(lam), initial=1.0))
+    real_tol, fold_tol = REAL_TOL * size, FOLD_TOL * size
+    points, closure = _fold_conjugate_pairs(lam, real_tol, fold_tol)
+    spheres, starts = [], []
+    for at, (re, im) in enumerate(points):
+        if spheres and abs(spheres[-1].re - re) <= fold_tol \
+                and abs(spheres[-1].im_mag - im) <= fold_tol:
+            spheres[-1].multiplicity += 1
+        else:
+            spheres.append(EigenSphere(re, im, 1))
+            starts.append(at)
+    all_real = max((s.im_mag for s in spheres), default=0.0) <= REAL_SPECTRUM_TOL
+    note = ("finite dimension: point spectrum equals the whole spherical "
+            "spectrum; residual and continuous parts are empty")
+    return _Fold(SpectrumReport(spheres, all_real, note), points, starts, closure)
+
+
+def _verify_kernels(A: QOperator, fold: _Fold, rank_tol: float):
+    """Compare, at each folded sphere q = re + i*im_mag of ``A`` of
+    multiplicity m, the quaternionic dimension qdim of the kernel of R_q(A)
+    with m.  chi(R_q(A)) = (chi(A) - lambda)(chi(A) - conj(lambda)) for lambda = re
     + i*im_mag, an eigenvalue of algebraic multiplicity m (2m when im_mag =
     0, where the two factors agree).  Its complex nullity is the sum of the
     geometric multiplicities of lambda and conj(lambda), or the dimension of
@@ -149,69 +174,58 @@ def point_sspectrum(A: QOperator, verify_kernels: bool = True, *,
     singular values are the products up to rounding, and the points of
     other spheres whose product lies within twice the cut (plus rounding)
     are added to m before the comparison.  A qdim outside the bounds raises
-    InternalInconsistency.  ``lam`` is ``embed.eigenvalues_c(A)``, if the
-    caller already holds it; ``rank_tol`` is the rank's singular-value cut.
+    InternalInconsistency; ``rank_tol`` is the rank's singular-value cut.
     """
-    if lam is None:
-        lam = embed.eigenvalues_c(A)
-    size = float(np.max(np.abs(lam), initial=1.0))
-    real_tol, fold_tol = REAL_TOL * size, FOLD_TOL * size
-    points = _fold_conjugate_pairs(lam, real_tol, fold_tol)
-    spheres, starts = [], []       # a sphere's points are points[start:start + m]
-    for at, (re, im) in enumerate(points):
-        if spheres and abs(spheres[-1].re - re) <= fold_tol \
-                and abs(spheres[-1].im_mag - im) <= fold_tol:
-            spheres[-1].multiplicity += 1
-        else:
-            spheres.append(EigenSphere(re, im, 1))
-            starts.append(at)
-    if verify_kernels:
-        adj = A.adjoint().entries
-        hermitian = np.array_equal(adj, A.entries)
-        normal = hermitian or np.array_equal(adj, -A.entries)
-        chi_a = embed.chi(A)
+    adj = A.adjoint().entries
+    hermitian = np.array_equal(adj, A.entries)
+    normal = hermitian or np.array_equal(adj, -A.entries)
+    chi_a = embed.chi(A)
+    if normal:
+        # eigenvalues of chi(A), apart from the folded ones
+        eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
+        norm_a = float(np.max(np.abs(eig_a), initial=0.0))
+        mu = np.array([complex(re, im) for re, im in fold.points])
+    else:
+        sv_a = embed.singular_values(chi_a)
+        # the J-pairing witness of the spheres the certificate decides
+        embed.rank_from_values(sv_a, rank_tol)
+        norm_a = float(sv_a[0])
+    for s, at in zip(fold.report.spheres, fold.starts):
+        q = s.representative()
+        lam_s = complex(s.re, s.im_mag)
+        # R_q can be near zero while A is O(1); floor the rank threshold
+        # by the natural scale of the polynomial's assembly.
+        scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
         if normal:
-            # eigenvalues of chi(A), apart from the folded ones in lam
-            eig_a = embed.normal_eigenvalues(chi_a, skew=not hermitian)
-            norm_a = float(np.max(np.abs(eig_a), initial=0.0))
-            mu = np.array([complex(re, im) for re, im in points])
+            sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
+            rank = embed.rank_from_values(np.sort(sv)[::-1], rank_tol, scale)
+        elif embed.kernel_certified(chi_a, lam_s, rank_tol, scale):
+            continue       # qdim >= 1, the one bound of a non-normal sphere
         else:
-            sv_a = embed.singular_values(chi_a)
-            # the J-pairing witness of the spheres the certificate decides
-            embed.rank_from_values(sv_a, rank_tol)
-            norm_a = float(sv_a[0])
-        for s, at in zip(spheres, starts):
-            q = s.representative()
-            lam_s = complex(s.re, s.im_mag)
-            # R_q can be near zero while A is O(1); floor the rank threshold
-            # by the natural scale of the polynomial's assembly.
-            scale = max((norm_a + abs(q.norm())) ** 2, 1.0)
-            if normal:
-                sv = np.abs(eig_a - lam_s) * np.abs(eig_a - lam_s.conjugate())
-                rank = embed.rank_from_values(np.sort(sv)[::-1], rank_tol, scale)
-            elif embed.kernel_certified(chi_a, lam_s, rank_tol, scale):
-                continue       # qdim >= 1, the one bound of a non-normal sphere
-            else:
-                rank = embed.rank_q(resolvent_poly(A, q), rank_tol, scale)
-            qdim = A.dim - rank
-            if qdim < 1:
-                raise InternalInconsistency(
-                    f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
-                    f"(dimension {qdim}, multiplicity {s.multiplicity})")
-            if not normal:
-                continue
-            # points of other spheres where |R_q| may fall below the rank cut
-            reach = (2.0 * rank_tol + _ROUNDING * A.dim) * scale
-            unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= reach
-            unresolved[at:at + s.multiplicity] = False
-            if qdim > s.multiplicity + int(np.sum(unresolved)):
-                raise InternalInconsistency(
-                    f"folded sphere ({s.re}, {s.im_mag}) has an R_q kernel of "
-                    f"dimension {qdim}, above its multiplicity {s.multiplicity}")
-    all_real = max((s.im_mag for s in spheres), default=0.0) <= REAL_SPECTRUM_TOL
-    note = ("finite dimension: point spectrum equals the whole spherical "
-            "spectrum; residual and continuous parts are empty")
-    return SpectrumReport(spheres=spheres, all_real=all_real, note=note)
+            rank = embed.rank_q(resolvent_poly(A, q), rank_tol, scale)
+        qdim = A.dim - rank
+        if qdim < 1:
+            raise InternalInconsistency(
+                f"folded sphere ({s.re}, {s.im_mag}) has trivial R_q kernel "
+                f"(dimension {qdim}, multiplicity {s.multiplicity})")
+        if not normal:
+            continue
+        # points of other spheres where |R_q| may fall below the rank cut
+        reach = (2.0 * rank_tol + _ROUNDING * A.dim) * scale
+        unresolved = np.abs(mu - lam_s) * np.abs(mu - lam_s.conjugate()) <= reach
+        unresolved[at:at + s.multiplicity] = False
+        if qdim > s.multiplicity + int(np.sum(unresolved)):
+            raise InternalInconsistency(
+                f"folded sphere ({s.re}, {s.im_mag}) has an R_q kernel of "
+                f"dimension {qdim}, above its multiplicity {s.multiplicity}")
+
+
+def point_sspectrum(A: QOperator, *, rank_tol=DEFAULT.rank_tol) -> SpectrumReport:
+    """Eigensphere list of ``A``: ``_fold`` of its embedding eigenvalues,
+    checked by ``_verify_kernels`` at the singular-value cut ``rank_tol``."""
+    fold = _fold(embed.eigenvalues_c(A))
+    _verify_kernels(A, fold, rank_tol)
+    return fold.report
 
 
 @dataclass

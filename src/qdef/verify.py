@@ -19,7 +19,7 @@ from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
                         symmetry_predicates, criteria_report)
 from .quat import I, Quaternion, qconj, qmatmul_stack, qmul, qnormsq
 from .rmodule import random_basis
-from .spectrum import (REAL_SPECTRUM_TOL, point_sspectrum,
+from .spectrum import (REAL_SPECTRUM_TOL, _fold, _verify_kernels,
                        resolvent_bound_check, selfadjoint_iff_real)
 from .tolerances import Tolerances
 
@@ -143,18 +143,18 @@ def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
                            f"adjoint kernel dim {len(kb)}"))
 
     lam = embed.eigenvalues_c(A)
-    pair = embed.conjugation_defect(lam)
+    fold = _fold(lam)
+    report = verified = fold.report
     # a computed eigenvalue is off by about eps ||chi(A)||
-    checks.append(_bounded("eigenvalue_conjugation_closure", pair,
+    checks.append(_bounded("eigenvalue_conjugation_closure", fold.closure,
                            1e-8 * max(1.0, norm_a)))
 
     try:
-        report = verified = point_sspectrum(A, lam=lam, rank_tol=tol.rank_tol)
+        _verify_kernels(A, fold, tol.rank_tol)
         checks.append(_row("sphere_kernel_verification", True,
                            detail=f"{len(report.spheres)} spheres"))
     except InternalInconsistency as exc:
         checks.append(_row("sphere_kernel_verification", False, detail=str(exc)))
-        report = point_sspectrum(A, verify_kernels=False, lam=lam)
         verified = None
 
     preds = symmetry_predicates(A)

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import qdef.embed
+import qdef.spectrum
 
-from qdef import (I, J, Quaternion, QOperator, QVector, chi,
-                  conjugation_defect, eigenvalues_c, embed2x2, inner, kernel_q,
-                  left_scalar, qmatmul, random_operator, random_qvector, rank_q,
-                  real_symmetric, resolvent_poly, structure_map, unvec, vec)
+from qdef import (I, J, Quaternion, QOperator, QVector, chi, eigenvalues_c,
+                  embed2x2, inner, kernel_q, left_scalar, qmatmul,
+                  random_operator, random_qvector, rank_q, real_symmetric,
+                  resolvent_poly, structure_map, unvec, vec)
 from qdef.embed import normal_eigenvalues, rank_from_values
 from qdef.errors import InternalInconsistency, NoConvergence
 
@@ -274,9 +275,10 @@ class TestEigenvalues:
         np.testing.assert_allclose(lam, [-1, -1, 1, 1], atol=1e-12)
 
     def test_conjugation_closed(self):
+        # the sphere fold pairs each eigenvalue with its conjugate
         for seed in range(20):
             A = random_operator(4, seed=seed)
-            assert conjugation_defect(eigenvalues_c(A)) <= 1e-8
+            assert qdef.spectrum._fold(eigenvalues_c(A)).closure <= 1e-8
 
     def test_deterministic_order(self):
         A = random_operator(5, seed=15)

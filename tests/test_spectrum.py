@@ -28,6 +28,11 @@ def spheres_of(report):
             for s in report.spheres]
 
 
+def fold_of(A):
+    """The unverified sphere fold of ``A``'s embedding eigenvalues."""
+    return qdef.spectrum._fold(qdef.embed.eigenvalues_c(A))
+
+
 def record_certificates(monkeypatch, passes=None):
     """The (lambda, scale, verdict) of each ``embed.kernel_certified`` call,
     in sphere order; ``passes=False`` makes every certificate fail, so each
@@ -99,8 +104,8 @@ class TestPointSpectrum:
             B = gram_schmidt([random_qvector(rng, n) for _ in range(n)])
             U = QOperator.from_entries(B.matrix.transpose(1, 0, 2))
             conj = U.adjoint() @ A @ U
-            s1 = point_sspectrum(A, verify_kernels=False).spheres
-            s2 = point_sspectrum(conj, verify_kernels=False).spheres
+            s1 = fold_of(A).report.spheres
+            s2 = fold_of(conj).report.spheres
             assert len(s1) == len(s2)
             for a, b in zip(s1, s2):
                 assert abs(a.re - b.re) <= 1e-8
@@ -220,14 +225,13 @@ class TestVerifyMatrixReuse:
                 return real(*args, **kwargs)
             return wrapper
 
-        real_sspectrum = qdef.spectrum.point_sspectrum
+        real_verify = qdef.spectrum._verify_kernels
 
-        def sspectrum(A, *args, **kwargs):
-            verifying = args[0] if args else kwargs.get("verify_kernels", True)
-            counts["verifying point_sspectrum"] += bool(verifying)
+        def verify_kernels(A, *args):
+            counts["kernel verification"] += 1
             inside.append(A)
             try:
-                return real_sspectrum(A, *args, **kwargs)
+                return real_verify(A, *args)
             finally:
                 inside.pop()
 
@@ -241,8 +245,10 @@ class TestVerifyMatrixReuse:
         preds = counting(qdef.qoperator, "symmetry_predicates")
         for module in (qdef.qoperator, qdef.spectrum, qdef.verify):
             monkeypatch.setattr(module, "symmetry_predicates", preds)
-        for module in (qdef.spectrum, qdef.verify, qdef.cli):
-            monkeypatch.setattr(module, "point_sspectrum", sspectrum)
+        fold = counting(qdef.spectrum, "_fold")
+        for module in (qdef.spectrum, qdef.verify):
+            monkeypatch.setattr(module, "_verify_kernels", verify_kernels)
+            monkeypatch.setattr(module, "_fold", fold)
         monkeypatch.setattr(qdef.embed, "eigenvalues_c",
                             counting(qdef.embed, "eigenvalues_c"))
         monkeypatch.setattr(QOperator, "__matmul__", matmul)
@@ -256,7 +262,7 @@ class TestVerifyMatrixReuse:
         assert {"spectrum_real_iff_self_adjoint", "shifted_norm_identities",
                 "resolvent_norm_bound"} <= names
         assert len(report["summary"]["spheres"]) == 4
-        assert counts["verifying point_sspectrum"] == 1
+        assert counts["kernel verification"] == counts["_fold"] == 1
         assert counts["eigenvalues_c"] == 1
         assert counts["symmetry_predicates"] <= 2
         # A = A*: the sphere ranks come from the eigenvalues of chi(A)
@@ -267,7 +273,7 @@ class TestVerifyMatrixReuse:
         assert main(["verify", "--matrix", str(MATRICES / "matrix_general.json")]) == 0
         report = json.loads(capsys.readouterr().out)
         assert len(report["summary"]["spheres"]) >= 2
-        assert counts["verifying point_sspectrum"] == 1
+        assert counts["kernel verification"] == 1
         # every sphere is certified: R_q(A), and with it A @ A, is never formed
         assert counts["A @ A"] == 0
 
@@ -284,13 +290,27 @@ class TestVerifyMatrixReuse:
         assert len(certificates) == len(spheres) >= 2
         assert counts["A @ A"] == len(spheres)
 
+    def test_failed_kernel_check_folds_once(self, monkeypatch, capsys):
+        # rank_tol 0 leaves every R_q kernel trivial: the row fails, and the
+        # full report is written from the one fold
+        counts = self.instrument(monkeypatch)
+        monkeypatch.setenv("QDEF_TOL_OVERRIDES", json.dumps({"rank_tol": 0.0}))
+        path = MATRICES / "matrix_real_symmetric.json"
+        assert main(["verify", "--matrix", str(path)]) == 1
+        report = json.loads(capsys.readouterr().out)
+        row = {c["name"]: c for c in report["checks"]}["sphere_kernel_verification"]
+        assert not row["passed"] and "trivial R_q kernel" in row["detail"]
+        assert len(report["summary"]["spheres"]) == 4
+        assert counts["_fold"] == counts["kernel verification"] == 1
+        assert counts["eigenvalues_c"] == 1
+
     def test_report_computes_spectrum_once(self, monkeypatch, capsys):
         counts = self.instrument(monkeypatch)
         assert main(["report", "--matrix", str(MATRICES / "matrix_real_symmetric.json"),
                      "--dim", "4", "--trials", "2"]) == 0
         parts = json.loads(capsys.readouterr().out)["parts"]
         assert len(parts["sspectrum"]["spheres"]) == 4
-        assert counts["verifying point_sspectrum"] == 1
+        assert counts["kernel verification"] == counts["_fold"] == 1
         assert counts["eigenvalues_c"] == 1
         assert counts["A @ A"] == 0
 
@@ -690,9 +710,9 @@ class TestKernelCertificate:
         real_fold = qdef.spectrum._fold_conjugate_pairs
 
         def fold(*args):
-            points = real_fold(*args)
+            points, closure = real_fold(*args)
             points[0] = (points[0][0] + 1e-3, points[0][1])
-            return points
+            return points, closure
         monkeypatch.setattr(qdef.spectrum, "_fold_conjugate_pairs", fold)
         certificates = record_certificates(monkeypatch)
         counts = _count_decompositions(monkeypatch)
@@ -737,7 +757,7 @@ class TestKernelCertificate:
         A = random_operator(dim, seed=200 + dim) * scale
         M = qdef.embed.chi(A)
         norm = np.linalg.svd(M, compute_uv=False)[0]
-        spheres = point_sspectrum(A, verify_kernels=False).spheres
+        spheres = fold_of(A).report.spheres
         size = max(abs(complex(s.re, s.im_mag)) for s in spheres)
         verdicts = collections.Counter()
         for s in spheres[::max(1, len(spheres) // 6)]:

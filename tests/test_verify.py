@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import qdef.spectrum
 import qdef.verify
 from qdef import embed
 from qdef.qoperator import QOperator, hermitian_random, random_operator, real_symmetric
@@ -163,13 +164,13 @@ def _perturb_adjoint(real):
                                     rng)
 
 
-def _perturb_eigenvalues(real):
-    # one eigenvalue of each conjugate pair off by a relative 1e-6
-    def defect(lam):
-        lam = np.array(lam, dtype=complex)
-        lam[0::2] *= 1.0 + 1e-6
-        return real(lam)
-    return defect
+def _perturb_pairing(real):
+    # one eigenvalue of each conjugate pair off by a relative 1e-6: the worst
+    # pair distance the fold reports grows by 1e-6 of the largest eigenvalue
+    def fold(lam, *tols):
+        points, closure = real(lam, *tols)
+        return points, closure + 1e-6 * float(np.max(np.abs(lam)))
+    return fold
 
 
 class TestRelativeLimits:
@@ -177,8 +178,8 @@ class TestRelativeLimits:
     # what it compares)
     INJECT = {
         "adjoint_identity": (qdef.verify, "_adjoint_identity", _perturb_adjoint),
-        "eigenvalue_conjugation_closure": (embed, "conjugation_defect",
-                                           _perturb_eigenvalues),
+        "eigenvalue_conjugation_closure": (qdef.spectrum, "_fold_conjugate_pairs",
+                                           _perturb_pairing),
     }
 
     @pytest.mark.parametrize("scale", [1.0, 1e6])
