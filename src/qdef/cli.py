@@ -155,8 +155,6 @@ def _deficiency_setup(args, kind, op):
                           "(--preset or a banded --matrix config)")
     _unit_shifts(op, args.unit)
     center = _parse_q(args, Quaternion(0.0, 1.0, 0.0, 0.0))
-    if center.im_norm() == 0.0:
-        raise ConfigError("stability scan center must be non-real")
     return _scan_shifts(op, center, args.count, args.seed)
 
 

@@ -585,6 +585,14 @@ def recurrence_residual(op: BandedOperator, sol: FormalSolution) -> float:
     return worst
 
 
+def _finite(q: Quaternion, what: str) -> Quaternion:
+    """``q``, or PreconditionFailed naming it when a component is infinite
+    or NaN: a march or a sample at such a shift gives no number."""
+    if not np.all(np.isfinite(q.to_array())):
+        raise PreconditionFailed(f"{what} {q!r} has a non-finite component")
+    return q
+
+
 def _formal_batch(op: BandedOperator, shifts, N: int):
     """Formal solutions at every shift (one list per shift), not yet checked.
 
@@ -641,7 +649,7 @@ def formal_solutions(op: BandedOperator, q: Quaternion, N: int):
     rows decouple and slot n admits a nonzero coefficient only when
     coeff(n, 0) - q vanishes exactly.
     """
-    return _checked(op, _formal_batch(op, [q], N)[0])
+    return _checked(op, _formal_batch(op, [_finite(q, "shift")], N)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -984,12 +992,13 @@ def index_stability_scan(op: BandedOperator, center: Quaternion, count: int = 20
 def _scan_shifts(op: BandedOperator, center: Quaternion, count: int, seed: int):
     """index_stability_scan's shifts: the center, the three unit directions
     and ``count`` seeded samples; PreconditionFailed when it cannot run."""
-    if center.im_norm() == 0.0:
-        raise PreconditionFailed("stability scan needs a non-real center")
+    radius = center.im_norm()
+    if radius == 0.0:
+        raise PreconditionFailed("stability scan center must be non-real")
+    _finite(center, "stability scan center")
     if not op.symmetric or not op.real_entries:
         raise PreconditionFailed(
             "stability scan is implemented for real-entried symmetric operators")
-    radius = center.im_norm()
     rng = np.random.default_rng(seed)
     shifts = [center]
     shifts += [UNITS[u] * radius for u in ("i", "j", "k")]
@@ -1080,6 +1089,7 @@ def von_neumann_evidence(op, q: Quaternion, N: int = DEFAULT.N,
     """
     if q.im_norm() == 0.0:
         raise PreconditionFailed("directness evidence needs a non-real shift")
+    _finite(q, "directness evidence shift")
     if isinstance(op, BandedOperator):
         if not op.symmetric:
             raise PreconditionFailed("directness evidence needs a symmetric operator")

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +390,36 @@ class TestVonNeumannEvidence:
     def test_real_shift_rejected(self):
         with pytest.raises(PreconditionFailed):
             von_neumann_evidence(jacobi_sq(), Quaternion(1))
+
+
+NON_FINITE_SHIFT_CALLS = {
+    "scan": lambda q: index_stability_scan(jacobi_sq(), q, count=2, N=400, window=40),
+    "evidence": lambda q: von_neumann_evidence(jacobi_sq(), q, N=400, window=40),
+    "finite-evidence": lambda q: von_neumann_evidence(real_symmetric(3, seed=0), q),
+    "formal": lambda q: formal_solutions(jacobi_sq(), q, 400),
+}
+
+
+class TestNonFiniteShift:
+    """A shift or scan center with an infinite or NaN component is refused,
+    naming it, before any sample is drawn or any row marched: a NaN center
+    once made the scan's resampling loop run forever, and an infinite one
+    read back NaN samples or a confident ``direct``."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("call", sorted(NON_FINITE_SHIFT_CALLS))
+    def test_refused_without_a_warning(self, call, bad):
+        q = Quaternion(0.0, bad, 0.0, 0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionFailed, match=re.escape(repr(q))):
+                NON_FINITE_SHIFT_CALLS[call](q)
+
+    def test_real_center_message(self):
+        # the CLI's text, which `qdef deficiency --q 1` prints
+        with pytest.raises(PreconditionFailed,
+                           match="^stability scan center must be non-real$"):
+            index_stability_scan(jacobi_sq(), Quaternion(1.0), count=2)
 
 
 class TestOracleAgreement:

@@ -14,8 +14,9 @@ import qdef.verify
 
 from qdef import (I, J, Quaternion, QOperator, gram_schmidt,
                   hermitian_random, kernel_q, left_scalar, point_sspectrum,
-                  random_operator, random_qvector, random_unit_imaginary,
-                  real_symmetric, resolvent_bound_check,
+                  random_basis, random_operator, random_quaternion,
+                  random_qvector, random_unit_imaginary, real_symmetric,
+                  resolvent_bound_check,
                   resolvent_inverse_norm, resolvent_poly, selfadjoint_iff_real)
 from qdef.cli import main
 from qdef.errors import InternalInconsistency, NoConvergence, PreconditionFailed
@@ -796,6 +797,85 @@ class TestRelativeFolding:
         # below size 1 the tolerances stay absolute: points 1e-9 apart are one sphere
         A = QOperator.from_real(np.diag([1e-3, 1e-3 + 1e-9]))
         assert [s.multiplicity for s in point_sspectrum(A).spheres] == [2]
+
+
+def _diagonal(entries):
+    arr = np.zeros((len(entries), len(entries), 4))
+    for n, q in enumerate(entries):
+        arr[n, n] = q.to_array()
+    return QOperator.from_entries(arr)
+
+
+def _rotated(A):
+    """U A U* for the unitary U whose columns are ``random_basis`` (seed 5)."""
+    U = QOperator.from_entries(random_basis(np.random.default_rng(5), A.dim)
+                               .matrix.transpose(1, 0, 2))
+    return U @ A @ U.adjoint()
+
+
+Q_SPHERE = Quaternion(1.0, 2.0, 0.5, -1.0)
+_U = random_quaternion(np.random.default_rng(5))
+_U = _U / _U.norm()
+# diagonal matrices with a repeated sphere: (entries, known (re, im_mag, mult))
+REPEATED_SPHERES = {
+    "1+2i,1+2i": ([Quaternion(1, 2), Quaternion(1, 2)], [(1.0, 2.0, 2)]),
+    "1+2i,1+2j": ([Quaternion(1, 2), Quaternion(1, 0, 2)], [(1.0, 2.0, 2)]),
+    "1+2i,1-2k,3": ([Quaternion(1, 2), Quaternion(1, 0, 0, -2), Quaternion(3)],
+                    [(1.0, 2.0, 2), (3.0, 0.0, 1)]),
+    "q,uqu*,q": ([Q_SPHERE, _U * Q_SPHERE * _U.conjugate(), Q_SPHERE],
+                 [(1.0, Q_SPHERE.im_norm(), 3)]),
+}
+
+
+def _jordan(k):
+    """U J U*, J = q I + N with ones on the superdiagonal: one defective
+    sphere [q] of multiplicity k."""
+    J = _diagonal([Q_SPHERE] * k)
+    J.entries[np.arange(k - 1), np.arange(1, k), 0] = 1.0
+    return _rotated(J)
+
+
+class TestRepeatedSpheres:
+    """Two eigenvalues of one repeated sphere can differ in the last bit, so
+    pairing each with a neighbour in sorted order can take lambda for the
+    partner of lambda.  verify reads the closure row from the fold's
+    nearest-conjugate pairs, and passes where sspectrum does."""
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize("name", sorted(REPEATED_SPHERES))
+    def test_verify_and_report_pass(self, name, rotate, scale, tmp_path, capsys):
+        entries, known = REPEATED_SPHERES[name]
+        A = _diagonal(entries) * scale
+        path = tmp_path / "m.json"
+        path.write_text((_rotated(A) if rotate else A).to_json())
+        assert main(["verify", "--matrix", str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        row = {c["name"]: c for c in report["checks"]}["eigenvalue_conjugation_closure"]
+        assert row["residual"] <= 1e-6 * row["tolerance"]
+        spheres = report["summary"]["spheres"]
+        assert [s["mult"] for s in spheres] == [m for *_, m in known]
+        for s, (re, im, _) in zip(spheres, known):
+            assert s["re"] == pytest.approx(re * scale, rel=1e-9)
+            assert s["im_mag"] == pytest.approx(im * scale, rel=1e-9)
+        assert main(["report", "--matrix", str(path), "--trials", "2"]) == 0
+        assert json.loads(capsys.readouterr().out)["parts"]["sspectrum"]["spheres"] \
+            == spheres
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 14 milestone 2: the eigenvalues of a k-fold defective "
+        "sphere spread like eps^(1/k), beyond FOLD_TOL, so they fold into "
+        "several spheres (k = 2) or find no conjugate partner (k = 3, 4)"))
+    def test_defective_sphere_folds_once(self, k, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text(_jordan(k).to_json())
+        assert main(["sspectrum", "--matrix", str(path)]) == 0
+        spheres = json.loads(capsys.readouterr().out)["spheres"]
+        assert [s["mult"] for s in spheres] == [k]
+        assert spheres[0]["re"] == pytest.approx(1.0, rel=1e-6)
+        assert spheres[0]["im_mag"] == pytest.approx(Q_SPHERE.im_norm(), rel=1e-6)
+        assert main(["verify", "--matrix", str(path)]) == 0
 
 
 def _scaled(result):

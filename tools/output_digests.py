@@ -6,10 +6,22 @@ qdef sources of this checkout, and prints one line per call:
 
     workload seed label sha256(exit, stdout, stderr)
 
+Then it writes finite matrices with repeated and defective spheres, and
+runs ``verify`` and ``sspectrum`` on each, one line per call:
+
+    spheres matrix command sha256(exit, stdout, stderr)
+
+The matrices are diag(1+2i, 1+2i), diag(1+2i, 1+2j), diag(1+2i, 1-2k, 3)
+and diag(q, u q u*, q), for q = 1+2i+0.5j-k and u a unit quaternion drawn
+with seed 5, each as is and rotated to U D U* (U from ``random_basis`` with
+seed 5), and U J U* for J = q I + N, a Jordan block of size 2, 3 and 4.
+
 After those lines it runs each demo as ``python -W error demos/NN_*.py`` in a
 subprocess, on this checkout's ``src``, and prints one line per demo:
 
     demo file sha256(exit, stdout, stderr)
+
+That makes 273 workload calls, 22 sphere calls and one line per demo.
 
 A CLI call is run through ``qdef.cli.run``; a scan call through
 ``index_stability_scan``, with its result as JSON on stdout, exit 0, or the
@@ -42,9 +54,13 @@ RUNS = [("banded", 1), ("banded", 7), ("banded", 42),
         ("dense", 1), ("dense", 7), ("dense", 42)]
 
 sys.path.insert(0, os.path.join(ROOT, "src"))
+import numpy as np  # noqa: E402
 import qdef.cli  # noqa: E402
 import qdef.deficiency  # noqa: E402
 import qdef.quat  # noqa: E402
+from qdef.qoperator import QOperator  # noqa: E402
+from qdef.quat import Quaternion  # noqa: E402
+from qdef.rmodule import random_basis  # noqa: E402
 
 
 def _workloads():
@@ -89,6 +105,38 @@ def _digest(code, out, err, path, mark):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _diagonal(entries):
+    arr = np.zeros((len(entries), len(entries), 4))
+    for n, q in enumerate(entries):
+        arr[n, n] = q.to_array()
+    return QOperator.from_entries(arr)
+
+
+def _rotated(A):
+    U = QOperator.from_entries(random_basis(np.random.default_rng(5), A.dim)
+                               .matrix.transpose(1, 0, 2))
+    return U @ A @ U.adjoint()
+
+
+def _sphere_matrices():
+    """(name, QOperator) of the repeated- and defective-sphere matrices."""
+    q = Quaternion(1.0, 2.0, 0.5, -1.0)
+    u = qdef.quat.random_quaternion(np.random.default_rng(5))
+    u = u / u.norm()
+    diagonals = {"1+2i,1+2i": [Quaternion(1, 2), Quaternion(1, 2)],
+                 "1+2i,1+2j": [Quaternion(1, 2), Quaternion(1, 0, 2)],
+                 "1+2i,1-2k,3": [Quaternion(1, 2), Quaternion(1, 0, 0, -2),
+                                 Quaternion(3)],
+                 "q,uqu*,q": [q, u * q * u.conjugate(), q]}
+    for name, entries in diagonals.items():
+        yield f"diag({name})", _diagonal(entries)
+        yield f"rotated({name})", _rotated(_diagonal(entries))
+    for k in (2, 3, 4):
+        J = _diagonal([q] * k)
+        J.entries[np.arange(k - 1), np.arange(1, k), 0] = 1.0
+        yield f"jordan{k}", _rotated(J)
+
+
 def _demos():
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     for name in sorted(os.listdir(os.path.join(ROOT, "demos"))):
@@ -105,6 +153,16 @@ def main():
         for call in workloads.generate(name, seed, workdir):
             code, out, err = _scan(call.scan) if call.kind == "scan" else _cli(call.argv)
             print(name, seed, call.label, _digest(code, out, err, WORKDIR, "<workdir>"),
+                  flush=True)
+    workdir = os.path.join(WORKDIR, "spheres")
+    os.makedirs(workdir, exist_ok=True)
+    for name, A in _sphere_matrices():
+        path = os.path.join(workdir, f"{name}.json")
+        with open(path, "w") as fh:
+            fh.write(A.to_json())
+        for command in ("verify", "sspectrum"):
+            code, out, err = _cli([command, "--matrix", path])
+            print("spheres", name, command, _digest(code, out, err, WORKDIR, "<workdir>"),
                   flush=True)
     for name, code, out, err in _demos():
         print("demo", name, _digest(code, out, err, ROOT, "<root>"), flush=True)
