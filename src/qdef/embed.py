@@ -231,7 +231,8 @@ def eigenvalues_c(A) -> np.ndarray:
     """All 2n eigenvalues of the complex embedding, ordered by (real, imag).
 
     The multiset is closed under complex conjugation, a structural consequence
-    of the J-symmetry of the embedding.
+    of the J-symmetry of the embedding; ``qdef.spectrum`` pairs each
+    eigenvalue with its nearest conjugate and reports the worst pair distance.
     """
     M = chi(A)
     if M.shape[0] != M.shape[1]:

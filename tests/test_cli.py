@@ -14,6 +14,7 @@ import pytest
 import qdef.cli
 import qdef.deficiency
 import qdef.embed
+import qdef.spectrum
 import qdef.verify
 from qdef import (I, QVector, RealityVerdict, free_jacobi, hermitian_random,
                   index_stability_scan)
@@ -356,6 +357,13 @@ class TestVerifyRowsCanFail:
         argv = ["verify", "--matrix", str(DATA / "matrix_general.json")]
         assert failed_rows(argv, capsys) == ["rank_nullity"]
 
+    def test_eigenvalue_conjugation_closure(self, monkeypatch, capsys):
+        # the fold keeps its pairs; only the pair distance the row reads grows
+        real = qdef.spectrum._fold_conjugate_pairs
+        monkeypatch.setattr(qdef.spectrum, "_fold_conjugate_pairs",
+                            lambda *args: (real(*args)[0], 1.0))
+        assert failed_rows(self.MATRIX, capsys) == ["eigenvalue_conjugation_closure"]
+
     def test_self_adjointness_criteria_agree(self, monkeypatch, capsys):
         real = qdef.verify.criteria_report
         monkeypatch.setattr(qdef.verify, "criteria_report", lambda *args, **kwargs:
@@ -421,7 +429,7 @@ class TestEnvOverrides:
             (deficiency["n_plus"], deficiency["n_minus"])
 
     @pytest.mark.parametrize("rank_tol,row", [
-        (0.0, "sphere_kernel_verification"),          # point_sspectrum
+        (0.0, "sphere_kernel_verification"),          # spectrum._verify_kernels
         (0.5, "self_adjointness_criteria_agree"),     # criteria_report
     ])
     def test_rank_tol_override_moves_row(self, rank_tol, row, capsys, monkeypatch):

@@ -800,10 +800,7 @@ class TestRelativeFolding:
 
 
 def _diagonal(entries):
-    arr = np.zeros((len(entries), len(entries), 4))
-    for n, q in enumerate(entries):
-        arr[n, n] = q.to_array()
-    return QOperator.from_entries(arr)
+    return _block_diag(*(QOperator([[q]]) for q in entries))
 
 
 def _rotated(A):
@@ -828,11 +825,11 @@ REPEATED_SPHERES = {
 
 
 def _jordan(k):
-    """U J U*, J = q I + N with ones on the superdiagonal: one defective
-    sphere [q] of multiplicity k."""
+    """J = q I + N with ones on the superdiagonal: one defective sphere [q]
+    of multiplicity k."""
     J = _diagonal([Q_SPHERE] * k)
     J.entries[np.arange(k - 1), np.arange(1, k), 0] = 1.0
-    return _rotated(J)
+    return J
 
 
 class TestRepeatedSpheres:
@@ -863,13 +860,22 @@ class TestRepeatedSpheres:
             == spheres
 
     @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_unrotated_defective_sphere_passes(self, k, tmp_path, capsys):
+        # upper triangular: the eigenvalues come out exact, and fold into one
+        path = tmp_path / "m.json"
+        path.write_text(_jordan(k).to_json())
+        assert main(["verify", "--matrix", str(path)]) == 0
+        spheres = json.loads(capsys.readouterr().out)["summary"]["spheres"]
+        assert [s["mult"] for s in spheres] == [k]
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 14 milestone 2: the eigenvalues of a k-fold defective "
         "sphere spread like eps^(1/k), beyond FOLD_TOL, so they fold into "
         "several spheres (k = 2) or find no conjugate partner (k = 3, 4)"))
-    def test_defective_sphere_folds_once(self, k, tmp_path, capsys):
+    def test_rotated_defective_sphere_folds_once(self, k, tmp_path, capsys):
         path = tmp_path / "m.json"
-        path.write_text(_jordan(k).to_json())
+        path.write_text(_rotated(_jordan(k)).to_json())
         assert main(["sspectrum", "--matrix", str(path)]) == 0
         spheres = json.loads(capsys.readouterr().out)["spheres"]
         assert [s["mult"] for s in spheres] == [k]
