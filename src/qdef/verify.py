@@ -95,11 +95,9 @@ def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
     """Invariant suite for a finite quaternionic matrix: check rows, summary and
     the verified SpectrumReport (None when a sphere's kernel is unconfirmed).
 
-    The embedding eigenvalues are folded into spheres once (``_fold``): the
-    ``eigenvalue_conjugation_closure`` row reads the worst distance of the
-    fold's conjugate pairs, ``sphere_kernel_verification`` checks that fold,
-    and the summary lists its spheres whether or not the check passes.  A
-    pair the fold cannot make raises InternalInconsistency.
+    The eigenvalues are folded once (``_fold``): the closure row reads the
+    worst distance of its conjugate pairs, and the summary lists its spheres
+    whether or not ``sphere_kernel_verification`` passes.
 
     The sampled rows (``adjoint_identity``, ``right_linearity`` and
     ``range_perp_equals_adjoint_kernel``) draw each row's random vectors as

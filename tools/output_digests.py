@@ -59,7 +59,7 @@ import qdef.cli  # noqa: E402
 import qdef.deficiency  # noqa: E402
 import qdef.quat  # noqa: E402
 from qdef.qoperator import QOperator  # noqa: E402
-from qdef.quat import Quaternion  # noqa: E402
+from qdef.quat import Quaternion, random_quaternion  # noqa: E402
 from qdef.rmodule import random_basis  # noqa: E402
 
 
@@ -121,7 +121,7 @@ def _rotated(A):
 def _sphere_matrices():
     """(name, QOperator) of the repeated- and defective-sphere matrices."""
     q = Quaternion(1.0, 2.0, 0.5, -1.0)
-    u = qdef.quat.random_quaternion(np.random.default_rng(5))
+    u = random_quaternion(np.random.default_rng(5))
     u = u / u.norm()
     diagonals = {"1+2i,1+2i": [Quaternion(1, 2), Quaternion(1, 2)],
                  "1+2i,1+2j": [Quaternion(1, 2), Quaternion(1, 0, 2)],
@@ -156,8 +156,8 @@ def main():
                   flush=True)
     workdir = os.path.join(WORKDIR, "spheres")
     os.makedirs(workdir, exist_ok=True)
-    for name, A in _sphere_matrices():
-        path = os.path.join(workdir, f"{name}.json")
+    for at, (name, A) in enumerate(_sphere_matrices()):
+        path = os.path.join(workdir, f"matrix{at}.json")
         with open(path, "w") as fh:
             fh.write(A.to_json())
         for command in ("verify", "sspectrum"):
