@@ -1118,7 +1118,10 @@ def truncated_kernel(op: BandedOperator, q: Quaternion, M: int = 60,
     rows that do not reference truncated coefficients), and the quaternionic
     nullity of the rectangle (the length of the returned list of kernel
     vectors) counts the formal solutions -- the dense embedding oracle for
-    the recurrence solver.  Raises PreconditionFailed for M <= w.
+    the recurrence solver.  With non-zero leads the rectangle is in echelon
+    form, of nullity w; it is rank-deficient at ``rank_tol`` once its entries
+    span more than 1 / rank_tol (1e10 by default).  Raises PreconditionFailed
+    for M <= w.
     """
     w = op.bandwidth
     if M <= w:

@@ -12,7 +12,7 @@ import numpy as np
 from . import embed
 from .deficiency import (BandedOperator, _banded_evidence, _count_l2,
                          _scan_result, _scan_shifts, _unit_report, _unit_shifts,
-                         basis_invariance_check, deficiency_indices, truncated_kernel)
+                         basis_invariance_check, deficiency_indices)
 from .errors import InternalInconsistency
 from .qoperator import (SYM_ATOL, QOperator, norm_identity_check,
                         resolvent_poly, scalar_op, shift_left_scalar,
@@ -222,12 +222,12 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     """Invariant suite for a banded half-line operator.
 
     Every stage is set up before anything marches, so that a set-up error
-    (a non-symmetric operator, a scan the entries do not allow, a bandwidth
-    the 60-row dense oracle keeps no row of) comes first; then each stage
-    marches once, in report order, and the first march to fail names the
-    error.  The scan admits real-entried bands only, and on such a band the
-    units i, j and k are one problem on the slice (see ``qdef.deficiency``),
-    so the indices are counted at +-i alone."""
+    (a non-symmetric operator, a scan the entries do not allow) comes first;
+    then each stage marches once, in report order, and the first march to
+    fail names the error.  The scan admits real-entried bands only, and on
+    such a band the units i, j and k are one problem on the slice (see
+    ``qdef.deficiency``), so the indices are counted at +-i alone.  Every row
+    can fail on a real input; none restates the definition of its value."""
     N, window, margin = tol.N, tol.window, tol.ratio
     checks = []
 
@@ -236,9 +236,6 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
 
     units = _unit_shifts(op, "i")
     scan_shifts = _scan_shifts(op, I, 8, seed)
-    # the dense oracle's nullity at +-i, to be compared with the number of
-    # formal solutions (evidence rows) that the shared march classifies there
-    oracle = [len(truncated_kernel(op, q, 60, tol.rank_tol)) for q in units]
     # One _count_l2 at N for the indices, the scan and the directness
     # evidence at +-i, which reads the kept solutions of +-i
     shared = _count_l2(op, units + scan_shifts, N, window, margin, keep=(0, 1))
@@ -249,8 +246,6 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     checks.append(_row("truncation_doubling_stable",
                        doubled.indices == base.indices and doubled.status == "ok",
                        detail=f"N={N} -> {base.indices}, N={2 * N} -> {doubled.indices}"))
-    checks.append(_row("truncated_matrix_oracle_agreement",
-                       all(n == len(counted[1]) for n, counted in zip(oracle, shared))))
 
     scan = _scan_result(scan_shifts, shared[2:], N, window, seed)
     checks.append(_row("index_stability", scan["status"] == "ok",
@@ -259,10 +254,5 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     ev = _banded_evidence(shared[0], shared[1])
     checks.append(_row("defect_space_directness", ev["direct"],
                        detail=f"dims ({ev['dim_plus']}, {ev['dim_minus']})"))
-
-    checks.append(_row("self_adjoint_iff_zero_indices",
-                       base.self_adjoint == (base.indices == (0, 0)
-                                             and base.status == "ok"),
-                       detail=f"verdict {base.self_adjoint}"))
 
     return checks, base.to_dict()

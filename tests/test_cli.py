@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import qdef.deficiency
 import qdef.embed
 import qdef.spectrum
 import qdef.verify
-from qdef import (I, QVector, RealityVerdict, free_jacobi, hermitian_random,
+from qdef import (I, RealityVerdict, free_jacobi, hermitian_random,
                   index_stability_scan)
 from qdef.cli import main
 from qdef.errors import StabilityViolation
@@ -377,27 +378,47 @@ class TestVerifyRowsCanFail:
                             lambda *args, **kwargs: verdict)
         assert failed_rows(self.MATRIX, capsys) == ["spectrum_real_iff_self_adjoint"]
 
-    def test_truncated_matrix_oracle_agreement(self, monkeypatch, capsys):
-        # w + 1 vectors: more than any banded operator of bandwidth w has
-        monkeypatch.setattr(qdef.verify, "truncated_kernel", lambda op, q, M, *args: [
-            QVector.basis_vector(M, k) for k in range(op.bandwidth + 1)])
-        assert failed_rows(self.BANDED, capsys) == ["truncated_matrix_oracle_agreement"]
-
     def test_defect_space_directness(self, monkeypatch, capsys):
         real = qdef.verify._banded_evidence
         monkeypatch.setattr(qdef.verify, "_banded_evidence",
                             lambda *args: {**real(*args), "direct": False})
         assert failed_rows(self.BANDED, capsys) == ["defect_space_directness"]
 
-    def test_self_adjoint_iff_zero_indices(self, monkeypatch, capsys):
-        real = qdef.verify._unit_report
 
-        def flipped(*args):
-            r = real(*args)
-            return dataclasses.replace(r, self_adjoint=not r.self_adjoint)
+def jacobi_band(w, p):
+    """Zero-diagonal band A[n, n+w] = (n+1)^p, A[n, n-w] = (n-w+1)^p: indices
+    (w, w) for p >= 2 (Berezanskii; Akhiezer, The Classical Moment Problem,
+    ch. 1)."""
+    return {"bandwidth": w, "coeff": {
+        f"offset_{w}": [math.comb(p, k) for k in range(p + 1)],
+        f"offset_{-w}": [math.comb(p, k) * (1 - w) ** (p - k) for k in range(p + 1)],
+        "offset_0": [0]}}
 
-        monkeypatch.setattr(qdef.verify, "_unit_report", flipped)
-        assert failed_rows(self.BANDED, capsys) == ["self_adjoint_iff_zero_indices"]
+
+class TestKnownFamilies:
+    """verify answers families whose indices are known in closed form with
+    exit 0, whatever the span of their entries; a 60-row dense corner once
+    read a singular value of these operators as zero and failed them."""
+
+    def run(self, tmp_path, capsys, band, argv):
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(band))
+        code = main(argv + ["--matrix", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        summary = (out["parts"]["verify"] if out["command"] == "report" else out)["summary"]
+        return code, (summary["n_plus"], summary["n_minus"], summary["status"])
+
+    @pytest.mark.parametrize("argv", [["verify"], ["report", "--trials", "2"]])
+    @pytest.mark.parametrize("w,p", [(1, 6), (1, 7), (2, 6), (2, 7)])
+    def test_steep_jacobi(self, w, p, argv, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, jacobi_band(w, p), argv) == (0, (w, w, "ok"))
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1e-8], [0.0, 1.0], [0.0, 1e9],
+                                        [0.0, 1e12], [0.0] * 7 + [1.0]],
+                             ids=["1e-8n", "n", "1e9n", "1e12n", "n^7"])
+    def test_real_diagonal(self, coeffs, tmp_path, capsys):
+        band = {"bandwidth": 0, "coeff": {"offset_0": coeffs}}
+        assert self.run(tmp_path, capsys, band, ["verify"]) == (0, (0, 0, "ok"))
 
 
 class TestEnvOverrides:
@@ -806,14 +827,14 @@ class TestErrorPrecedence:
 
     def test_verify_answers_bandwidth_7(self, tmp_path, capsys):
         # diag(n) plus a bounded symmetric perturbation: self-adjoint, (0, 0);
-        # the oracle once marched 60 rows of its own, too few for w >= 7
+        # a dense oracle once marched 60 rows of its own, too few for w >= 7
         path = tmp_path / "band.json"
         path.write_text(json.dumps({"bandwidth": 7, "coeff": {
             "offset_-7": [1.0], "offset_0": [0.0, 1.0], "offset_7": [1.0]}}))
         assert main(["verify", "--N", "4000", "--window", "100",
                      "--matrix", str(path)]) == 0
         out = json.loads(capsys.readouterr().out)
-        assert len(out["checks"]) == 7 and all(c["passed"] for c in out["checks"])
+        assert len(out["checks"]) == 5 and all(c["passed"] for c in out["checks"])
         assert (out["summary"]["n_plus"], out["summary"]["n_minus"]) == (0, 0)
 
     @staticmethod
@@ -840,24 +861,35 @@ class TestErrorPrecedence:
         assert marches == []
 
     @pytest.mark.parametrize("argv,err", [
-        # the 60-row dense oracle keeps no row at bandwidth 60, whatever N is
-        (["verify", "--N", "2000", "--window", "100", "--matrix", "W60"],
-         "truncation M = 60 keeps no row at bandwidth 60"),
-        (["report", "--N", "2000", "--window", "100", "--matrix", "W60"],
-         "truncation M = 60 keeps no row at bandwidth 60"),
         # report sets up its deficiency part before verify marches
         (["report", "--preset", "jacobi_sq", "--q", "1"],
          "stability scan center must be non-real"),
-    ], ids=["verify-w60", "report-w60", "report-real-q"])
-    def test_set_up_error_before_marching(self, argv, err, tmp_path, capsys,
-                                          monkeypatch):
+    ], ids=["report-real-q"])
+    def test_set_up_error_before_marching(self, argv, err, capsys, monkeypatch):
         marches = self.count_marches(monkeypatch)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"config error: {err}\n"
+        assert marches == []
+
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_bandwidth_60_gets_past_set_up(self, command, tmp_path, capsys,
+                                           monkeypatch):
+        # diag(n) plus ones on offsets +-60: once refused at set-up, as a 60-row
+        # dense corner keeps no row at bandwidth 60; now it reaches the march
         path = tmp_path / "band.json"
         path.write_text(json.dumps({"bandwidth": 60, "coeff": {
             "offset_-60": [1.0], "offset_0": [0.0, 1.0], "offset_60": [1.0]}}))
-        assert main([str(path) if a == "W60" else a for a in argv]) == 2
-        assert capsys.readouterr().err == f"config error: {err}\n"
-        assert marches == []
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(qdef.verify, "_count_l2", reached)
+        with pytest.raises(Reached):
+            main([command, "--N", "2000", "--window", "100", "--matrix", str(path)])
+        assert capsys.readouterr().err == ""
 
 
 def _src_env():

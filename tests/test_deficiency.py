@@ -331,6 +331,21 @@ class TestDeficiencyIndices:
         rep = deficiency_indices(jacobi_sq(), "i", N=20000, window=4)
         assert rep.indices == (1, 1) or rep.status == "inconclusive"
 
+    @pytest.mark.parametrize("counts,status,self_adjoint", [
+        ((0, False, 0, False), "ok", True),
+        ((1, False, 1, False), "ok", False),
+        ((0, True, 0, False), "inconclusive", False),
+    ])
+    def test_self_adjoint_is_zero_indices_ok(self, counts, status, self_adjoint):
+        # the definition of the verdict, held on hand-made _count_l2 entries
+        n_plus, inc_plus, n_minus, inc_minus = counts
+        rep = qdef.deficiency._unit_report(
+            number_operator(), "i", [(n_plus, [], inc_plus, None),
+                                     (n_minus, [], inc_minus, None)], 400, 40, 1e-3)
+        assert (rep.indices, rep.status) == ((n_plus, n_minus), status)
+        assert rep.self_adjoint is self_adjoint
+        assert rep.self_adjoint == (rep.indices == (0, 0) and rep.status == "ok")
+
     def test_bad_unit(self):
         with pytest.raises(ValueError):
             deficiency_indices(number_operator(), "x")
@@ -874,7 +889,7 @@ class TestEngine:
         # one march per N, one row per distinct (Re q, |Im q|): the indices
         # at +-i, the scan (centre and unit directions one problem, 8
         # samples) and the directness evidence share one; then the doubled
-        # run; the dense oracle reads the shared march's count
+        # run
         assert forward == [("slice", 2000, 9), ("slice", 4000, 1)]
 
     def test_deficiency_marches_once_each_way(self, monkeypatch, capsys):
