@@ -1036,11 +1036,19 @@ def _indices_and_scan(op: BandedOperator, unit: str, scan_shifts, N: int,
                       window: int, seed: int, ratio_margin: float):
     """deficiency_indices at ``unit`` and index_stability_scan over its
     ``scan_shifts`` (from ``_scan_shifts``) from one ``_count_l2``: the report
-    and the ``_scan_result``."""
+    and the ``_scan_result``.  On a real-entried band, the only kind the scan
+    admits, dim ker(A* - q) = n+ = n- at every non-real q: a conclusive scan
+    that differs from conclusive indices is a "violation" naming both."""
     counts = _count_l2(op, _unit_shifts(op, unit) + scan_shifts, N, window,
                        ratio_margin)
     report = _unit_report(op, unit, counts[:2], N, window, ratio_margin)
-    return report, _scan_result(scan_shifts, counts[2:], N, window, seed)
+    scan = _scan_result(scan_shifts, counts[2:], N, window, seed)
+    if (report.status == scan["status"] == "ok"
+            and report.indices != (scan["constant_dim"],) * 2):
+        scan = {**scan, "status": "violation",
+                "detail": f"scan dimension {scan['constant_dim']} differs from "
+                          f"the indices {report.indices}"}
+    return report, scan
 
 
 # ---------------------------------------------------------------------------

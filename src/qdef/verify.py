@@ -222,20 +222,18 @@ def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     """Invariant suite for a banded half-line operator.
 
     Every stage is set up before anything marches, so that a set-up error
-    (a non-symmetric operator, a scan the entries do not allow) comes first;
-    then each stage marches once, in report order, and the first march to
-    fail names the error.  The scan admits real-entried bands only, and on
+    (a non-symmetric operator, a scan the entries do not allow, then a
+    coefficient with a non-finite squared norm on a row up to 2N) comes
+    first; then each stage marches once, in report order, and the first
+    march to fail names the error.  ``band_symmetry`` reads rows 0..2N, every
+    row the marches read.  The scan admits real-entried bands only, and on
     such a band the units i, j and k are one problem on the slice (see
     ``qdef.deficiency``), so the indices are counted at +-i alone.  Every row
     can fail on a real input; none restates the definition of its value."""
     N, window, margin = tol.N, tol.window, tol.ratio
-    checks = []
-
-    worst = op.band_symmetry_defect(40)
-    checks.append(_bounded("band_symmetry", worst, tol.atol))
-
     units = _unit_shifts(op, "i")
     scan_shifts = _scan_shifts(op, I, 8, seed)
+    checks = [_bounded("band_symmetry", op.band_symmetry_defect(2 * N + 1), tol.atol)]
     # One _count_l2 at N for the indices, the scan and the directness
     # evidence at +-i, which reads the kept solutions of +-i
     shared = _count_l2(op, units + scan_shifts, N, window, margin, keep=(0, 1))

@@ -345,6 +345,22 @@ class TestScanDisagreement:
             [(0, "ok")] * 7 + [(1, "ok")]
 
 
+    def test_scan_against_the_indices(self, tmp_path, capsys):
+        # b_n = n+1 with zero diagonal: the indices read (0, 0), but the scan
+        # around 0.1i reads dimension 1 at every sample; theory makes the two
+        # one number, so the report names both and the command exits 1
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"bandwidth": 1, "coeff": {
+            "offset_1": [1, 1], "offset_-1": [0, 1], "offset_0": [0]}}))
+        assert main(["deficiency", "--matrix", str(path), "--q", "0.1i"]) == 1
+        d = json.loads(capsys.readouterr().out)["deficiency"]
+        assert (d["n_plus"], d["n_minus"], d["status"]) == (0, 0, "ok")
+        scan = d["stability"]
+        assert (scan["status"], scan["constant_dim"]) == ("violation", 1)
+        assert scan["detail"] == "scan dimension 1 differs from the indices (0, 0)"
+        assert {s["dim"] for s in scan["samples"]} == {1}
+
+
 class TestVerifyRowsCanFail:
     """Each row reads passed: false, and verify exits 1, when the input it
     judges is wrong."""
@@ -377,6 +393,16 @@ class TestVerifyRowsCanFail:
         monkeypatch.setattr(qdef.verify, "selfadjoint_iff_real",
                             lambda *args, **kwargs: verdict)
         assert failed_rows(self.MATRIX, capsys) == ["spectrum_real_iff_self_adjoint"]
+
+    def test_band_symmetry(self, tmp_path, capsys):
+        # A[n+1, n] = 1 + 1e-24 (n+1)^6 against A[n, n+1] = 1: within the
+        # constructor's 1e-12 on rows 0..39, off by 4.1e-3 on row 4000 = 2N
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps({"bandwidth": 1, "coeff": {
+            "offset_1": [1.0], "offset_-1": [1.0, 0, 0, 0, 0, 0, 1e-24],
+            "offset_0": [0]}}))
+        assert failed_rows(["verify", "--matrix", str(path)], capsys) == \
+            ["band_symmetry"]
 
     def test_defect_space_directness(self, monkeypatch, capsys):
         real = qdef.verify._banded_evidence
