@@ -16,12 +16,25 @@ and diag(q, u q u*, q), for q = 1+2i+0.5j-k and u a unit quaternion drawn
 with seed 5, each as is and rotated to U D U* (U from ``random_basis`` with
 seed 5), and U J U* for J = q I + N, a Jordan block of size 2, 3 and 4.
 
+Then it writes banded operators whose answers are known and runs one
+command on each, one line per call:
+
+    known label sha256(exit, stdout, stderr)
+
+These are ``verify`` on the workloads' ``jacobi_config(w, 6, 1.0)`` for
+w = 1 and 2, indices (w, w), and on diag(1e9 n), indices (0, 0);
+``deficiency --q=0.1i`` on the zero-diagonal Jacobi operator b_n = n+1,
+whose indices and scan dimension are both 0; and ``verify`` on the band
+A[n, n+1] = 1, A[n+1, n] = 1 + 1e-24 (n+1)^6, symmetric to 1e-12 on the 40
+rows the constructor checks and not on the 2N + 1 rows ``verify`` marches.
+
 After those lines it runs each demo as ``python -W error demos/NN_*.py`` in a
 subprocess, on this checkout's ``src``, and prints one line per demo:
 
     demo file sha256(exit, stdout, stderr)
 
-That makes 273 workload calls, 22 sphere calls and one line per demo.
+That makes 273 workload calls, 22 sphere calls, 5 known-answer calls and one
+line per demo.
 
 A CLI call is run through ``qdef.cli.run``; a scan call through
 ``index_stability_scan``, with its result as JSON on stdout, exit 0, or the
@@ -137,6 +150,21 @@ def _sphere_matrices():
         yield f"jordan{k}", _rotated(J)
 
 
+def _known_inputs(workloads):
+    """(label, banded config, argv before --matrix) of the known-answer calls."""
+    for w in (1, 2):
+        yield f"verify jacobi w={w} p=6", workloads.jacobi_config(w, 6, 1.0), ["verify"]
+    yield "verify diag 1e9n", workloads.diagonal_config([0.0, 1e9]), ["verify"]
+    yield ("deficiency b=n+1 q=0.1i",
+           {"bandwidth": 1, "coeff": {"offset_1": [1, 1], "offset_-1": [0, 1],
+                                      "offset_0": [0]}},
+           ["deficiency", "--q=0.1i"])
+    yield ("verify band_symmetry",
+           {"bandwidth": 1, "coeff": {"offset_1": [1.0], "offset_0": [0],
+                                      "offset_-1": [1.0, 0, 0, 0, 0, 0, 1e-24]}},
+           ["verify"])
+
+
 def _demos():
     env = {**os.environ, "PYTHONPATH": os.path.join(ROOT, "src")}
     for name in sorted(os.listdir(os.path.join(ROOT, "demos"))):
@@ -164,6 +192,14 @@ def main():
             code, out, err = _cli([command, "--matrix", path])
             print("spheres", name, command, _digest(code, out, err, WORKDIR, "<workdir>"),
                   flush=True)
+    workdir = os.path.join(WORKDIR, "known")
+    os.makedirs(workdir, exist_ok=True)
+    for at, (label, config, argv) in enumerate(_known_inputs(workloads)):
+        path = os.path.join(workdir, f"band{at}.json")
+        with open(path, "w") as fh:
+            json.dump(config, fh)
+        code, out, err = _cli(argv + ["--matrix", path])
+        print("known", label, _digest(code, out, err, WORKDIR, "<workdir>"), flush=True)
     for name, code, out, err in _demos():
         print("demo", name, _digest(code, out, err, ROOT, "<root>"), flush=True)
 
