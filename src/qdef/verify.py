@@ -221,15 +221,15 @@ def verify_matrix(A: QOperator, seed: int, tol: Tolerances,
 def verify_banded(op: BandedOperator, seed: int, tol: Tolerances):
     """Invariant suite for a banded half-line operator.
 
-    Every stage is set up before anything marches, so that a set-up error
-    (a non-symmetric operator, a scan the entries do not allow, then a
-    coefficient with a non-finite squared norm on a row up to 2N) comes
-    first; then each stage marches once, in report order, and the first
-    march to fail names the error.  ``band_symmetry`` reads rows 0..2N, every
-    row the marches read.  The scan admits real-entried bands only, and on
-    such a band the units i, j and k are one problem on the slice (see
-    ``qdef.deficiency``), so the indices are counted at +-i alone.  Every row
-    can fail on a real input; none restates the definition of its value."""
+    Every stage is set up before anything marches: a set-up error (a
+    non-symmetric operator, a scan the entries do not allow, then a
+    coefficient with a non-finite squared norm on a row up to 2N + w + 1)
+    comes first, then each stage marches once, in report order, and the
+    first march to fail names the error.  ``band_symmetry`` compares rows
+    0..2N, every row the marches read, with the rows they couple to.  The
+    scan admits real-entried bands only, on which i, j and k are one problem
+    on the slice (see ``qdef.deficiency``), so the indices are counted at
+    +-i alone.  Every row can fail on a real input."""
     N, window, margin = tol.N, tol.window, tol.ratio
     units = _unit_shifts(op, "i")
     scan_shifts = _scan_shifts(op, I, 8, seed)

@@ -1236,6 +1236,34 @@ class TestBlockMarch:
         assert len(np.unique(logs[0])) > 1
 
 
+class TestKnownFamilies:
+    """verify answers families whose indices are known in closed form with
+    exit 0, whatever the span of their entries: zero-diagonal Jacobi bands of
+    degree p >= 2 have indices (w, w) (Berezanskii; Akhiezer, The Classical
+    Moment Problem, ch. 1), real diagonals (0, 0).  A 60-row dense corner once
+    read a singular value of these operators as zero and failed them."""
+
+    def run(self, tmp_path, capsys, band, argv):
+        path = tmp_path / "band.json"
+        path.write_text(json.dumps(band))
+        code = main(argv + ["--matrix", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        summary = (out["parts"]["verify"] if out["command"] == "report" else out)["summary"]
+        return code, (summary["n_plus"], summary["n_minus"], summary["status"])
+
+    @pytest.mark.parametrize("argv", [["verify"], ["report", "--trials", "2"]])
+    @pytest.mark.parametrize("w,p", [(1, 6), (1, 7), (2, 6), (2, 7)])
+    def test_steep_jacobi(self, w, p, argv, tmp_path, capsys):
+        assert self.run(tmp_path, capsys, jacobi_cfg(w, p, 1.0), argv) == (0, (w, w, "ok"))
+
+    @pytest.mark.parametrize("coeffs", [[0.0, 1e-8], [0.0, 1.0], [0.0, 1e9],
+                                        [0.0, 1e12], [0.0] * 7 + [1.0]],
+                             ids=["1e-8n", "n", "1e9n", "1e12n", "n^7"])
+    def test_real_diagonal(self, coeffs, tmp_path, capsys):
+        band = {"bandwidth": 0, "coeff": {"offset_0": coeffs}}
+        assert self.run(tmp_path, capsys, band, ["verify"]) == (0, (0, 0, "ok"))
+
+
 class TestReportBytes:
     """Reports must stay byte-identical to the recorded fixtures."""
 
