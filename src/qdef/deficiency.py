@@ -20,13 +20,14 @@ over non-real shifts, and the defect spaces at q and conj(q) intersect
 trivially (directness evidence).
 
 All shifts and seed slots of one command at one truncation length and
-arithmetic are solved together: one forward march carries every formal
-solution as a batch, and one reverse march carries every backward re-solve
-and probe; problems equal in value (shift and seeds) are marched once and
-share their rows.  The ``deficiency`` command counts the indices and its
-stability scan in one batch, and ``verify`` its indices at +-i, its scan and
-its directness evidence.  In Hamilton arithmetic each solution's arithmetic
-is the scalar component formulas in their order, so batching changes no bit.
+arithmetic share one forward march, and all backward re-solves and probes
+one reverse march.  The unit of work is the distinct problem (a shift's
+slice number z, below, or in Hamilton arithmetic the shift itself): it is
+marched, checked, fitted and safeguarded once, at its first shift, and its
+shifts share its verdicts.  ``deficiency`` counts the indices and its scan
+in one batch, ``verify`` its indices at +-i, its scan and its directness
+evidence.  In Hamilton arithmetic each solution's arithmetic is the scalar
+component formulas in their order, so batching changes no bit.
 
 The slice.  When every coefficient is real, a solution with real seeds at
 the shift q = a + bI (b = |Im q|, I a unit imaginary, I^2 = -1) stays in the
@@ -41,7 +42,7 @@ directions, are one problem.  For I = +-i, +-j, +-k each complex product
 rounds as the Hamilton product of the mapped numbers (the extra terms are
 signed zeros), so those solutions keep their bits up to the signs of zeros;
 at other axes the two agree to rounding.  ``recurrence_residual`` checks
-every slice solution in Hamilton arithmetic at its quaternion shift.
+each slice problem in Hamilton arithmetic at its first shift.
 Operators with quaternion entries march in Hamilton arithmetic.
 
 Growth handling: the march rescales each solution's active window whenever
@@ -148,9 +149,9 @@ class BandedOperator:
     """Symmetric banded operator on half-line sequences, polynomial in n.
 
     ``polys`` maps each band offset d to the coefficients of 1, n, n^2, ...
-    of the entry A[n, n+d] (numbers or Quaternions); offsets it leaves out,
-    and offsets beyond ``bandwidth``, are zero.  Finite squared norms, the
-    symmetry relation A[n, n+d] = conj(A[n+d, n]) (to 1e-12 relative to the
+    of the entry A[n, n+d] (numbers or Quaternions); offsets it leaves out
+    are zero, and one beyond ``bandwidth`` is a ValueError.  Finite squared
+    norms, the symmetry A[n, n+d] = conj(A[n+d, n]) (to 1e-12 relative to the
     larger of 1 and both entries' norms) and the ``real_entries`` flag are
     validated on rows 0..39 (and the rows they couple to) at construction.
     """
@@ -167,7 +168,10 @@ class BandedOperator:
                                    else [float(c), 0.0, 0.0, 0.0]
                                    for c in coeffs]).reshape(-1, 4)
                  for d, coeffs in polys.items()}
-        self._polys = {d: c for d, c in polys.items() if abs(d) <= self.bandwidth}
+        for d in polys:
+            if abs(d) > self.bandwidth:
+                raise ValueError(f"offset_{d} lies outside bandwidth {self.bandwidth}")
+        self._polys = polys
         self._table = np.zeros((0, 2 * self.bandwidth + 1, 4))
         self._validate()
 
@@ -280,7 +284,7 @@ def from_config(obj) -> BandedOperator:
     Expected shape: {"bandwidth": w, "coeff": {"type": "poly",
     "offset_-1": [...], "offset_0": [...], "offset_1": [...]},
     "real_entries": true}; polynomial coefficients are numbers or quaternion
-    literals.
+    literals; two keys for one offset (``offset_1``, ``offset_01``) raise.
     """
     spec = obj["coeff"]
     if not isinstance(spec, dict):
@@ -297,6 +301,8 @@ def from_config(obj) -> BandedOperator:
             raise ValueError(f"{key} does not name an integer offset") from None
         if not isinstance(val, list):
             raise ValueError(f"{key} must be a list, got {type(val).__name__}")
+        if d in offsets:
+            raise ValueError(f"{key} names offset {d}, as an earlier key does")
         for c in val:
             if isinstance(c, bool) or not isinstance(c, (int, float, str)):
                 raise ValueError(f"{key} is not a number: {c!r}")
@@ -529,24 +535,6 @@ def _first_max(mags):
     return top
 
 
-def _march_distinct(table, shifts, seeds, N, reverse=False):
-    """``_march`` over the distinct (shift, seeds) pairs of a batch.
-
-    Returns mantissas, log scales and, per pair, its row in them: pairs
-    equal in value share one row, which is what each would get alone.
-    """
-    index, picks, rows = {}, [], []
-    for b, (q, seed) in enumerate(zip(shifts, seeds)):
-        key = (q if isinstance(q, complex) else tuple(q), seed.tobytes())
-        if key not in index:
-            index[key] = len(picks)
-            picks.append(b)
-        rows.append(index[key])
-    C, logs = _march(table, [shifts[b] for b in picks], N,
-                     np.array([seeds[b] for b in picks]), reverse)
-    return C, logs, rows
-
-
 _RESIDUAL_ROWS = 512   # rows per chunk of the residual's array expression
 
 
@@ -594,15 +582,23 @@ def _finite(q: Quaternion, what: str) -> Quaternion:
 
 
 def _formal_batch(op: BandedOperator, shifts, N: int):
-    """Formal solutions at every shift (one list per shift), not yet checked.
-
-    All shifts and seed slots of a banded operator share one forward march,
-    which solves each distinct problem once.  A table without imaginary
-    components marches on the slice.
+    """Formal solutions at every shift (one list per shift), not yet checked,
+    and per shift the index of the first shift of its problem: its slice
+    number z on a table without imaginary components, else the shift itself.
+    Each distinct problem is marched once, all in one forward march, and its
+    shifts share its rows, each with its own q and axis.
     """
     w = op.bandwidth
+    if w and N < 10 * w:
+        raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
+    tab = op.table(N)
+    on_slice = w > 0 and not tab[..., 1:].any()
+    problems = [_slice_of(q) if on_slice else (tuple(q.to_array()), None)
+                for q in shifts]
+    index = {}
+    first = [index.setdefault(z, i) for i, (z, _) in enumerate(problems)]
     if w == 0:
-        diag = op.table(N)[:, 0]
+        diag = tab[:, 0]
         batch = []
         for q in shifts:
             hits = np.sqrt(_normsq(diag - q.to_array())) <= DIAG_MATCH_TOL
@@ -612,22 +608,18 @@ def _formal_batch(op: BandedOperator, shifts, N: int):
                 C[n, 0] = 1.0
                 sols.append(FormalSolution(C, np.zeros(N + 1), q, int(n), "skipped"))
             batch.append(sols)
-        return batch
-    if N < 10 * w:
-        raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
-    tab = op.table(N)
+        return batch, first
     seeds = np.eye(w)                                  # slot s: c_s = 1
-    if not tab[..., 1:].any():
-        problems = [_slice_of(q) for q in shifts]
+    if on_slice:
         tab = tab[..., 0]
     else:
-        problems = [(q.to_array(), None) for q in shifts]
         seeds = seeds[..., None] * [1.0, 0.0, 0.0, 0.0]
-    C, logs, rows = _march_distinct(tab, [z for z, _ in problems for _ in range(w)],
-                                    [seed for _ in shifts for seed in seeds], N)
-    return [[FormalSolution(C[rows[i * w + s]], logs[rows[i * w + s]], q, s,
-                            axis=axis) for s in range(w)]
-            for i, (q, (_, axis)) in enumerate(zip(shifts, problems))]
+    C, logs = _march(tab, [z for z in index for _ in range(w)], N,
+                     np.concatenate([seeds] * len(index)))
+    row = {i: r * w for r, i in enumerate(index.values())}
+    return [[FormalSolution(C[row[i] + s], logs[row[i] + s], q, s, axis=axis)
+             for s in range(w)]
+            for q, i, (_, axis) in zip(shifts, first, problems)], first
 
 
 def _checked(op: BandedOperator, sols):
@@ -649,7 +641,7 @@ def formal_solutions(op: BandedOperator, q: Quaternion, N: int):
     rows decouple and slot n admits a nonzero coefficient only when
     coeff(n, 0) - q vanishes exactly.
     """
-    return _checked(op, _formal_batch(op, [_finite(q, "shift")], N)[0])
+    return _checked(op, _formal_batch(op, [_finite(q, "shift")], N)[0][0])
 
 
 # ---------------------------------------------------------------------------
@@ -794,7 +786,7 @@ def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: f
 
     The backward re-solves and minimal-solution probes of all entries with
     ``seeds`` run as one reverse march in the arithmetic of their forward
-    march (the solutions of one batch share it), each distinct problem once;
+    march (one batch shares it), each distinct problem once (``_count_l2``);
     a discrepancy, or a probe whose decaying solution satisfies the boundary
     row, downgrades the verdict to ``inconclusive``.
     """
@@ -808,8 +800,8 @@ def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: f
         shifts = [_slice_of(entry.q)[0] for entry in marched]
         tab = tab[..., 0]
     try:
-        C, logs, rows = _march_distinct(tab, shifts, [e.seeds for e in marched], N,
-                                        reverse=True)
+        C, logs = _march(tab, shifts, N, np.array([e.seeds for e in marched]),
+                         reverse=True)
     except SingularLeadingCoefficient:
         # a symmetric band's reverse leads are conjugates of its forward
         # leads, so only a non-symmetric band given to classify_solution
@@ -818,12 +810,12 @@ def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: f
             if entry.verdict.verdict == SQUARE_SUMMABLE:
                 entry.backward_check = "skipped"
         return
-    for entry, b in zip(marched, rows):
+    for entry, C_b, logs_b in zip(marched, C, logs):
         if entry.verdict.verdict == SQUARE_SUMMABLE:
-            entry.backward_check = _backward_status(entry, C[b], logs[b])
+            entry.backward_check = _backward_status(entry, C_b, logs_b)
             downgrade = entry.backward_check == "discrepancy"
         else:
-            boundary_resid, minimal = _probe_result(op, entry, C[b], logs[b], window,
+            boundary_resid, minimal = _probe_result(op, entry, C_b, logs_b, window,
                                                     ratio_margin)
             # the decaying branch satisfies the boundary row: the forward
             # march likely drifted off it
@@ -878,29 +870,30 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: flo
     """Per shift: (count of square-summable solutions, evidence rows,
     any_inconclusive, its square-summable solutions if its index is in
     ``keep``, else None), from one forward and one reverse march for as many
-    shifts as fit in _BATCH_BYTES."""
+    shifts as fit in _BATCH_BYTES.  Each distinct problem is checked, fitted
+    and safeguarded once; its shifts' evidence rows copy its verdicts."""
     per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
     if len(shifts) > per_batch:
         return [counted for i in range(0, len(shifts), per_batch)
                 for counted in _count_l2(op, shifts[i:i + per_batch], N, window,
                                          ratio_margin, [k - i for k in keep])]
-    batch = _formal_batch(op, shifts, N)
-    screened = [_screen(op, _checked(op, sols), window, ratio_margin)
-                for sols in batch]
+    batch, first = _formal_batch(op, shifts, N)
+    screened = {i: _screen(op, _checked(op, batch[i]), window, ratio_margin)
+                for i in dict.fromkeys(first)}
     # the reverse march needs none of the forward mantissas; kept solutions
     # are copied out of the batch, so that it is freed
     kept = {k: [replace(sol, mantissas=sol.mantissas.copy(),
                         log_scale=sol.log_scale.copy()) for sol in batch[k]]
             for k in keep if 0 <= k < len(batch)}
     del batch
-    _safeguard(op, [entry for entries in screened for entry in entries], N, window,
-               ratio_margin)
+    _safeguard(op, [entry for entries in screened.values() for entry in entries], N,
+               window, ratio_margin)
     counts = []
-    for k, (q, entries) in enumerate(zip(shifts, screened)):
+    for k, (q, i) in enumerate(zip(shifts, first)):
         rows = [{"q": format_quaternion(q), "seed_slot": e.seed_slot,
                  "verdict": e.verdict.verdict,
                  "ratio": e.verdict.ratio if math.isfinite(e.verdict.ratio) else None,
-                 "backward_check": e.backward_check} for e in entries]
+                 "backward_check": e.backward_check} for e in screened[i]]
         verdicts = [row["verdict"] for row in rows]
         l2 = None if k not in kept else [
             sol for sol, v in zip(kept[k], verdicts) if v == SQUARE_SUMMABLE]

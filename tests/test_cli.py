@@ -491,9 +491,9 @@ class TestEnvOverrides:
             seen["ratio"].add(ratio_margin)
             return real_fit(sol, window, ratio_margin)
 
-        def batch(op, shifts, N, *arithmetic):
+        def batch(op, shifts, N):
             seen["N"].add(N)
-            return real_batch(op, shifts, N, *arithmetic)
+            return real_batch(op, shifts, N)
 
         monkeypatch.setattr(qdef.deficiency, "classify_l2", fit)
         monkeypatch.setattr(qdef.deficiency, "_formal_batch", batch)
@@ -701,6 +701,14 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
      "offset_x does not name an integer offset"),
     ("deficiency", '{"bandwidth": 1, "coeff": {"offset_1.5": [1]}}',
      "offset_1.5 does not name an integer offset"),
+    # once dropped, so jacobi_sq plus offset_2 read as jacobi_sq, exit 0
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_1": [1, 2, 1], '
+                   '"offset_-1": [0, 0, 1], "offset_0": [0], "offset_2": [5.0]}}',
+     "offset_2 lies outside bandwidth 1"),
+    # once the later key silently won
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_-1": [1], "offset_0": [0], '
+                   '"offset_1": [1], "offset_01": [2]}}',
+     "offset_01 names offset 1, as an earlier key does"),
     ("deficiency", '{"bandwidth": 1, "coeff": {"offset_0": [null]}}',
      "offset_0 is not a number: None"),
     ("deficiency", '{"bandwidth": 1, "coeff": {"offset_0": [[1, 2]]}}',
@@ -723,7 +731,8 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
         "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
         "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool",
-        "offset-key-text", "offset-key-fraction", "offset-null", "offset-list",
+        "offset-key-text", "offset-key-fraction", "offset-outside-band",
+        "offset-key-repeated", "offset-null", "offset-list",
         "offset-object", "entries-null", "entries-list", "entries-object",
         "coeff-missing", "dim-missing", "entries-missing", "bandwidth-string",
         "dim-string", "bandwidth-negative", "coeff-type-unknown"])

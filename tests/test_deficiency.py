@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import qdef.deficiency
-from qdef import (Basis, I, J, Quaternion, QOperator, BandedOperator,
+from qdef import (Basis, I, J, K, Quaternion, QOperator, BandedOperator,
                   basis_invariance_check, chi, classify_l2, classify_solution,
                   deficiency_indices, formal_solutions, free_jacobi,
                   from_config, index_stability_scan, inner, jacobi_sq,
@@ -609,6 +609,12 @@ def rowwise_residual(op, sol):
     return float(worst)
 
 
+def slice_batch(op, shifts, N):
+    """Formal solutions at every shift (one list per shift) of a
+    real-entried band, marched on the slice."""
+    return _formal_batch(op, shifts, N)[0]
+
+
 def hamilton_batch(op, shifts, N):
     """Formal solutions at every shift (one list per shift) of a band of
     bandwidth >= 1, marched in Hamilton arithmetic on its quaternion table,
@@ -632,7 +638,7 @@ class TestResidualReference:
                              ids=["free_jacobi", "jacobi_sq", "jacobi_w2"])
     def test_equals_rowwise_reference(self, maker, rescaled, hamilton, q):
         op = maker()
-        sols = (hamilton_batch if hamilton else _formal_batch)(op, [q], 1500)[0]
+        sols = (hamilton_batch if hamilton else slice_batch)(op, [q], 1500)[0]
         assert any(sol.log_scale.any() for sol in sols) == rescaled
         assert all((sol.axis is None) == hamilton for sol in sols)
         for sol in sols:
@@ -642,7 +648,7 @@ class TestResidualReference:
     def test_equals_rowwise_reference_off_solution(self, hamilton):
         # random mantissas: no row cancels, so every term of each row counts
         op = jacobi(2, 0)
-        sol = (hamilton_batch if hamilton else _formal_batch)(
+        sol = (hamilton_batch if hamilton else slice_batch)(
             op, [Quaternion(0.3, 1.0, -2.0, 0.5)], 1500)[0][0]
         rng = np.random.default_rng(4)
         noise = rng.standard_normal(sol.mantissas.shape + (2,)) @ [1.0, 1j]
@@ -841,7 +847,7 @@ class TestEngine:
         op = jacobi(w, p, diag=diag)
         shifts = self.SHIFTS + [Quaternion(0.3, 0.0, 0.6, -0.8), -J * 0.5]
         N = 2000
-        for sols, refs in zip(_formal_batch(op, shifts, N), hamilton_batch(op, shifts, N)):
+        for sols, refs in zip(slice_batch(op, shifts, N), hamilton_batch(op, shifts, N)):
             for sol, ref in zip(sols, refs):
                 assert sol.axis is not None and ref.axis is None
                 got = sol.components() * np.exp(sol.log_scale - ref.log_scale)[:, None]
@@ -921,6 +927,72 @@ class TestEngine:
         # one problem: 21 distinct of 24 shifts
         assert [c for c in calls if not c[1]] == [(21, False)]
         assert [c for c in calls if c[1]] == [(21, True)]   # 21 backward re-solves
+
+    @pytest.mark.parametrize("command,problems", [("verify", 10), ("deficiency", 21)])
+    def test_each_problem_checked_and_fitted_once(self, command, problems,
+                                                  monkeypatch, capsys):
+        calls = {"residual": 0, "fit": 0}
+
+        def residual(op, sol):
+            calls["residual"] += 1
+            return recurrence_residual(op, sol)
+
+        def fit(sol, *args):
+            calls["fit"] += 1
+            return classify_l2(sol, *args)
+
+        monkeypatch.setattr(qdef.deficiency, "recurrence_residual", residual)
+        monkeypatch.setattr(qdef.deficiency, "classify_l2", fit)
+        assert main([command, "--preset", "jacobi_sq"]) == 0
+        capsys.readouterr()
+        # every jacobi_sq solution is square-summable, so no probe runs: one
+        # residual and one fit per distinct problem, verify's 9 at N and 1 at
+        # 2N, deficiency's 21 of 26 shifts
+        assert calls == {"residual": problems, "fit": problems}
+
+    def test_shifts_of_one_problem_share_its_verdicts(self, monkeypatch):
+        checked = []
+
+        def residual(op, sol):
+            checked.append(sol.q)
+            return recurrence_residual(op, sol)
+
+        monkeypatch.setattr(qdef.deficiency, "recurrence_residual", residual)
+        counts = qdef.deficiency._count_l2(jacobi_sq(), [I, -I, J, K, I], 2000, 100,
+                                           1e-3)
+        # one problem on the slice, checked at its first shift
+        assert checked == [I]
+        evidence = [rows for _, rows, _, _ in counts]
+        assert [row["q"] for rows in evidence for row in rows] == \
+            ["i", "-i", "j", "k", "i"]
+        assert all([{**row, "q": None} for row in rows] ==
+                   [{**row, "q": None} for row in evidence[0]] for rows in evidence)
+        assert {(dim, inc) for dim, _, inc, _ in counts} == {(1, False)}
+
+    def test_hamilton_problem_is_the_shift(self, monkeypatch):
+        # a quaternion-entried band marches in Hamilton arithmetic, where i
+        # and j share a slice number but not a solution: the repeated i is
+        # one problem, i and j two
+        u = Quaternion(0.6, 0.0, 0.8, 0.0)
+        op = BandedOperator(1, {-1: [0.0, 0.0, u.conjugate()], 0: [0.0],
+                                1: [u, u * 2.0, u]}, real_entries=False)
+        checked, marched = [], []
+
+        def residual(op, sol):
+            checked.append(sol.q)
+            return recurrence_residual(op, sol)
+
+        def counting(table, shifts, N, seeds, reverse=False):
+            marched.append((table.ndim, len(shifts), reverse))
+            return _march(table, shifts, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "recurrence_residual", residual)
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        counts = qdef.deficiency._count_l2(op, [I, J, I], 2000, 100, 1e-3)
+        assert checked == [I, J]
+        assert marched == [(3, 2, False), (3, 2, True)]
+        assert counts[2] == counts[0]
+        assert counts[1][1][0]["ratio"] != counts[0][1][0]["ratio"]
 
     def test_batches_capped_without_changing_results(self, monkeypatch):
         op = jacobi_sq()

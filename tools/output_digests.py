@@ -27,13 +27,17 @@ w = 1 and 2, indices (w, w), and on diag(1e9 n), indices (0, 0);
 whose indices and scan dimension are both 0; and ``verify`` on the band
 A[n, n+1] = 1, A[n+1, n] = 1 + 1e-24 (n+1)^6, symmetric to 1e-12 on the 40
 rows the constructor checks and not on the 2N + 1 rows ``verify`` marches.
+Then ``deficiency`` on the preset ``jacobi_sq`` at the centre ``--q=0.6i+0.8j``,
+which shares the slice number i with +-i and the scan's unit directions; on
+the preset ``free_jacobi``, whose six fixed shifts are one problem; and on
+``jacobi_sq`` with an ``offset_2`` beyond its bandwidth 1, a config error.
 
 After those lines it runs each demo as ``python -W error demos/NN_*.py`` in a
 subprocess, on this checkout's ``src``, and prints one line per demo:
 
     demo file sha256(exit, stdout, stderr)
 
-That makes 273 workload calls, 22 sphere calls, 5 known-answer calls and one
+That makes 273 workload calls, 22 sphere calls, 8 known-answer calls and one
 line per demo.
 
 A CLI call is run through ``qdef.cli.run``; a scan call through
@@ -151,7 +155,8 @@ def _sphere_matrices():
 
 
 def _known_inputs(workloads):
-    """(label, banded config, argv before --matrix) of the known-answer calls."""
+    """(label, banded config or None, argv before --matrix) of the
+    known-answer calls; a call with no config names a preset."""
     for w in (1, 2):
         yield f"verify jacobi w={w} p=6", workloads.jacobi_config(w, 6, 1.0), ["verify"]
     yield "verify diag 1e9n", workloads.diagonal_config([0.0, 1e9]), ["verify"]
@@ -163,6 +168,13 @@ def _known_inputs(workloads):
            {"bandwidth": 1, "coeff": {"offset_1": [1.0], "offset_0": [0],
                                       "offset_-1": [1.0, 0, 0, 0, 0, 0, 1e-24]}},
            ["verify"])
+    yield ("deficiency jacobi_sq q=0.6i+0.8j", None,
+           ["deficiency", "--preset", "jacobi_sq", "--q=0.6i+0.8j"])
+    yield "deficiency free_jacobi", None, ["deficiency", "--preset", "free_jacobi"]
+    yield ("deficiency jacobi_sq offset_2",
+           {"bandwidth": 1, "coeff": {"offset_1": [1, 2, 1], "offset_-1": [0, 0, 1],
+                                      "offset_0": [0], "offset_2": [5.0]}},
+           ["deficiency"])
 
 
 def _demos():
@@ -195,10 +207,12 @@ def main():
     workdir = os.path.join(WORKDIR, "known")
     os.makedirs(workdir, exist_ok=True)
     for at, (label, config, argv) in enumerate(_known_inputs(workloads)):
-        path = os.path.join(workdir, f"band{at}.json")
-        with open(path, "w") as fh:
-            json.dump(config, fh)
-        code, out, err = _cli(argv + ["--matrix", path])
+        if config is not None:
+            path = os.path.join(workdir, f"band{at}.json")
+            with open(path, "w") as fh:
+                json.dump(config, fh)
+            argv = argv + ["--matrix", path]
+        code, out, err = _cli(argv)
         print("known", label, _digest(code, out, err, WORKDIR, "<workdir>"), flush=True)
     for name, code, out, err in _demos():
         print("demo", name, _digest(code, out, err, ROOT, "<root>"), flush=True)
