@@ -50,6 +50,16 @@ def _json_scalar(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _unique_keys(pairs):
+    """json.load's object hook: a dict, or ValueError naming a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ValueError(f"{key} is repeated")
+        obj[key] = value
+    return obj
+
+
 def _load_operator(args):
     """Return (kind, operator, declared): "banded" and a BandedOperator, or
     "matrix", a QOperator and the properties its file declares ("hermitian")."""
@@ -63,20 +73,19 @@ def _load_operator(args):
         return "banded", maker(), {}
     if args.matrix:
         try:
-            with open(args.matrix) as fh:
-                obj = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read {args.matrix}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.matrix} is not valid JSON: {exc}")
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{args.matrix}: expected a JSON object")
-        try:
+            with open(args.matrix, encoding="utf-8") as fh:   # JSON is UTF-8
+                obj = json.load(fh, object_pairs_hook=_unique_keys)
+            if not isinstance(obj, dict):
+                raise ValueError("expected a JSON object")
             if "bandwidth" in obj:
                 return "banded", from_config(obj), {}
             op = QOperator.from_dict(obj)
             if not isinstance(obj.get("hermitian", False), bool):
                 raise ValueError(f"hermitian must be true or false, got {obj['hermitian']!r}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read {args.matrix}: {exc}")
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{args.matrix} is not valid JSON: {exc}")
         except KeyError as exc:
             raise ConfigError(f"{args.matrix}: {exc.args[0]} is missing")
         except (ValueError, TypeError, OverflowError) as exc:

@@ -19,50 +19,37 @@ self-adjointness, the indices are independent of the chosen unit and constant
 over non-real shifts, and the defect spaces at q and conj(q) intersect
 trivially (directness evidence).
 
-All shifts and seed slots of one command at one truncation length and
-arithmetic share one forward march, and all backward re-solves and probes
-one reverse march.  The unit of work is the distinct problem (a shift's
-slice number z, below, or in Hamilton arithmetic the shift itself): it is
-marched, checked, fitted and safeguarded once, at its first shift, and its
-shifts share its verdicts.  ``deficiency`` counts the indices and its scan
-in one batch, ``verify`` its indices at +-i, its scan and its directness
-evidence.  In Hamilton arithmetic each solution's arithmetic is the scalar
-component formulas in their order, so batching changes no bit.
+All shifts and seed slots of one command at one truncation length share one
+forward march, and all backward re-solves and probes one reverse march.  The
+unit of work is the distinct problem (a shift's slice number z, below, else
+the shift itself): it is marched, checked, fitted and safeguarded once, at
+its first shift, and its shifts share its verdicts.  ``deficiency`` counts
+the indices and its scan in one batch, ``verify`` its indices at +-i, its
+scan and its directness evidence.
 
-The slice.  When every coefficient is real, a solution with real seeds at
-the shift q = a + bI (b = |Im q|, I a unit imaginary, I^2 = -1) stays in the
-slice C_I = {x + yI}: real coefficients commute with I, and C_I is closed
-under sums, products and inverses.  x + yI -> x + iy maps C_I onto the
-complex numbers, so such operators march in complex128 at z = a + ib, one
-complex product per term, and quaternion components are formed only where
-they are read (values, residual chunks, the backward comparison).  A
-solution thus depends on Re q and |Im q| alone, the axial symmetry of the
-S-spectrum: +e and -e of a unit, and the scan's three unit
-directions, are one problem.  For I = +-i, +-j, +-k each complex product
-rounds as the Hamilton product of the mapped numbers (the extra terms are
-signed zeros), so those solutions keep their bits up to the signs of zeros;
-at other axes the two agree to rounding.  ``recurrence_residual`` checks
-each slice problem in Hamilton arithmetic at its first shift.
-Operators with quaternion entries march in Hamilton arithmetic.
+Every march is complex.  With real coefficients, a solution with real seeds
+at the shift q = a + bI (b = |Im q|, I a unit imaginary) stays in the slice
+C_I = {x + yI}, which x + yI -> x + iy maps onto the complex numbers: such
+operators march at z = a + ib, one complex product per term.  So a solution
+depends on Re q and |Im q| alone, the axial symmetry of the S-spectrum: +e
+and -e of a unit, and the scan's three unit directions, are one problem.
+A quaternion entry a marches as its chi block [[z1, -conj(z2)], [z2,
+conj(z1)]] (``embed.chi``, z1 = a0 + i a3, z2 = a2 + i a1) on the chi pairs
+(z1, z2) of the c_n.  ``recurrence_residual`` checks each problem at its
+first shift in Hamilton arithmetic, a route the march does not share.
 
 Growth handling: the march rescales each solution's active window whenever
-its magnitudes leave [1e-120, 1e+120], tracking the accumulated log factor
+its largest |c| leaves [1e-120, 1e+120], tracking the accumulated log factor
 per index, so exponentially growing or decaying solutions never overflow.
-The largest |c| of a window is the norm of its components, or where their
-squares overflow or underflow, the norm of the components divided by their
-largest magnitude.  One test judges every row: its window's largest |c|
-against that range.  Rows are marched in blocks, and each block's windows
-are judged after it, in row order.  A row's window holds what it and the
-rows before it wrote, so every test reads what a row-by-row march reads;
-the rows after the first that rescales are marched again from the rescaled
-window, and no bit changes.  For square-
-summable candidates a backward re-solve from the computed tail cross-checks
-the forward pass, and for bandwidth-1 operators a minimal-solution probe
-(backward march from a zero tail seed) guards against the forward recurrence
-drifting off a decaying solution: its boundary row is judged by
-``recurrence_residual``, relative to the row's terms.  A discrepancy, or a
-decaying probe that satisfies the boundary row, downgrades a verdict to
-``inconclusive``.
+Rows are marched in blocks, and each block's windows are judged after it, in
+row order, bit for bit as a row-by-row march judges them (``_settle``).  For
+square-summable candidates a backward re-solve from the computed tail
+cross-checks the forward pass, and for bandwidth-1 operators a
+minimal-solution probe (backward march from a zero tail seed) guards against
+the forward recurrence drifting off a decaying solution: its boundary row is
+judged by ``recurrence_residual``, relative to the row's terms.  A
+discrepancy, or a decaying probe that satisfies the boundary row, downgrades
+a verdict to ``inconclusive``.
 """
 
 from __future__ import annotations
@@ -353,31 +340,29 @@ class FormalSolution:
 
     The true coefficient is mantissas[n] * exp(log_scale[n]); the split keeps
     exponentially growing or decaying solutions representable.  Mantissas
-    are quaternion components, or for a solution marched on the slice C_I
-    (``axis`` I, see the module docstring) complex numbers x + iy standing
-    for x + yI.
+    are complex: x + iy standing for x + yI on the slice C_I of the shift, or
+    the chi pairs (z1, z2) of quaternions (see the module docstring).
     """
-    mantissas: np.ndarray        # (N+1, 4), or (N+1,) complex on a slice
+    mantissas: np.ndarray        # (N+1,) on a slice, (N+1, 2) chi pairs
     log_scale: np.ndarray        # (N+1,)
     q: Quaternion
     seed_slot: int
     backward_check: str = "not_run"   # "ok" | "discrepancy" | "skipped" | "not_run"
-    axis: np.ndarray | None = None    # the slice's unit imaginary I, 3 components
 
     @property
     def length(self):
         return self.mantissas.shape[0]
 
     def components(self, rows=slice(None)) -> np.ndarray:
-        """Quaternion components (..., 4) of the mantissas at ``rows``: the
-        mantissas themselves, or on a slice the numbers x + yI of the
-        complex mantissas x + iy."""
+        """Quaternion components (..., 4) of the mantissas at ``rows``: x + yI
+        of each x + iy on a slice, q0 + q1 i + q2 j + q3 k of each chi pair."""
         m = self.mantissas[rows]
-        if self.axis is None:
-            return m
+        if self.mantissas.ndim == 2:
+            z1, z2 = m[..., 0], m[..., 1]
+            return np.stack([z1.real, z2.imag, z2.real, z1.imag], axis=-1)
         out = np.empty(m.shape + (4,))
         out[..., 0] = m.real
-        out[..., 1:] = m.imag[..., None] * self.axis
+        out[..., 1:] = m.imag[..., None] * _slice_of(self.q)[1]
         return out
 
     def values(self) -> np.ndarray:
@@ -387,9 +372,8 @@ class FormalSolution:
         return self.components() * np.exp(self.log_scale)[:, None]
 
     def _log_mags(self):
-        m = self.mantissas
-        if self.axis is not None:
-            m = np.stack([m.real, m.imag], axis=-1)
+        m = self.mantissas                  # (re, im) of each complex number
+        m = np.stack([m.real, m.imag], axis=-1).reshape(len(m), -1)
         with np.errstate(divide="ignore"):
             return np.log(np.sqrt(_normsq(m)))
 
@@ -404,19 +388,18 @@ class FormalSolution:
 def _march(table, shifts, N, seeds, reverse=False):
     """Solve the banded recurrence for a batch of B solutions, either direction.
 
-    ``table`` holds the coefficients of rows 0..N at least and picks the
-    element arithmetic.  Quaternion entries (N+1, 2w+1, 4) (see
-    ``BandedOperator.table``) march Hamilton products of (B, 4) ``shifts``
-    and seeds with components on a last axis; real entries (N+1, 2w+1)
-    march complex products of (B,) complex shifts and seeds, the slice
-    arithmetic of the module docstring.  Forward: ``seeds`` (B, w) fills
-    c_0..c_{w-1} and rows 0..N-w produce c_w..c_N.  Reverse: ``seeds``
-    (B, 2w) fills c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  After
-    every row, the first included, each solution rescales its active window
-    on its own when the window's largest |c| leaves [RESCALE_LO, RESCALE_HI]
-    (``_settle``); that is the one rescale rule.  Returns mantissas
-    (B, N+1, 4), or (B, N+1) complex, and log scales (B, N+1); every
-    solution is bit for bit what it would be if marched alone.
+    ``table`` holds the coefficients of rows 0..N at least.  Real entries
+    (N+1, 2w+1) march (B,) complex shifts on the slice; quaternion entries
+    (N+1, 2w+1, 4) and (B, 4) quaternion shifts march as chi blocks on chi
+    pairs (module docstring), each product one elementwise 2x2 product.
+    Forward: ``seeds`` (B, w), or (B, w, 2) chi pairs, fills c_0..c_{w-1} and
+    rows 0..N-w produce c_w..c_N.  Reverse: ``seeds`` (B, 2w[, 2]) fills
+    c_{N-2w+1}..c_N and rows N-w..w produce down to c_0.  After every row,
+    the first included, each solution rescales its active window on its own
+    when the window's largest |c| leaves [RESCALE_LO, RESCALE_HI]
+    (``_settle``); that is the one rescale rule.  Returns complex mantissas
+    (B, N+1[, 2]) and log scales (B, N+1); every solution is bit for bit
+    what it would be if marched alone.
 
     Rows are marched in blocks with no rescale test, and each block is then
     judged by ``_settle``; the rows after the first that rescales are
@@ -431,12 +414,17 @@ def _march(table, shifts, N, seeds, reverse=False):
     w = (table.shape[1] - 1) // 2
     tab = table[:N + 1]
     if tab.ndim == 3:
-        prep, mul, shifts = _signed, _qmul, np.asarray(shifts, dtype=float)
+        def prep(a):
+            return embed.chi(a.reshape(-1, 1, 4)).reshape(a.shape[:-1] + (2, 2))
+
+        def mul(a, x):
+            return a[..., 0] * x[..., :1] + a[..., 1] * x[..., 1:]
     else:
-        prep, mul, shifts = np.asarray, np.multiply, np.asarray(shifts, dtype=complex)
-    B = len(shifts)
-    C = np.zeros((N + 1,) + shifts.shape, dtype=shifts.dtype)
-    comps = C.view(float).reshape(N + 1, B, -1)     # float view: (re, im) or 4
+        prep, mul = np.asarray, np.multiply
+    sq = prep(np.asarray(shifts, dtype=float if tab.ndim == 3 else complex))
+    B = len(sq)
+    C = np.zeros((N + 1, B) + np.shape(seeds)[2:], dtype=complex)
+    comps = C.view(float).reshape(N + 1, B, -1)     # float view: (re, im) pairs
     logs = np.zeros((B, N + 1))
     scale = np.zeros(B)
     if reverse:
@@ -458,7 +446,6 @@ def _march(table, shifts, N, seeds, reverse=False):
         terms = [(d, prep(tab[:, d + w]),
                   tab[:, d + w].reshape(N + 1, -1).any(axis=1).tolist())
                  for d in range(-w, w + 1) if d != off and tab[:, d + w].any()]
-        sq = prep(shifts)
         # where each solution last rescaled, the gap before that, and the
         # row where the first of them is due again
         start, last, gap, due = 0, [0] * B, [math.inf] * B, math.inf
@@ -581,45 +568,46 @@ def _finite(q: Quaternion, what: str) -> Quaternion:
     return q
 
 
-def _formal_batch(op: BandedOperator, shifts, N: int):
-    """Formal solutions at every shift (one list per shift), not yet checked,
-    and per shift the index of the first shift of its problem: its slice
-    number z on a table without imaginary components, else the shift itself.
-    Each distinct problem is marched once, all in one forward march, and its
-    shifts share its rows, each with its own q and axis.
-    """
-    w = op.bandwidth
-    if w and N < 10 * w:
+def _problems(op: BandedOperator, shifts, N: int, on_slice=None):
+    """The table a march of rows 0..N >= 10 * bandwidth takes, and per shift
+    its problem: its slice number z on the slice (by default, when the table
+    has no imaginary components), else its quaternion components."""
+    if op.bandwidth and N < 10 * op.bandwidth:
         raise PreconditionFailed(f"truncation length {N} < 10*bandwidth")
     tab = op.table(N)
-    on_slice = w > 0 and not tab[..., 1:].any()
-    problems = [_slice_of(q) if on_slice else (tuple(q.to_array()), None)
-                for q in shifts]
+    if on_slice is None:
+        on_slice = op.bandwidth > 0 and not tab[..., 1:].any()
+    if on_slice:
+        return tab[..., 0], [_slice_of(q)[0] for q in shifts]
+    return tab, [tuple(q.to_array()) for q in shifts]
+
+
+def _formal_batch(op: BandedOperator, shifts, N: int):
+    """Formal solutions at every shift (one list per shift), not yet checked,
+    and per shift the index of the first shift of its problem (``_problems``).
+    Each distinct problem is marched once, all in one forward march, and its
+    shifts share its rows, each with its own q.
+    """
+    w = op.bandwidth
+    tab, problems = _problems(op, shifts, N)
     index = {}
-    first = [index.setdefault(z, i) for i, (z, _) in enumerate(problems)]
-    if w == 0:
-        diag = tab[:, 0]
+    first = [index.setdefault(z, i) for i, z in enumerate(problems)]
+    if w == 0:                      # slot n: c_n = 1 where coeff(n, 0) = q
         batch = []
         for q in shifts:
-            hits = np.sqrt(_normsq(diag - q.to_array())) <= DIAG_MATCH_TOL
-            sols = []
-            for n in np.flatnonzero(hits):
-                C = np.zeros((N + 1, 4))
-                C[n, 0] = 1.0
-                sols.append(FormalSolution(C, np.zeros(N + 1), q, int(n), "skipped"))
-            batch.append(sols)
+            hits = np.sqrt(_normsq(tab[:, 0] - q.to_array())) <= DIAG_MATCH_TOL
+            batch.append([FormalSolution(np.zeros((N + 1, 2), complex), np.zeros(N + 1),
+                                         q, int(n), "skipped") for n in np.flatnonzero(hits)])
+            for sol in batch[-1]:
+                sol.mantissas[sol.seed_slot, 0] = 1.0
         return batch, first
-    seeds = np.eye(w)                                  # slot s: c_s = 1
-    if on_slice:
-        tab = tab[..., 0]
-    else:
-        seeds = seeds[..., None] * [1.0, 0.0, 0.0, 0.0]
+    # slot s: c_s = 1, a chi pair on the quaternion table
+    seeds = np.eye(w) if tab.ndim == 2 else np.eye(w)[..., None] * [1.0, 0.0]
     C, logs = _march(tab, [z for z in index for _ in range(w)], N,
                      np.concatenate([seeds] * len(index)))
     row = {i: r * w for r, i in enumerate(index.values())}
-    return [[FormalSolution(C[row[i] + s], logs[row[i] + s], q, s, axis=axis)
-             for s in range(w)]
-            for q, i, (_, axis) in zip(shifts, first, problems)], first
+    return [[FormalSolution(C[row[i] + s], logs[row[i] + s], q, s) for s in range(w)]
+            for q, i in zip(shifts, first)], first
 
 
 def _checked(op: BandedOperator, sols):
@@ -706,7 +694,6 @@ class _Entry:
     verdict: SummabilityVerdict
     backward_check: str
     q: Quaternion
-    axis: np.ndarray | None
     seeds: np.ndarray | None = None
     tail_log: float = 0.0
     head: FormalSolution | None = None
@@ -726,7 +713,7 @@ def _screen(op: BandedOperator, sols, window: int, ratio_margin: float):
     entries = []
     for sol in sols:
         entry = _Entry(sol.seed_slot, classify_l2(sol, window, ratio_margin),
-                       sol.backward_check, sol.q, sol.axis)
+                       sol.backward_check, sol.q)
         N = sol.length - 1
         if w and entry.verdict.verdict == SQUARE_SUMMABLE:
             tail_logs = sol.log_scale[N - 2 * w + 1:]
@@ -776,7 +763,7 @@ def _probe_result(op: BandedOperator, entry: _Entry, C, logs, window: int,
     to the largest of its terms, so the residual does not depend on the
     operator's scale.
     """
-    probe = FormalSolution(C, logs, entry.q, -1, axis=entry.axis)
+    probe = FormalSolution(C, logs, entry.q, -1)
     head = replace(probe, mantissas=C[:2], log_scale=logs[:2])
     return recurrence_residual(op, head), classify_l2(probe, window, ratio_margin)
 
@@ -785,22 +772,18 @@ def _safeguard(op: BandedOperator, entries, N: int, window: int, ratio_margin: f
     """Settle the verdict and backward_check of every _Entry in place.
 
     The backward re-solves and minimal-solution probes of all entries with
-    ``seeds`` run as one reverse march in the arithmetic of their forward
-    march (one batch shares it), each distinct problem once (``_count_l2``);
+    ``seeds`` run as one reverse march in the arithmetic (the seeds' shape) of
+    their forward march, each distinct problem once (``_count_l2``);
     a discrepancy, or a probe whose decaying solution satisfies the boundary
     row, downgrades the verdict to ``inconclusive``.
     """
     marched = [entry for entry in entries if entry.seeds is not None]
     if not marched:
         return
-    tab = op.table(N)
-    if marched[0].axis is None:
-        shifts = [entry.q.to_array() for entry in marched]
-    else:
-        shifts = [_slice_of(entry.q)[0] for entry in marched]
-        tab = tab[..., 0]
+    tab, problems = _problems(op, [entry.q for entry in marched], N,
+                              marched[0].seeds.ndim == 1)
     try:
-        C, logs = _march(tab, shifts, N, np.array([e.seeds for e in marched]),
+        C, logs = _march(tab, problems, N, np.array([e.seeds for e in marched]),
                          reverse=True)
     except SingularLeadingCoefficient:
         # a symmetric band's reverse leads are conjugates of its forward
@@ -860,8 +843,8 @@ class DeficiencyReport:
 
 
 # Largest batch of one march: its mantissas and log scales take 40 bytes a
-# row per solution in Hamilton arithmetic (24 on a slice), so a scan with a
-# huge --count cannot exhaust memory.
+# row per solution as chi pairs (24 on a slice), so a scan with a huge
+# --count cannot exhaust memory.
 _BATCH_BYTES = 32 * 2 ** 20
 
 
@@ -870,13 +853,21 @@ def _count_l2(op: BandedOperator, shifts, N: int, window: int, ratio_margin: flo
     """Per shift: (count of square-summable solutions, evidence rows,
     any_inconclusive, its square-summable solutions if its index is in
     ``keep``, else None), from one forward and one reverse march for as many
-    shifts as fit in _BATCH_BYTES.  Each distinct problem is checked, fitted
-    and safeguarded once; its shifts' evidence rows copy its verdicts."""
+    distinct problems as fit in _BATCH_BYTES.  Each distinct problem is
+    checked, fitted and safeguarded once; its shifts' evidence rows copy its
+    verdicts."""
     per_batch = max(1, _BATCH_BYTES // (40 * (N + 1) * max(op.bandwidth, 1)))
-    if len(shifts) > per_batch:
-        return [counted for i in range(0, len(shifts), per_batch)
-                for counted in _count_l2(op, shifts[i:i + per_batch], N, window,
-                                         ratio_margin, [k - i for k in keep])]
+    rank = {}           # each distinct problem's place: its shifts share a batch
+    part = [rank.setdefault(z, len(rank)) // per_batch
+            for z in _problems(op, shifts, N)[1]]
+    if len(rank) > per_batch:
+        counts = {}
+        for b in range(max(part) + 1):
+            at = [k for k, p in enumerate(part) if p == b]
+            counts.update(zip(at, _count_l2(op, [shifts[k] for k in at], N, window,
+                                            ratio_margin, [at.index(k) for k in keep
+                                                           if k in at])))
+        return [counts[k] for k in range(len(shifts))]
     batch, first = _formal_batch(op, shifts, N)
     screened = {i: _screen(op, _checked(op, batch[i]), window, ratio_margin)
                 for i in dict.fromkeys(first)}

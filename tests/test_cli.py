@@ -728,6 +728,11 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
     ("deficiency", '{"bandwidth": -1, %s}' % _JACOBI, "bandwidth must be nonnegative"),
     ("deficiency", '{"bandwidth": 1, "coeff": {"type": "table", "offset_0": [1]}}',
      "unknown coefficient generator type 'table'"),
+    # once read with the later value, so jacobi_sq ran on diagonal 7, exit 0
+    ("deficiency", '{"bandwidth": 1, "coeff": {"offset_1": [1, 2, 1], '
+                   '"offset_-1": [0, 0, 1], "offset_0": [0], "offset_0": [7]}}',
+     "offset_0 is repeated"),
+    ("verify", '{"dim": 1, "entries": ["1"], "entries": ["2"]}', "entries is repeated"),
 ], ids=["coeff-list", "bandwidth-inf", "dim-inf", "entries-string",
         "real_entries-string", "symmetric-string", "hermitian-string", "dim-fraction",
         "bandwidth-fraction", "dim-bool", "offset-string", "offset-bool", "entries-bool",
@@ -735,7 +740,8 @@ _JACOBI = '"coeff": {"offset_-1": [1], "offset_0": [0], "offset_1": [1]}'
         "offset-key-repeated", "offset-null", "offset-list",
         "offset-object", "entries-null", "entries-list", "entries-object",
         "coeff-missing", "dim-missing", "entries-missing", "bandwidth-string",
-        "dim-string", "bandwidth-negative", "coeff-type-unknown"])
+        "dim-string", "bandwidth-negative", "coeff-type-unknown",
+        "offset-literal-repeated", "entries-literal-repeated"])
 def test_malformed_operator_file_is_config_error(command, text, message, tmp_path,
                                                  capsys):
     m = tmp_path / "m.json"
@@ -745,6 +751,16 @@ def test_malformed_operator_file_is_config_error(command, text, message, tmp_pat
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"config error: {m}: {message}\n"
+
+
+def test_undecodable_operator_file_is_config_error(tmp_path, capsys):
+    # once a UnicodeDecodeError traceback
+    m = tmp_path / "m.json"
+    m.write_bytes(b'{"dim": 1, "entries": ["\xff"]}')
+    assert main(["verify", "--matrix", str(m)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {m}: 'utf-8' codec can't decode")
 
 
 @pytest.mark.parametrize("command,key,obj", [

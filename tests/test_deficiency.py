@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import re
@@ -32,8 +33,7 @@ def coeff(op, n, d) -> Quaternion:
 
 
 def synthetic_solution(coeffs_real, q=I):
-    arr = np.zeros((len(coeffs_real), 4))
-    arr[:, 0] = coeffs_real
+    arr = np.asarray(coeffs_real, dtype=complex)
     return FormalSolution(arr, np.zeros(len(coeffs_real)), q, 0)
 
 
@@ -175,9 +175,7 @@ class TestClassify:
                         + [0.0] * 4                  # all-zero block
                         + [2.0, 2.0, 2.0, 2.0]       # four tied maxima
                         + [3.0, 0.0, 3.0, 1e-3])     # two tied maxima and a zero
-        arr = np.zeros((24, 4))
-        arr[:, 0] = mags * 0.6
-        arr[:, 2] = -mags * 0.8
+        arr = np.stack([0.6 * mags, -0.8 * mags], axis=-1).astype(complex)  # chi pairs
         log_scale = 0.5 * (np.arange(24) // 4)       # constant inside a block
         sol = FormalSolution(arr, log_scale, I, 0)
         got = classify_l2(sol, window=4).block_log_energies
@@ -519,8 +517,7 @@ def _habs(a):
 def _habs_scaled(a):
     """|a|, from a divided by its largest component magnitude where the
     plain squares overflow to inf or underflow to 0 with a component nonzero."""
-    with np.errstate(over="ignore", under="ignore"):     # numpy scalars
-        r = _habs(a)
+    r = _habs(a)
     big = max(abs(x) for x in a)
     if (r == math.inf or r == 0.0) and 0.0 < big < math.inf:
         r = big * _habs([x / big for x in a])
@@ -532,10 +529,36 @@ def _hinv(a):
     return (a[0] / n2, -a[1] / n2, -a[2] / n2, -a[3] / n2)
 
 
+def chi_pairs(comps):
+    """Quaternion components (..., 4) as chi pairs (..., 2): (q0 + i q3, q2 + i q1)."""
+    comps = np.asarray(comps, dtype=float)
+    out = np.empty(comps.shape[:-1] + (2,), dtype=complex)
+    out.real, out.imag = comps[..., [0, 2]], comps[..., [3, 1]]
+    return out
+
+
+def quaternions(pairs):
+    """The inverse of chi_pairs."""
+    z1, z2 = pairs[..., 0], pairs[..., 1]
+    return np.stack([z1.real, z2.imag, z2.real, z1.imag], axis=-1)
+
+
+def assert_near_scalar(C, logs, C_ref, logs_ref, tol=1e-12):
+    """A march's chi pairs against scalar_march's 4-tuples: every row within
+    ``tol`` of the reference row's norm once both take one log scale, and
+    NaN in the same rows."""
+    got = quaternions(C) * np.exp(logs - logs_ref)[:, None]
+    bad = np.isnan(C_ref).any(axis=1)
+    assert np.array_equal(np.isnan(got).any(axis=1), bad)
+    gap = np.sqrt(_normsq(got - C_ref))[~bad]
+    assert np.all(gap <= tol * np.sqrt(_normsq(C_ref))[~bad])
+
+
 def scalar_march(op, q, N, seeds, reverse=False):
-    """One solution of the recurrence in 4-tuple arithmetic, row by row."""
+    """One solution of the recurrence in 4-tuple arithmetic, row by row, on
+    Python floats."""
     w = op.bandwidth
-    qt = (q.q0, q.q1, q.q2, q.q3)
+    qt = (float(q.q0), float(q.q1), float(q.q2), float(q.q3))
     C = [(0.0, 0.0, 0.0, 0.0)] * (N + 1)
     logs = np.zeros(N + 1)
     scale = 0.0
@@ -546,10 +569,11 @@ def scalar_march(op, q, N, seeds, reverse=False):
         lo, hi, step, out_off, lead_off = N - w, w - 1, -1, -w, -w
         seed_idx = range(N - 2 * w + 1, N + 1)
     for idx, val in zip(seed_idx, seeds):
-        C[idx] = tuple(val)
+        C[idx] = tuple(map(float, val))
+    tiny = float(np.finfo(float).tiny)
     for n in range(lo, hi, step):
         lead = op.coeff_tuple(n, lead_off)
-        if sum(x * x for x in lead) < np.finfo(float).tiny:
+        if sum(x * x for x in lead) < tiny:
             raise SingularLeadingCoefficient(n, lead)
         acc = _hmul(qt, C[n])
         for d in range(-w, w + 1):
@@ -615,12 +639,12 @@ def slice_batch(op, shifts, N):
     return _formal_batch(op, shifts, N)[0]
 
 
-def hamilton_batch(op, shifts, N):
+def chi_batch(op, shifts, N):
     """Formal solutions at every shift (one list per shift) of a band of
-    bandwidth >= 1, marched in Hamilton arithmetic on its quaternion table,
-    the arithmetic of a quaternion-entried band, whatever its entries."""
+    bandwidth >= 1, marched as chi pairs on its quaternion table, the
+    arithmetic of a quaternion-entried band, whatever its entries."""
     w = op.bandwidth
-    seeds = np.eye(w)[..., None] * [1.0, 0.0, 0.0, 0.0]    # slot s: c_s = 1
+    seeds = np.eye(w)[..., None] * [1.0, 0.0]              # slot s: c_s = 1
     C, logs = _march(op.table(N), np.repeat([q.to_array() for q in shifts], w, axis=0),
                      N, np.tile(seeds, (len(shifts), 1, 1)))
     return [[FormalSolution(C[i * w + s], logs[i * w + s], q, s) for s in range(w)]
@@ -638,9 +662,9 @@ class TestResidualReference:
                              ids=["free_jacobi", "jacobi_sq", "jacobi_w2"])
     def test_equals_rowwise_reference(self, maker, rescaled, hamilton, q):
         op = maker()
-        sols = (hamilton_batch if hamilton else slice_batch)(op, [q], 1500)[0]
+        sols = (chi_batch if hamilton else slice_batch)(op, [q], 1500)[0]
         assert any(sol.log_scale.any() for sol in sols) == rescaled
-        assert all((sol.axis is None) == hamilton for sol in sols)
+        assert all((sol.mantissas.ndim == 2) == hamilton for sol in sols)
         for sol in sols:
             assert recurrence_residual(op, sol) == rowwise_residual(op, sol)
 
@@ -648,16 +672,15 @@ class TestResidualReference:
     def test_equals_rowwise_reference_off_solution(self, hamilton):
         # random mantissas: no row cancels, so every term of each row counts
         op = jacobi(2, 0)
-        sol = (hamilton_batch if hamilton else slice_batch)(
+        sol = (chi_batch if hamilton else slice_batch)(
             op, [Quaternion(0.3, 1.0, -2.0, 0.5)], 1500)[0][0]
         rng = np.random.default_rng(4)
-        noise = rng.standard_normal(sol.mantissas.shape + (2,)) @ [1.0, 1j]
-        sol.mantissas = rng.standard_normal(sol.mantissas.shape) if hamilton else noise
+        sol.mantissas = rng.standard_normal(sol.mantissas.shape + (2,)) @ [1.0, 1j]
         assert recurrence_residual(op, sol) == rowwise_residual(op, sol) > 0.1
 
     def test_nan_rows_passed_over(self):
         op = free_jacobi()
-        sol = hamilton_batch(op, [I], 1500)[0][0]
+        sol = chi_batch(op, [I], 1500)[0][0]
         sol.mantissas[700] = np.nan
         got = recurrence_residual(op, sol)
         assert not math.isnan(got)
@@ -771,6 +794,9 @@ class TestEngine:
     @pytest.mark.parametrize("w,p,diag", [(1, 0, 0.0), (1, 1, 0.5), (1, 2, 0.0),
                                           (2, 0, 0.5), (2, 1, 0.0), (2, 2, 0.0)])
     def test_bit_identical_to_scalar(self, w, p, diag):
+        # the quaternion table marches chi pairs, whose complex products
+        # round otherwise than the 4-tuple reference's Hamilton products:
+        # every row agrees to rounding, rescale events included
         op = jacobi(w, p, diag=diag)
         N = 700
         tab = op.table(N)
@@ -785,10 +811,10 @@ class TestEngine:
                  (True, [probe] * 3)]                        # probe seeds
         levels = 0
         for reverse, seeds in cases:
-            C, logs = _march(tab, qs, N, np.array(seeds), reverse)
+            C, logs = _march(tab, qs, N, chi_pairs(seeds), reverse)
             for b, q in enumerate(self.SHIFTS):
                 C_ref, logs_ref = scalar_march(op, q, N, seeds[b], reverse)
-                assert same_bits(C[b], C_ref) and same_bits(logs[b], logs_ref)
+                assert_near_scalar(C[b], logs[b], C_ref, logs_ref)
                 levels = max(levels, len(np.unique(logs_ref)))
         if p == 0:
             assert levels > 1       # rescale events were compared too
@@ -801,14 +827,14 @@ class TestEngine:
         # |c| passes 1e154, or falls below 1e-162, a row after the window
         # test passed it, so the squares of its norm overflow or underflow:
         # the test takes the norm of the scaled components, as the scalar
-        # march does
+        # march does, and the rows agree to rounding
         N = 200
         seeds = np.zeros((1, 1, 4))
         seeds[0, 0, 0] = 1.0
         for q in (Quaternion(0.1, 0.5, 0.0, 0.0), Quaternion(-1.0, 0.0, 0.3, 0.2)):
-            C, logs = _march(op.table(N), q.to_array()[None], N, seeds)
+            C, logs = _march(op.table(N), q.to_array()[None], N, chi_pairs(seeds))
             C_ref, logs_ref = scalar_march(op, q, N, seeds[0])
-            assert same_bits(C[0], C_ref) and same_bits(logs[0], logs_ref)
+            assert_near_scalar(C[0], logs[0], C_ref, logs_ref)
             assert np.isfinite(logs_ref).all() and np.all(np.abs(C_ref).max(axis=1) > 0)
 
     def test_batch_company_does_not_change_bits(self):
@@ -816,9 +842,9 @@ class TestEngine:
         N = 400
         rng = np.random.default_rng(5)
         qs = rng.standard_normal((24, 4))
-        seeds = np.zeros((24, 1, 4))
+        seeds = np.zeros((24, 1, 2), dtype=complex)
         seeds[:, 0, 0] = 1.0
-        tails = rng.standard_normal((24, 2, 4))
+        tails = chi_pairs(rng.standard_normal((24, 2, 4)))
         for reverse, sd in ((False, seeds), (True, tails)):
             C, logs = _march(op.table(N), qs, N, sd, reverse)
             order = rng.permutation(24)
@@ -843,16 +869,17 @@ class TestEngine:
                                           (2, 0, 0.0), (2, 1, 0.5), (2, 2, 0.0)])
     def test_slice_agrees_with_hamilton(self, w, p, diag):
         # real entries keep every solution in the slice of its shift, so the
-        # complex march, mapped back, is the Hamilton march up to rounding
+        # slice march, mapped back, is the march of the quaternion table up
+        # to rounding
         op = jacobi(w, p, diag=diag)
         shifts = self.SHIFTS + [Quaternion(0.3, 0.0, 0.6, -0.8), -J * 0.5]
         N = 2000
-        for sols, refs in zip(slice_batch(op, shifts, N), hamilton_batch(op, shifts, N)):
+        for sols, refs in zip(slice_batch(op, shifts, N), chi_batch(op, shifts, N)):
             for sol, ref in zip(sols, refs):
-                assert sol.axis is not None and ref.axis is None
+                assert sol.mantissas.ndim == 1 and ref.mantissas.ndim == 2
                 got = sol.components() * np.exp(sol.log_scale - ref.log_scale)[:, None]
-                gap = np.sqrt(_normsq(got - ref.mantissas))
-                assert np.all(gap <= 1e-12 * np.sqrt(_normsq(ref.mantissas)))
+                gap = np.sqrt(_normsq(got - ref.components()))
+                assert np.all(gap <= 1e-12 * np.sqrt(_normsq(ref.components())))
 
     @pytest.mark.parametrize("maker", [free_jacobi, jacobi_sq] + [
         (lambda w=w, p=p: jacobi(w, p)) for w in (1, 2) for p in range(4)],
@@ -860,13 +887,13 @@ class TestEngine:
                                             for p in range(4)])
     def test_hamilton_unit_j_counts_as_the_slice(self, maker):
         # on the slice the units i, j and k are one problem, so verify counts
-        # the indices at +-i alone; +-j marched and classified in Hamilton
-        # arithmetic gives the slice's verdicts, slot by slot (number_operator
+        # the indices at +-i alone; +-j marched and classified as chi pairs
+        # on the quaternion table gives the slice's verdicts, slot by slot (number_operator
         # is diagonal and marches in neither)
         op = maker()
         report = deficiency_indices(op, "j", N=DEFAULT.N)
         rows, counts = [], []
-        for sols in hamilton_batch(op, [J, -J], DEFAULT.N):
+        for sols in chi_batch(op, [J, -J], DEFAULT.N):
             verdicts = []
             for sol in sols:
                 assert recurrence_residual(op, sol) <= RESIDUAL_TOL
@@ -885,7 +912,7 @@ class TestEngine:
 
         def counting(table, shifts, N, seeds, reverse=False):
             if not reverse:
-                forward.append(("hamilton" if table.ndim == 3 else "slice", N,
+                forward.append(("chi" if table.ndim == 3 else "slice", N,
                                 len(shifts)))
             return _march(table, shifts, N, seeds, reverse)
 
@@ -902,7 +929,7 @@ class TestEngine:
         calls = []
 
         def counting(table, shifts, N, seeds, reverse=False):
-            calls.append(("slice" if table.ndim == 2 else "hamilton", N,
+            calls.append(("slice" if table.ndim == 2 else "chi", N,
                           len(shifts), reverse))
             return _march(table, shifts, N, seeds, reverse)
 
@@ -970,9 +997,9 @@ class TestEngine:
         assert {(dim, inc) for dim, _, inc, _ in counts} == {(1, False)}
 
     def test_hamilton_problem_is_the_shift(self, monkeypatch):
-        # a quaternion-entried band marches in Hamilton arithmetic, where i
-        # and j share a slice number but not a solution: the repeated i is
-        # one problem, i and j two
+        # a quaternion-entried band marches chi pairs, where i and j share a
+        # slice number but not a solution: the repeated i is one problem, i
+        # and j two
         u = Quaternion(0.6, 0.0, 0.8, 0.0)
         op = BandedOperator(1, {-1: [0.0, 0.0, u.conjugate()], 0: [0.0],
                                 1: [u, u * 2.0, u]}, real_entries=False)
@@ -994,6 +1021,29 @@ class TestEngine:
         assert counts[2] == counts[0]
         assert counts[1][1][0]["ratio"] != counts[0][1][0]["ratio"]
 
+    def test_batches_cut_by_problem(self, monkeypatch):
+        # a budget of one problem per batch: +-i, one problem on the slice,
+        # march together; on a quaternion band the repeated i joins the
+        # first i's batch and j marches alone
+        u = Quaternion(0.6, 0.0, 0.8, 0.0)
+        band = BandedOperator(1, {-1: [0.0, 0.0, u.conjugate()], 0: [0.0],
+                                  1: [u, u * 2.0, u]}, real_entries=False)
+        whole = (deficiency_indices(jacobi_sq(), "i", N=2000).to_dict(),
+                 qdef.deficiency._count_l2(band, [I, J, I], 2000, 100, 1e-3))
+        calls = []
+
+        def counting(table, qs, N, seeds, reverse=False):
+            calls.append((len(qs), reverse))
+            return _march(table, qs, N, seeds, reverse)
+
+        monkeypatch.setattr(qdef.deficiency, "_march", counting)
+        monkeypatch.setattr(qdef.deficiency, "_BATCH_BYTES", 40 * 2001)
+        assert deficiency_indices(jacobi_sq(), "i", N=2000).to_dict() == whole[0]
+        assert calls == [(1, False), (1, True)]
+        calls.clear()
+        assert qdef.deficiency._count_l2(band, [I, J, I], 2000, 100, 1e-3) == whole[1]
+        assert calls == [(1, False), (1, True)] * 2
+
     def test_batches_capped_without_changing_results(self, monkeypatch):
         op = jacobi_sq()
         whole = index_stability_scan(op, I, count=20, N=600, window=60, seed=4)
@@ -1006,17 +1056,18 @@ class TestEngine:
         monkeypatch.setattr(qdef.deficiency, "_march", counting)
         monkeypatch.setattr(qdef.deficiency, "_BATCH_BYTES", 40 * 601 * 5)
         assert index_stability_scan(op, I, count=20, N=600, window=60, seed=4) == whole
-        # the first batch of five shifts holds the centre and the three unit
-        # directions, one problem on the slice, and one sample
-        assert max(sizes) == 5 and sum(sizes) == 2 * 21
+        # batches of five distinct problems, each marched forward and back:
+        # the first holds the centre and the three unit directions, one
+        # problem on the slice, and four samples
+        assert sizes == [5] * 8 + [1] * 2
 
     @pytest.mark.parametrize("make,unit,center", [
         (jacobi_sq, "i", I),
         (free_jacobi, "k", Quaternion(0.2, 0.7, 0.0, 0.0)),
         (lambda: jacobi(2, 2, 1.0), "j", Quaternion(0.4, 0.0, 0.0, 1.2)),
     ])
-    # 5 shifts of bandwidth 1 per batch at N = 600: the shared batch and the
-    # scan alone split at different shifts
+    # 5 problems of bandwidth 1 per batch at N = 600: the shared batch and the
+    # scan alone split at different problems
     @pytest.mark.parametrize("batch_bytes", [None, 40 * 601 * 5])
     def test_indices_and_scan_equal_separate_calls(self, make, unit, center,
                                                    batch_bytes, monkeypatch):
@@ -1056,6 +1107,19 @@ class TestEngine:
 # the block march against the row-by-row loop
 # ---------------------------------------------------------------------------
 
+def chi_blocks(a):
+    """The chi blocks [[z1, -conj(z2)], [z2, conj(z1)]] (..., 2, 2) of
+    quaternion components (..., 4)."""
+    z = chi_pairs(a)
+    z1, z2 = z[..., 0], z[..., 1]
+    return np.stack([np.stack([z1, -z2.conj()], -1), np.stack([z2, z1.conj()], -1)], -2)
+
+
+def chi_mul(a, x):
+    """2x2 blocks times chi pairs, one complex product per entry."""
+    return a[..., 0] * x[..., :1] + a[..., 1] * x[..., 1:]
+
+
 def rowwise_march(table, shifts, N, seeds, reverse=False):
     """The recurrence marched and judged row by row, the reference for
     _march's blocks: after each row its window takes the exact test (with
@@ -1063,11 +1127,11 @@ def rowwise_march(table, shifts, N, seeds, reverse=False):
     w = (table.shape[1] - 1) // 2
     tab = table[:N + 1]
     if tab.ndim == 3:
-        prep, mul, shifts = _signed, _qmul, np.asarray(shifts, dtype=float)
+        prep, mul, shifts = chi_blocks, chi_mul, np.asarray(shifts, dtype=float)
     else:
         prep, mul, shifts = np.asarray, np.multiply, np.asarray(shifts, dtype=complex)
     B = len(shifts)
-    C = np.zeros((B, N + 1) + tab.shape[2:], dtype=shifts.dtype)
+    C = np.zeros((B, N + 1) + np.shape(seeds)[2:], dtype=complex)
     comps = C.view(float).reshape(B, N + 1, -1)
     logs = np.zeros((B, N + 1))
     scale = np.zeros(B)
@@ -1121,9 +1185,9 @@ def march_cases(table, N, rng, B=5):
     if table.ndim == 3:
         qs = rng.standard_normal((B, 4))
         qs[0] = [0.0, 3.0, 0.0, 0.0]
-        tails = rng.standard_normal((B, 2 * w, 4))
-        unit = np.zeros((B, w, 4))
-        probe = np.zeros((B, 2 * w, 4))
+        tails = chi_pairs(rng.standard_normal((B, 2 * w, 4)))
+        unit = np.zeros((B, w, 2), complex)
+        probe = np.zeros((B, 2 * w, 2), complex)
         unit[:, 0, 0] = probe[:, 0, 0] = 1.0
     else:
         qs = rng.standard_normal(B) + 1j * np.abs(rng.standard_normal(B))
@@ -1240,8 +1304,8 @@ class TestBlockMarch:
     @pytest.mark.parametrize("hamilton", [False, True])
     def test_batch_position_changes_no_bit(self, hamilton):
         # the NaN problem above at batch position 0 and at 2: its bits do not
-        # depend on where it stands, and in Hamilton arithmetic they are the
-        # 4-tuple march's
+        # depend on where it stands, and as chi pairs they are the 4-tuple
+        # march's up to rounding
         op = jacobi(2, 0)
         N = 100
         table = op.table(N) if hamilton else op.table(N)[..., 0]
@@ -1256,8 +1320,9 @@ class TestBlockMarch:
         (C0, logs0), (C2, logs2) = marched
         assert same_bits(C0, C2) and same_bits(logs0, logs2)
         if hamilton:
-            C_ref, logs_ref = scalar_march(op, Quaternion(*shifts[2]), N, tails[2])
-            assert same_bits(C2, C_ref) and same_bits(logs2, logs_ref)
+            C_ref, logs_ref = scalar_march(op, Quaternion(*shifts[2]), N,
+                                           quaternions(tails[2]))
+            assert_near_scalar(C2, logs2, C_ref, logs_ref)
 
     def test_block_length_follows_rescale_rate(self, monkeypatch):
         settle = qdef.deficiency._settle
@@ -1306,6 +1371,97 @@ class TestBlockMarch:
         seeds = np.array([[1.0, 0.0], [0.0, 1.0], [1e-119, 0.0]], complex)
         logs = assert_same_march(table, np.array([3j, 3j, 0.1j]), N, seeds, False)
         assert len(np.unique(logs[0])) > 1
+
+
+# ---------------------------------------------------------------------------
+# the chi march against the Hamilton reference
+# ---------------------------------------------------------------------------
+
+# A[n, n+1] = (n+1)^2 + j, as in tests/test_cli.py
+QUATERNION_BAND = {"bandwidth": 1, "real_entries": False,
+                   "coeff": {"type": "poly", "offset_-1": ["-1j", 0.0, 1.0],
+                             "offset_0": [0.0], "offset_1": ["1+1j", 2.0, 1.0]}}
+
+
+def quaternion_band(seed, w, p, diag):
+    """A symmetric band of random quaternion polynomials: A[n, n+d] of degree
+    p at d = w and p - 1 for 0 < d < w, A[n+d, n] its conjugate, and the real
+    diagonal diag (n+1)^p, which makes the solutions grow geometrically when
+    it dominates."""
+    rng = np.random.default_rng(seed)
+    polys = {0: [diag * math.comb(p, k) for k in range(p + 1)]}
+    for d in range(1, w + 1):
+        up = [Quaternion(*rng.standard_normal(4)) for _ in range(p + 1 if d == w else p)]
+        polys[d] = up
+        # A[m, m-d] = conj(p_d(m - d)), in powers of m
+        polys[-d] = [sum((up[k].conjugate() * (math.comb(k, j) * (-d) ** (k - j))
+                          for k in range(j, len(up))), Quaternion(0.0))
+                     for j in range(len(up))]
+    return BandedOperator(w, polys, real_entries=False)
+
+
+class TestChiMarch:
+    """Quaternion entries march as chi pairs, scalar_march row by row in
+    Hamilton 4-tuples: over long marches, rescaling ones among them, each
+    |c_n| agrees to a relative 1e-11 (at most 9.1e-13 was seen, the error of
+    4000 rows of rounding) and classify_solution reads the same."""
+
+    SHIFTS = [I, Quaternion(0.0, 0.6, 0.8, 0.0), Quaternion(0.3, 0.0, 0.0, 2.0)]
+
+    @pytest.mark.parametrize("make,rescales", [
+        (lambda: from_config(QUATERNION_BAND), False),
+        (lambda: quaternion_band(1, 1, 1, 8.0), True),
+        (lambda: quaternion_band(2, 2, 2, 0.0), False),
+        (lambda: quaternion_band(3, 2, 1, 8.0), True),
+        (lambda: quaternion_band(4, 3, 2, 8.0), True),
+    ], ids=["quaternion_band", "w1_p1_growing", "w2_p2", "w2_p1_growing",
+            "w3_p2_growing"])
+    def test_agrees_with_the_hamilton_reference(self, make, rescales):
+        op = make()
+        N = 4000
+        for q in self.SHIFTS:
+            for sol in formal_solutions(op, q, N):
+                seeds = np.zeros((op.bandwidth, 4))
+                seeds[sol.seed_slot, 0] = 1.0
+                C_ref, logs_ref = scalar_march(op, q, N, seeds)
+                with np.errstate(divide="ignore"):
+                    ref = np.log(np.sqrt((C_ref ** 2).sum(axis=1))) + logs_ref
+                got = sol.log_sq_magnitudes() / 2.0
+                assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+                rows = np.isfinite(ref)
+                assert np.all(np.abs(got[rows] - ref[rows]) <= 1e-11)
+                assert bool(sol.log_scale.any()) == rescales
+                ref_sol = FormalSolution(chi_pairs(C_ref), logs_ref, q, sol.seed_slot)
+                assert classify_solution(op, sol).verdict == \
+                    classify_solution(op, ref_sol).verdict
+                assert sol.backward_check == ref_sol.backward_check
+
+
+SRC = Path(qdef.deficiency.__file__).parent
+HAMILTON = {"_qmul", "_signed"}
+
+
+def hamilton_names(path):
+    """The top-level definitions of a module that name _qmul or _signed,
+    and "import" where it imports them."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or \
+                getattr(node, "name", None)
+            if name in HAMILTON:
+                found.add("import" if isinstance(top, ast.ImportFrom)
+                          else getattr(top, "name", "<module>"))
+    return found
+
+
+def test_hamilton_products_stay_out_of_the_march():
+    # recurrence_residual checks the chi march in Hamilton arithmetic, a
+    # route the march must not share
+    found = {path.name: hamilton_names(path) for path in sorted(SRC.glob("*.py"))}
+    assert found.pop("quat.py")
+    assert {name: where for name, where in found.items() if where} == \
+        {"deficiency.py": {"import", "recurrence_residual"}}
 
 
 class TestKnownFamilies:

@@ -31,14 +31,19 @@ Then ``deficiency`` on the preset ``jacobi_sq`` at the centre ``--q=0.6i+0.8j``,
 which shares the slice number i with +-i and the scan's unit directions; on
 the preset ``free_jacobi``, whose six fixed shifts are one problem; and on
 ``jacobi_sq`` with an ``offset_2`` beyond its bandwidth 1, a config error.
+Last ``deficiency`` on two bands whose entries hold imaginary parts below
+the 1e-12 that ``real_entries`` allows, so that they march as quaternions,
+not on the slice: free Jacobi with off-diagonals 1 +- 1e-13j, bounded, so
+(0, 0), and ``jacobi_sq`` with off-diagonals (n+1)^2 (1 +- 5e-16j), gauge
+equivalent to ``jacobi_sq``, so (1, 1) (Berezanskii).
 
 After those lines it runs each demo as ``python -W error demos/NN_*.py`` in a
 subprocess, on this checkout's ``src``, and prints one line per demo:
 
     demo file sha256(exit, stdout, stderr)
 
-That makes 273 workload calls, 22 sphere calls, 8 known-answer calls and one
-line per demo.
+That makes 273 workload calls, 22 sphere calls, 10 known-answer calls and one
+line per demo: 311 lines.
 
 A CLI call is run through ``qdef.cli.run``; a scan call through
 ``index_stability_scan``, with its result as JSON on stdout, exit 0, or the
@@ -174,6 +179,14 @@ def _known_inputs(workloads):
     yield ("deficiency jacobi_sq offset_2",
            {"bandwidth": 1, "coeff": {"offset_1": [1, 2, 1], "offset_-1": [0, 0, 1],
                                       "offset_0": [0], "offset_2": [5.0]}},
+           ["deficiency"])
+    yield ("deficiency free_jacobi 1e-13j",
+           {"bandwidth": 1, "coeff": {"offset_1": ["1+1e-13j"], "offset_-1": ["1-1e-13j"],
+                                      "offset_0": [0]}},
+           ["deficiency"])
+    yield ("deficiency jacobi_sq 5e-16j",
+           {"bandwidth": 1, "coeff": {"offset_1": ["1+5e-16j", "2+1e-15j", "1+5e-16j"],
+                                      "offset_-1": [0, 0, "1-5e-16j"], "offset_0": [0]}},
            ["deficiency"])
 
 
